@@ -10,22 +10,20 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, crw, genfunc, qw, verify
 from .genfunc import ConvergenceError
+from .lattice import Field
+from .series import ReturnSeries
 
 __all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot", "parse_csv"]
-
-RETURN_MODELS = ("qw", "hadamard", "crw", "rw")
-GENFUNC_MODELS = ("qw", "hadamard", "crw", "rw", "polya2d")
-
-_RETURN_TOL = {"qw": 1e-10, "hadamard": 1e-10, "crw": 1e-12, "rw": 1e-12}
-_GENFUNC_TOL = {"qw": 1e-6, "hadamard": 1e-8, "crw": 1e-10, "rw": 1e-10, "polya2d": 1e-9}
 
 _ENV_TOL = "WALKERS_RETURN_TOL"
 
@@ -101,19 +99,80 @@ def _write_output(table: Table, args) -> None:
         emitter(table, sys.stdout)
 
 
-def _resolve_tol(args, defaults: dict[str, float]) -> float:
+def _resolve_tol(args, default: float) -> float:
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get(_ENV_TOL)
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get(_ENV_TOL)
+        if env is None:
+            return default
         try:
-            return float(env)
+            tol, source = float(env), _ENV_TOL
         except ValueError as exc:
             raise ValueError(f"{_ENV_TOL} must be a number, got {env!r}") from exc
-    return defaults[args.model]
+    # Written so that NaN fails the check as well.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{source} must be a finite positive number, got {tol!r}")
+    return tol
 
 
-def _crw_inputs(args) -> tuple[crw.TransitionMatrix, crw.CRWInitialState]:
+@dataclass(frozen=True)
+class Walk:
+    """A model bound to its parsed parameters: what each command computes from it."""
+
+    params: dict  # the meta block's "params"
+    closed: Callable[[int], ReturnSeries]  # closed-form r_0..r_nmax in one sweep
+    gf: Callable[[float], float]  # closed-form generating function at z
+    simulate: Callable[[int], ReturnSeries] | None = None  # lattice r_0..r_nmax
+    evolve: Callable[[int], Field] | None = None  # lattice state at time n
+
+
+@dataclass(frozen=True)
+class Model:
+    """One row of the model table: flag parsing plus default tolerances.
+
+    A model without a lattice route (return_tol None) serves `genfunc` only.
+    """
+
+    parse: Callable[[argparse.Namespace], Walk]  # reads and validates the model's flags
+    genfunc_tol: float
+    return_tol: float | None = None
+
+
+def _quantum(coin: qw.CoinMatrix, alpha_sq: float, gf) -> Walk:
+    phi = qw.QWInitialState.canonical()
+    return Walk(
+        {"alpha_sq": alpha_sq},
+        lambda nmax: qw.return_series_qw(alpha_sq, nmax),
+        gf,
+        lambda nmax: qw.simulate_return(coin, phi, nmax),
+        lambda n: qw.evolve(coin, phi, n),
+    )
+
+
+def _correlated(transition: crw.TransitionMatrix, phi_hat: crw.CRWInitialState, params: dict, gf) -> Walk:
+    return Walk(
+        params,
+        lambda nmax: crw.return_series_crw(transition, phi_hat, nmax),
+        gf,
+        lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
+        lambda n: crw.evolve_crw(transition, phi_hat, n),
+    )
+
+
+def _parse_qw(args) -> Walk:
+    if args.alpha_sq is None:
+        raise ValueError("model qw requires --alpha-sq")
+    alpha_sq = args.alpha_sq
+    return _quantum(qw.CoinMatrix.from_alpha_sq(alpha_sq), alpha_sq, lambda z: genfunc.gf_qw(alpha_sq, z))
+
+
+def _parse_hadamard(args) -> Walk:
+    # The Legendre form at k = 0; the C(2m, m) formula is checked in `verify`.
+    return _quantum(qw.CoinMatrix.hadamard(), 0.5, genfunc.gf_hadamard)
+
+
+def _parse_crw(args) -> Walk:
     if args.a is None:
         raise ValueError("model crw requires --a (left-persistence probability)")
     if args.d is None and args.b is None:
@@ -123,136 +182,89 @@ def _crw_inputs(args) -> tuple[crw.TransitionMatrix, crw.CRWInitialState]:
     b = args.b if args.b is not None else 1.0 - args.d
     transition = crw.TransitionMatrix(a=args.a, b=b)
     phi_hat = crw.CRWInitialState.from_phi1(args.phi1)
-    return transition, phi_hat
+    return _correlated(
+        transition,
+        phi_hat,
+        {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat},
+        lambda z: genfunc.gf_crw(transition, phi_hat, z),
+    )
 
 
-def _model_setup(args):
-    """Closed-form r_n callable, simulated series factory, params dict."""
-    model = args.model
-    if model == "qw":
-        if args.alpha_sq is None:
-            raise ValueError("model qw requires --alpha-sq")
-        coin = qw.CoinMatrix.from_alpha_sq(args.alpha_sq)
-        phi = qw.QWInitialState.canonical()
-        return (
-            lambda n: qw.return_closed_qw(args.alpha_sq, n),
-            lambda nmax: qw.simulate_return(coin, phi, nmax),
-            {"alpha_sq": args.alpha_sq},
+def _parse_rw(args) -> Walk:
+    if args.p is None:
+        raise ValueError("model rw requires --p")
+    p = args.p
+    return _correlated(
+        crw.TransitionMatrix.uncorrelated(p),
+        crw.CRWInitialState.from_phi1(args.phi1),
+        {"p": p},
+        lambda z: genfunc.gf_rw(p, z),
+    )
+
+
+def _parse_polya2d(args) -> Walk:
+    return Walk({}, genfunc.polya2d_series, genfunc.polya2d_gf)
+
+
+MODELS = {
+    "qw": Model(_parse_qw, genfunc_tol=1e-6, return_tol=1e-10),
+    "hadamard": Model(_parse_hadamard, genfunc_tol=1e-8, return_tol=1e-10),
+    "crw": Model(_parse_crw, genfunc_tol=1e-10, return_tol=1e-12),
+    "rw": Model(_parse_rw, genfunc_tol=1e-10, return_tol=1e-12),
+    "polya2d": Model(_parse_polya2d, genfunc_tol=1e-9),
+}
+RETURN_MODELS = tuple(name for name, model in MODELS.items() if model.return_tol is not None)
+GENFUNC_MODELS = tuple(MODELS)
+
+
+def _model(args, command: str, supported: tuple[str, ...]) -> Model:
+    if args.model not in supported:
+        raise ValueError(
+            f"model {args.model!r} not supported by `{command}`; choose from {', '.join(supported)}"
         )
-    if model == "hadamard":
-        coin = qw.CoinMatrix.hadamard()
-        phi = qw.QWInitialState.canonical()
-        return (
-            qw.return_hadamard,
-            lambda nmax: qw.simulate_return(coin, phi, nmax),
-            {"alpha_sq": 0.5},
-        )
-    if model == "crw":
-        transition, phi_hat = _crw_inputs(args)
-        return (
-            lambda n: crw.return_closed_crw(transition, phi_hat, n),
-            lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
-            {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat},
-        )
-    if model == "rw":
-        if args.p is None:
-            raise ValueError("model rw requires --p")
-        transition = crw.TransitionMatrix.uncorrelated(args.p)
-        phi_hat = crw.CRWInitialState.from_phi1(args.phi1)
-        return (
-            lambda n: crw.return_closed_crw(transition, phi_hat, n),
-            lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
-            {"p": args.p},
-        )
-    raise ValueError(f"model {model!r} is not supported by this command")
+    return MODELS[args.model]
 
 
 def cmd_return(args) -> int:
-    if args.model not in RETURN_MODELS:
-        raise ValueError(
-            f"model {args.model!r} not supported by `return`; choose from {', '.join(RETURN_MODELS)}"
-        )
+    model = _model(args, "return", RETURN_MODELS)
     if args.nmax < 0:
         raise ValueError(f"--nmax must be non-negative, got {args.nmax}")
-    tol = _resolve_tol(args, _RETURN_TOL)
-    closed_fn, simulate, params = _model_setup(args)
-    simulated = simulate(args.nmax)
-    rows = []
-    worst = 0.0
-    for n in range(args.nmax + 1):
-        closed = closed_fn(n)
-        sim = simulated[n]
-        err = abs(closed - sim)
-        worst = max(worst, err)
-        rows.append((n, closed, sim, err))
+    tol = _resolve_tol(args, model.return_tol)
+    walk = model.parse(args)
+    closed = walk.closed(args.nmax).values
+    simulated = walk.simulate(args.nmax).values
+    errors = np.abs(closed - simulated)
     table = Table(
         columns=["n", "r_closed", "r_simulated", "abs_err"],
-        rows=rows,
+        rows=list(zip(range(args.nmax + 1), closed, simulated, errors)),
         meta={
             "command": "return",
             "model": args.model,
-            "params": params,
+            "params": walk.params,
             "tolerance": tol,
             "version": __version__,
         },
     )
     _write_output(table, args)
-    return 0 if worst <= tol else 1
-
-
-def _closed_series(args, model: str, nmax: int):
-    """Closed-form return series for the generating-function comparison."""
-    if model == "qw":
-        return qw.return_series_qw(args.alpha_sq, nmax)
-    if model == "hadamard":
-        return qw.return_series_qw(0.5, nmax)
-    if model == "crw":
-        transition, phi_hat = _crw_inputs(args)
-        return crw.return_series_crw(transition, phi_hat, nmax)
-    if model == "rw":
-        transition = crw.TransitionMatrix.uncorrelated(args.p)
-        return crw.return_series_crw(transition, crw.CRWInitialState.from_phi1(args.phi1), nmax)
-    return genfunc.polya2d_series(nmax)
+    # np.max propagates a NaN residual, which then fails the comparison.
+    return 0 if np.max(errors) <= tol else 1
 
 
 def cmd_genfunc(args) -> int:
-    if args.model not in GENFUNC_MODELS:
-        raise ValueError(
-            f"model {args.model!r} not supported by `genfunc`; choose from {', '.join(GENFUNC_MODELS)}"
-        )
-    tol = _resolve_tol(args, _GENFUNC_TOL)
+    model = _model(args, "genfunc", GENFUNC_MODELS)
+    tol = _resolve_tol(args, model.genfunc_tol)
     if args.z_count < 1:
         raise ValueError(f"--z-count must be at least 1, got {args.z_count}")
     zgrid = np.linspace(args.z_start, args.z_stop, args.z_count)
     if np.any(np.abs(zgrid) >= 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
-
-    if args.model == "qw":
-        if args.alpha_sq is None:
-            raise ValueError("model qw requires --alpha-sq")
-        closed_fn = lambda z: genfunc.gf_qw(args.alpha_sq, z)
-        params = {"alpha_sq": args.alpha_sq}
-    elif args.model == "hadamard":
-        closed_fn = genfunc.gf_hadamard
-        params = {"alpha_sq": 0.5}
-    elif args.model == "crw":
-        transition, phi_hat = _crw_inputs(args)
-        closed_fn = lambda z: genfunc.gf_crw(transition, phi_hat, z)
-        params = {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat}
-    elif args.model == "rw":
-        if args.p is None:
-            raise ValueError("model rw requires --p")
-        closed_fn = lambda z: genfunc.gf_rw(args.p, z)
-        params = {"p": args.p}
-    else:
-        closed_fn = genfunc.polya2d_gf
-        params = {}
+    walk = model.parse(args)
 
     rows = []
     failed = False
     for z in map(float, zgrid):
         evaluation = genfunc.evaluate_vs_series(
-            closed_fn(z), _closed_series(args, args.model, genfunc.truncation_for(z, tol)), z
+            walk.gf(z), walk.closed(genfunc.truncation_for(z, tol)), z
         )
         if not evaluation.consistent(tol):
             failed = True
@@ -265,7 +277,7 @@ def cmd_genfunc(args) -> int:
         meta={
             "command": "genfunc",
             "model": args.model,
-            "params": params,
+            "params": walk.params,
             "tolerance": tol,
             "version": __version__,
         },
@@ -287,33 +299,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    if args.model not in RETURN_MODELS:
-        raise ValueError(
-            f"model {args.model!r} not supported by `dist`; choose from {', '.join(RETURN_MODELS)}"
-        )
+    model = _model(args, "dist", RETURN_MODELS)
     if not 0 <= args.nmax <= 10**5:
         raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
-    if args.model in ("qw", "hadamard"):
-        if args.model == "hadamard":
-            coin = qw.CoinMatrix.hadamard()
-            params = {"alpha_sq": 0.5}
-        else:
-            if args.alpha_sq is None:
-                raise ValueError("model qw requires --alpha-sq")
-            coin = qw.CoinMatrix.from_alpha_sq(args.alpha_sq)
-            params = {"alpha_sq": args.alpha_sq}
-        field_ = qw.evolve(coin, qw.QWInitialState.canonical(), args.nmax)
-    else:
-        if args.model == "crw":
-            transition, phi_hat = _crw_inputs(args)
-            params = {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat}
-        else:
-            if args.p is None:
-                raise ValueError("model rw requires --p")
-            transition = crw.TransitionMatrix.uncorrelated(args.p)
-            phi_hat = crw.CRWInitialState.from_phi1(args.phi1)
-            params = {"p": args.p}
-        field_ = crw.evolve_crw(transition, phi_hat, args.nmax)
+    walk = model.parse(args)
+    field_ = walk.evolve(args.nmax)
     dist = field_.position_distribution()
     rows = [(int(x), float(p)) for x, p in zip(field_.positions, dist)]
     table = Table(
@@ -322,7 +312,7 @@ def cmd_dist(args) -> int:
         meta={
             "command": "dist",
             "model": args.model,
-            "params": params,
+            "params": walk.params,
             "time": args.nmax,
             "total": float(dist.sum()),
             "version": __version__,

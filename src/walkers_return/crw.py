@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice
+from .lattice import Field
 from .series import ReturnSeries
 from .specfun import binom, scaled_legendre_pair
 
 __all__ = [
     "TransitionMatrix",
     "CRWInitialState",
-    "ProbabilityField",
+    "initial_field_crw",
     "CRWClosedFormParams",
     "RW_THRESHOLD",
     "crw_step",
@@ -79,9 +81,6 @@ class TransitionMatrix:
     def q(self) -> float:
         return self.d
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
     @classmethod
     def from_persistence(cls, p: float, q: float) -> "TransitionMatrix":
         return cls(a=p, b=1.0 - q)
@@ -111,7 +110,8 @@ class CRWInitialState:
         if self.phi1_hat < 0.0 or self.phi2_hat < 0.0:
             raise ValueError("initial weights must be non-negative")
         total = self.phi1_hat + self.phi2_hat
-        if abs(total - 1.0) > _MASS_TOL:
+        # Written so that a NaN total fails the check.
+        if not abs(total - 1.0) <= _MASS_TOL:
             raise ValueError(f"initial weights must sum to 1, got {total}")
 
     def vector(self) -> np.ndarray:
@@ -126,71 +126,31 @@ class CRWInitialState:
         return cls.from_phi1(rng.uniform(0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class ProbabilityField:
-    """Conditional occupation masses at one time step.
-
-    Column j of `masses` holds (mass with last step Left, last step Right)
-    at position x = j - time; layout mirrors the quantum AmplitudeField.
-    """
-
-    time: int
-    masses: np.ndarray  # float64 of shape (2, 2*time + 1)
-
-    @classmethod
-    def from_state(cls, phi_hat: CRWInitialState) -> "ProbabilityField":
-        masses = np.zeros((2, 1))
-        masses[:, 0] = phi_hat.vector()
-        return cls(time=0, masses=masses)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.time, self.time + 1)
-
-    def mass(self, x: int) -> float:
-        if abs(x) > self.time:
-            return 0.0
-        return float(self.masses[0, x + self.time] + self.masses[1, x + self.time])
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    def position_distribution(self) -> np.ndarray:
-        return self.masses[0] + self.masses[1]
+def _mass(masses: np.ndarray) -> np.ndarray:
+    return masses
 
 
-def crw_step(field: ProbabilityField, transition: TransitionMatrix) -> ProbabilityField:
+def initial_field_crw(phi_hat: CRWInitialState) -> Field:
+    """Mass field at time 0: masses (last step Left, last step Right) at the origin."""
+    return Field.at_origin(phi_hat.vector(), _mass)
+
+
+def crw_step(field: Field, transition: TransitionMatrix) -> Field:
     """One time step: L-mass flows one unit left, R-mass one unit right."""
-    a, b = transition.a, transition.b
-    c, d = transition.c, transition.d
-    t = field.time
-    new = np.zeros((2, 2 * t + 3))
-    new[0, : 2 * t + 1] = a * field.masses[0] + b * field.masses[1]
-    new[1, 2:] = c * field.masses[0] + d * field.masses[1]
-    return ProbabilityField(time=t + 1, masses=new)
+    return lattice.shift(field, ((transition.a, transition.b), (transition.c, transition.d)))
 
 
-def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -> ProbabilityField:
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    field = ProbabilityField.from_state(phi_hat)
-    for _ in range(n):
-        field = crw_step(field, transition)
-    return field
+def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -> Field:
+    return lattice.evolve(initial_field_crw(phi_hat), n, lambda field: crw_step(field, transition))
 
 
 def simulate_return_crw(
     transition: TransitionMatrix, phi_hat: CRWInitialState, nmax: int
 ) -> ReturnSeries:
     """Return probabilities r_0..r_nmax by direct mass evolution."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
-    values = np.empty(nmax + 1)
-    field = ProbabilityField.from_state(phi_hat)
-    values[0] = field.mass(0)
-    for n in range(1, nmax + 1):
-        field = crw_step(field, transition)
-        values[n] = field.mass(0)
+    values = lattice.return_values(
+        initial_field_crw(phi_hat), nmax, lambda field: crw_step(field, transition)
+    )
     return ReturnSeries(
         model="crw",
         values=values,
@@ -228,9 +188,11 @@ def closed_form_params(
 def _closed_even(transition: TransitionMatrix, params: CRWClosedFormParams, j: int) -> float:
     """Closed-form r_{2j} for one transition matrix."""
     if params.is_random_walk:
-        # Uncorrelated degeneration: move left w.p. p = a each step.
+        # Uncorrelated degeneration: move left w.p. p = a each step.  The
+        # factors (4pq)^j <= 1 and C(2j, j)/4^j < 1 neither overflow nor
+        # underflow early, unlike (pq)^j and C(2j, j) apart.
         p = transition.a
-        return (p * (1.0 - p)) ** j * binom(2 * j, j)
+        return (4.0 * p * (1.0 - p)) ** j * (binom(2 * j, j) / 4**j)
     # delta_minus^j P_j(delta_plus/delta_minus) evaluated jointly: the
     # Legendre argument exceeds 1 in magnitude and P_j alone overflows.
     t_lo, t_hi = scaled_legendre_pair(j, params.delta_plus, params.delta_minus)
@@ -267,9 +229,11 @@ def return_series_crw(
     values[0] = 1.0
     if params.is_random_walk:
         p = transition.a
-        pq = p * (1.0 - p)
+        four_pq = 4.0 * p * (1.0 - p)
+        central = 1  # C(2j, j), exact
         for j in range(1, nmax // 2 + 1):
-            values[2 * j] = pq**j * binom(2 * j, j)
+            central = central * 2 * (2 * j - 1) // j
+            values[2 * j] = four_pq**j * (central / 4**j)
     else:
         dplus, dminus = params.delta_plus, params.delta_minus
         ad2 = params.k_plus - params.k_minus

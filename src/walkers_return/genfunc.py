@@ -59,15 +59,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive-quadrature policy: method tag, absolute tolerance, budget."""
+    """Adaptive-Simpson policy: absolute tolerance and subdivision budget."""
 
-    method: str = "adaptive-simpson"
     tol: float = 1e-10
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
-        if self.method not in ("adaptive-simpson", "doubling"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.tol <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_subdivisions < 1:
@@ -111,34 +108,12 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, spec: Qua
     return total
 
 
-def _doubling_simpson(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> float:
-    panels = 4
-    previous = math.inf
-    estimate = math.inf
-    while panels <= 2 * spec.max_subdivisions:
-        x = np.linspace(a, b, panels + 1)
-        y = np.array([f(v) for v in x])
-        h = (b - a) / panels
-        value = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-        estimate = abs(value - previous)
-        if estimate <= spec.tol:
-            return value + (value - previous) / 15.0
-        previous = value
-        panels *= 2
-    raise ConvergenceError(
-        f"interval-doubling Simpson exceeded {spec.max_subdivisions} panels",
-        estimate=estimate,
-    )
-
-
 def integrate(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Integrate f over [a, b] to the spec's absolute tolerance."""
     if b < a:
         raise ValueError(f"inverted interval [{a}, {b}]")
     if a == b:
         return 0.0
-    if spec.method == "doubling":
-        return _doubling_simpson(f, a, b, spec)
     return _adaptive_simpson(f, a, b, spec)
 
 
@@ -226,7 +201,8 @@ def polya2d_return(n: int) -> float:
     if n % 2 == 1:
         return 0.0
     j = n // 2
-    central = binom(2 * j, j) / 4.0**j
+    # int/int true division is correctly rounded and cannot overflow.
+    central = binom(2 * j, j) / 4**j
     return central * central
 
 
@@ -287,11 +263,7 @@ def polya3d_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float,
     # The head bound reaches 0.4*target within ~64 halvings for any target
     # >= 1e-12, so a uniform per-segment budget of target/128 keeps the sum
     # of segment errors below target/2 while staying above rounding noise.
-    seg_spec = QuadratureSpec(
-        method=spec.method,
-        tol=max(target / 128.0, 1e-14),
-        max_subdivisions=spec.max_subdivisions,
-    )
+    seg_spec = QuadratureSpec(tol=max(target / 128.0, 1e-14), max_subdivisions=spec.max_subdivisions)
     for _ in range(200):
         total += integrate(integrand, lo, hi, seg_spec)
         if _polya3d_head_bound(lo) < 0.4 * target:

@@ -21,13 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lattice
+from .lattice import Field
 from .series import ReturnSeries
 from .specfun import binom, legendre_eval
 
 __all__ = [
     "CoinMatrix",
     "QWInitialState",
-    "AmplitudeField",
+    "initial_field",
     "PathSumMatrix",
     "decompose",
     "step",
@@ -63,7 +65,8 @@ class CoinMatrix:
         if not 0.0 <= self.theta < 2.0 * math.pi:
             raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        # Written so that a NaN norm fails the check.
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
         if self.alpha == 0 or self.beta == 0:
             raise ValueError("boundary coins with alpha = 0 or beta = 0 are not supported")
@@ -137,7 +140,7 @@ class QWInitialState:
 
     def __post_init__(self) -> None:
         norm = abs(self.phi1) ** 2 + abs(self.phi2) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"|phi1|^2 + |phi2|^2 must be 1, got {norm}")
 
     def vector(self) -> np.ndarray:
@@ -156,42 +159,13 @@ class QWInitialState:
         return cls(phi1=complex(v[0]), phi2=complex(v[1]))
 
 
-@dataclass(frozen=True)
-class AmplitudeField:
-    """Full walker state at one time step.
+def _probability(amps: np.ndarray) -> np.ndarray:
+    return np.abs(amps) ** 2
 
-    Dense storage over positions -time..time: column j of `amps` holds the
-    (L, R) amplitude pair at position x = j - time.  Odd-parity slots stay
-    exactly zero because the shift update never writes into them.
-    """
 
-    time: int
-    amps: np.ndarray  # complex128 of shape (2, 2*time + 1)
-
-    @classmethod
-    def from_state(cls, phi: QWInitialState) -> "AmplitudeField":
-        amps = np.zeros((2, 1), dtype=complex)
-        amps[:, 0] = phi.vector()
-        return cls(time=0, amps=amps)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.time, self.time + 1)
-
-    def amplitude(self, x: int) -> np.ndarray:
-        if abs(x) > self.time:
-            return np.zeros(2, dtype=complex)
-        return self.amps[:, x + self.time]
-
-    def probability(self, x: int) -> float:
-        amp = self.amplitude(x)
-        return float(np.abs(amp[0]) ** 2 + np.abs(amp[1]) ** 2)
-
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def position_distribution(self) -> np.ndarray:
-        return np.abs(self.amps[0]) ** 2 + np.abs(self.amps[1]) ** 2
+def initial_field(phi: QWInitialState) -> Field:
+    """Amplitude field at time 0: phi at the origin, site weight |amp|^2."""
+    return Field.at_origin(phi.vector(), _probability)
 
 
 def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -208,36 +182,19 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return p, q, r, s
 
 
-def step(field: AmplitudeField, coin: CoinMatrix) -> AmplitudeField:
+def step(field: Field, coin: CoinMatrix) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1)."""
-    t = field.time
-    new = np.zeros((2, 2 * t + 3), dtype=complex)
-    # L-amplitudes come from the right neighbour, R-amplitudes from the left.
-    new[0, : 2 * t + 1] = coin.a * field.amps[0] + coin.b * field.amps[1]
-    new[1, 2:] = coin.c * field.amps[0] + coin.d * field.amps[1]
-    return AmplitudeField(time=t + 1, amps=new)
+    return lattice.shift(field, ((coin.a, coin.b), (coin.c, coin.d)))
 
 
-def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> AmplitudeField:
+def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> Field:
     """State after n steps from the origin."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    field = AmplitudeField.from_state(phi)
-    for _ in range(n):
-        field = step(field, coin)
-    return field
+    return lattice.evolve(initial_field(phi), n, lambda field: step(field, coin))
 
 
 def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> ReturnSeries:
     """Return probabilities r_0..r_nmax by direct evolution."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
-    values = np.empty(nmax + 1)
-    field = AmplitudeField.from_state(phi)
-    values[0] = field.probability(0)
-    for n in range(1, nmax + 1):
-        field = step(field, coin)
-        values[n] = field.probability(0)
+    values = lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
     return ReturnSeries(model="qw", values=values, params={"alpha_sq": coin.alpha_sq})
 
 
@@ -380,5 +337,6 @@ def return_hadamard(n: int) -> float:
     # Exactly one of j-1, j is even; only the even-degree value survives at 0.
     even = j if j % 2 == 0 else j - 1
     m = even // 2
-    central = binom(2 * m, m) / 4.0**m
+    # int/int true division is correctly rounded and cannot overflow.
+    central = binom(2 * m, m) / 4**m
     return 0.5 * central * central

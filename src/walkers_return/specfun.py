@@ -21,7 +21,6 @@ overflow they must be evaluated jointly with their decaying prefactor via
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "script_K",
     "script_E",
     "scaled_legendre_pair",
-    "SpecFunTable",
 ]
 
 _AGM_MAX_ITER = 40
@@ -258,60 +256,3 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
         t_prev, t = t, ((2 * j + 1) * numer * t - j * d2 * t_prev) / (j + 1)
     return t_prev, t
 
-
-class SpecFunTable:
-    """Memo table for Legendre, Jacobi(1,0), and elliptic-pair values.
-
-    Pure memoization: a cached value is always bit-for-bit the value a
-    fresh evaluation would produce.  Inserts are lock-guarded so concurrent
-    readers only ever observe completed entries.
-    """
-
-    def __init__(self) -> None:
-        self._legendre: dict[tuple[int, float], float] = {}
-        self._jacobi10: dict[tuple[int, float], float] = {}
-        self._elliptic: dict[float, tuple[float, float]] = {}
-        self._lock = threading.Lock()
-
-    def legendre(self, n: int, x: float) -> float:
-        key = (int(n), float(x))
-        try:
-            return self._legendre[key]
-        except KeyError:
-            value = legendre_eval(n, x)
-            with self._lock:
-                self._legendre.setdefault(key, value)
-            return value
-
-    def jacobi10(self, n: int, x: float) -> float:
-        key = (int(n), float(x))
-        try:
-            return self._jacobi10[key]
-        except KeyError:
-            value = jacobi10_eval(n, x)
-            with self._lock:
-                self._jacobi10.setdefault(key, value)
-            return value
-
-    def elliptic_pair(self, m: float) -> tuple[float, float]:
-        """(K(m), E(m)) for one modulus, cached together."""
-        key = float(m)
-        try:
-            return self._elliptic[key]
-        except KeyError:
-            value = (ellipK(m), ellipE(m))
-            with self._lock:
-                self._elliptic.setdefault(key, value)
-            return value
-
-    @property
-    def legendre_cache(self) -> dict[tuple[int, float], float]:
-        return dict(self._legendre)
-
-    @property
-    def jacobi10_cache(self) -> dict[tuple[int, float], float]:
-        return dict(self._jacobi10)
-
-    @property
-    def elliptic_cache(self) -> dict[float, tuple[float, float]]:
-        return dict(self._elliptic)

@@ -124,21 +124,6 @@ def _check_kernel_reduction(rng: np.random.Generator) -> CheckResult:
     return _result("kernel-hadamard-reduction", worst, 1e-12)
 
 
-def _check_table_purity(rng: np.random.Generator) -> CheckResult:
-    table = specfun.SpecFunTable()
-    worst = 0.0
-    for n in range(0, 40, 3):
-        for x in (-0.7, 0.1, 0.9, 1.8):
-            if table.legendre(n, x) != specfun.legendre_eval(n, x):
-                worst = max(worst, 1.0)
-            if table.jacobi10(n, x) != specfun.jacobi10_eval(n, x):
-                worst = max(worst, 1.0)
-    for m in (0.0, 0.3, 0.77):
-        if table.elliptic_pair(m) != (specfun.ellipK(m), specfun.ellipE(m)):
-            worst = max(worst, 1.0)
-    return _result("memo-table-purity", worst, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # qw checks
 
@@ -240,7 +225,7 @@ def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
 
 def _check_unitarity_long_run(rng: np.random.Generator) -> CheckResult:
     coin = qw.CoinMatrix.random(rng)
-    field = qw.AmplitudeField.from_state(qw.QWInitialState.random(rng))
+    field = qw.initial_field(qw.QWInitialState.random(rng))
     worst = 0.0
     for _ in range(1000):
         field = qw.step(field, coin)
@@ -248,17 +233,22 @@ def _check_unitarity_long_run(rng: np.random.Generator) -> CheckResult:
     return _result("unitarity-1000-steps", worst, 1e-10)
 
 
-def _check_parity_support(rng: np.random.Generator) -> CheckResult:
-    coin = qw.CoinMatrix.random(rng)
-    field = qw.AmplitudeField.from_state(qw.QWInitialState.random(rng))
+def _offparity_weight(field, advance) -> float:
+    """Largest weight on a wrong-parity site over 30 steps; must be exactly 0."""
     worst = 0.0
     for _ in range(30):
-        field = qw.step(field, coin)
+        field = advance(field)
         dist = field.position_distribution()
-        # Positions with the wrong parity must hold exact zeros.
         offparity = dist[(field.positions + field.time) % 2 == 1]
         if offparity.size:
             worst = max(worst, float(np.max(offparity)))
+    return worst
+
+
+def _check_parity_support(rng: np.random.Generator) -> CheckResult:
+    coin = qw.CoinMatrix.random(rng)
+    field = qw.initial_field(qw.QWInitialState.random(rng))
+    worst = _offparity_weight(field, lambda f: qw.step(f, coin))
     return _result("support-parity-exact-zero", worst, 0.0)
 
 
@@ -343,6 +333,13 @@ def _check_crw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
         ev = genfunc.evaluate_vs_series(closed, series, z)
         worst = max(worst, ev.abs_err - ev.tail_bound)
     return _result("crw-generating-function-vs-series", max(0.0, worst), 1e-10)
+
+
+def _check_crw_parity_support(rng: np.random.Generator) -> CheckResult:
+    transition = crw.TransitionMatrix.random(rng)
+    field = crw.initial_field_crw(crw.CRWInitialState.random(rng))
+    worst = _offparity_weight(field, lambda f: crw.crw_step(f, transition))
+    return _result("crw-support-parity-exact-zero", worst, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +457,6 @@ _SUITES = {
         _check_elliptic_vs_quadrature,
         _check_landen,
         _check_kernel_reduction,
-        _check_table_purity,
     ),
     "qw": (
         _check_hadamard_three_routes,
@@ -480,6 +476,7 @@ _SUITES = {
         _check_crw_range,
         _check_crw_sum_form,
         _check_crw_gf_vs_series,
+        _check_crw_parity_support,
     ),
     "genfunc": (
         _check_qw_gf_vs_series,

@@ -1,0 +1,45 @@
+"""The names and signatures the traced benchmark run relies on.
+
+`bench/tracing.py` wraps `qw.step` and `crw.crw_step` by name in the package
+namespaces and counts site steps from their `(field, ...)` arguments; the
+lattice loops must reach every step through those names at call time.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import walkers_return
+import walkers_return.cli
+import walkers_return.verify
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+# Sum over t < 40 of the 2t + 1 sites a step at time t advances.
+SITE_STEPS_40 = 1600
+
+
+@pytest.fixture
+def tracer():
+    tracer = tracing.Tracer(walkers_return)
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+@pytest.mark.parametrize(
+    "model_argv, work_key",
+    [
+        (["--model", "qw", "--alpha-sq", "0.3"], "qw.step.site_steps"),
+        (["--model", "crw", "--a", "0.7", "--d", "0.6", "--phi1", "0.3"], "crw.crw_step.site_steps"),
+    ],
+)
+def test_traced_return_counts_every_site_step(tracer, tmp_path, model_argv, work_key):
+    argv = ["return", *model_argv, "--nmax", "40", "--out", str(tmp_path / "table.csv")]
+    assert walkers_return.cli.main(argv) == 0
+    assert tracer.work[work_key] == SITE_STEPS_40
+

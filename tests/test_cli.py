@@ -84,6 +84,29 @@ def test_return_rejects_invalid_alpha(capsys):
     assert code == 2
 
 
+def test_return_rejects_nan_initial_weight(capsys):
+    code, out, err = run_cli(
+        capsys, "return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--phi1", "nan", "--nmax", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "must sum to 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "hadamard", "--nmax", "3000"),
+        ("return", "--model", "rw", "--p", "0.5", "--nmax", "1100"),
+        ("genfunc", "--model", "polya2d", "--z-start", "0.98", "--z-stop", "0.98", "--z-count", "1"),
+        ("genfunc", "--model", "rw", "--p", "0.5", "--z-start", "0.99", "--z-stop", "0.99", "--z-count", "1"),
+    ],
+)
+def test_long_horizon_runs_do_not_overflow(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # genfunc command
 
@@ -277,3 +300,18 @@ def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("WALKERS_RETURN_TOL", "not-a-number")
     code, _, err = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_tol_flag_is_usage_error(capsys, value):
+    code, _, err = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "4", "--tol", value)
+    assert code == 2
+    assert "--tol must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_non_positive_env_tolerance_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("WALKERS_RETURN_TOL", value)
+    code, _, err = run_cli(capsys, "genfunc", "--model", "hadamard", "--z-count", "1")
+    assert code == 2
+    assert "WALKERS_RETURN_TOL must be a finite positive number" in err

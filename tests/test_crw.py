@@ -1,5 +1,7 @@
 """Correlated random walk: evolution, closed forms, degenerations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 
 from walkers_return.crw import (
     CRWInitialState,
-    ProbabilityField,
     TransitionMatrix,
     closed_form_params,
     crw_step,
     evolve_crw,
+    initial_field_crw,
     return_closed_crw,
     return_series_crw,
     return_sum_form_crw,
@@ -57,32 +59,42 @@ def test_initial_state_validation():
     assert state.phi2_hat == 0.75
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_initial_state_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError):
+        CRWInitialState(phi1_hat=bad, phi2_hat=0.5)
+    with pytest.raises(ValueError):
+        CRWInitialState(phi1_hat=0.0, phi2_hat=bad)
+    with pytest.raises(ValueError):
+        CRWInitialState.from_phi1(bad)
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
 
 def test_symmetric_two_step_distribution():
     field = evolve_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 2)
-    assert field.mass(-2) == pytest.approx(0.25, abs=1e-15)
-    assert field.mass(0) == pytest.approx(0.5, abs=1e-15)
-    assert field.mass(2) == pytest.approx(0.25, abs=1e-15)
-    assert field.mass(1) == 0.0
+    assert field.probability(-2) == pytest.approx(0.25, abs=1e-15)
+    assert field.probability(0) == pytest.approx(0.5, abs=1e-15)
+    assert field.probability(2) == pytest.approx(0.25, abs=1e-15)
+    assert field.probability(1) == 0.0
 
 
 def test_single_persistent_step():
     t = TransitionMatrix.from_persistence(0.9, 0.9)
     field = evolve_crw(t, CRWInitialState(phi1_hat=1.0, phi2_hat=0.0), 1)
-    assert field.masses[0, 0] == pytest.approx(0.9, abs=1e-15)  # x = -1, went left
-    assert field.masses[1, 2] == pytest.approx(0.1, abs=1e-15)  # x = +1, went right
+    assert field.components[0, 0] == pytest.approx(0.9, abs=1e-15)  # x = -1, went left
+    assert field.components[1, 2] == pytest.approx(0.1, abs=1e-15)  # x = +1, went right
 
 
 def test_mass_conserved_over_five_hundred_steps():
     rng = np.random.default_rng(41)
     t = TransitionMatrix.random(rng)
-    field = ProbabilityField.from_state(CRWInitialState.random(rng))
+    field = initial_field_crw(CRWInitialState.random(rng))
     for _ in range(500):
         field = crw_step(field, t)
-    assert abs(field.total_mass() - 1.0) < 1e-12
+    assert abs(field.total_probability() - 1.0) < 1e-12
 
 
 def test_simulated_return_is_zero_at_odd_times():
@@ -243,3 +255,18 @@ def test_sum_form_equals_legendre_form():
 def test_sum_form_rejects_zero_steps():
     with pytest.raises(ValueError):
         return_sum_form_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 0)
+
+
+@pytest.mark.parametrize("p, n", [(0.5, 10_000), (0.4, 10_000), (0.2, 1500)])
+def test_uncorrelated_branch_matches_lgamma_form_at_long_horizons(p, n):
+    # (pq)^j * C(2j, j) overflowed (p = 0.5, n >= 1030) or underflowed to 0
+    # (p = 0.2, n = 1500, true value ~1e-147) when the factors were apart.
+    transition = TransitionMatrix.uncorrelated(p)
+    phi_hat = CRWInitialState.from_phi1(0.5)
+    series = return_series_crw(transition, phi_hat, n).values
+    j = n // 2
+    log_central = math.lgamma(2 * j + 1) - 2 * math.lgamma(j + 1) - 2 * j * math.log(2.0)
+    expected = math.exp(j * math.log(4.0 * p * (1.0 - p)) + log_central)
+    assert expected > 0.0
+    assert series[n] == pytest.approx(expected, rel=1e-9)
+    assert return_closed_crw(transition, phi_hat, n) == series[n]

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkers_return.qw import (
-    AmplitudeField,
     CoinMatrix,
     QWInitialState,
     decompose,
     evolve,
+    initial_field,
     return_closed_qw,
     return_hadamard,
     return_lemma1,
@@ -60,6 +60,22 @@ def test_coin_rejects_boundary_cases():
         CoinMatrix.from_alpha_sq(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_coin_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        CoinMatrix(theta=0.0, alpha=complex(bad, 0.0), beta=0.6)
+    with pytest.raises(ValueError):
+        CoinMatrix(theta=0.0, alpha=0.8, beta=complex(0.0, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_initial_state_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        QWInitialState(phi1=complex(bad, 0.0), phi2=0.0)
+    with pytest.raises(ValueError):
+        QWInitialState(phi1=1.0, phi2=complex(0.0, bad))
+
+
 def test_initial_state_requires_unit_norm():
     with pytest.raises(ValueError):
         QWInitialState(phi1=1.0, phi2=1.0)
@@ -95,12 +111,12 @@ def test_decompose_hadamard_left_piece():
 def test_single_step_amplitudes_by_hand():
     coin = CoinMatrix.hadamard()
     phi = QWInitialState.canonical()
-    field = step(AmplitudeField.from_state(phi), coin)
+    field = step(initial_field(phi), coin)
     s = 1.0 / math.sqrt(2.0)
-    assert field.amplitude(-1)[0] == pytest.approx(s * (phi.phi1 + phi.phi2), abs=1e-15)
-    assert field.amplitude(-1)[1] == 0.0
-    assert field.amplitude(1)[1] == pytest.approx(s * (phi.phi1 - phi.phi2), abs=1e-15)
-    assert field.amplitude(1)[0] == 0.0
+    assert field.component(-1)[0] == pytest.approx(s * (phi.phi1 + phi.phi2), abs=1e-15)
+    assert field.component(-1)[1] == 0.0
+    assert field.component(1)[1] == pytest.approx(s * (phi.phi1 - phi.phi2), abs=1e-15)
+    assert field.component(1)[0] == 0.0
 
 
 def test_two_step_origin_probability_is_half():
@@ -110,7 +126,7 @@ def test_two_step_origin_probability_is_half():
 
 def test_norm_preserved_over_hundred_steps():
     rng = np.random.default_rng(11)
-    field = AmplitudeField.from_state(QWInitialState.random(rng))
+    field = initial_field(QWInitialState.random(rng))
     coin = CoinMatrix.random(rng)
     for _ in range(100):
         field = step(field, coin)
@@ -119,7 +135,7 @@ def test_norm_preserved_over_hundred_steps():
 
 def test_off_parity_positions_hold_exact_zeros():
     rng = np.random.default_rng(13)
-    field = AmplitudeField.from_state(QWInitialState.random(rng))
+    field = initial_field(QWInitialState.random(rng))
     coin = CoinMatrix.random(rng)
     for _ in range(25):
         field = step(field, coin)
@@ -290,7 +306,14 @@ def test_return_series_independent_of_coin_phases():
 def test_unitarity_over_thousand_steps():
     rng = np.random.default_rng(31)
     coin = CoinMatrix.random(rng)
-    field = AmplitudeField.from_state(QWInitialState.random(rng))
+    field = initial_field(QWInitialState.random(rng))
     for _ in range(1000):
         field = step(field, coin)
     assert abs(field.total_probability() - 1.0) < 1e-10
+
+
+def test_hadamard_formula_matches_legendre_sweep_at_ten_thousand_steps():
+    # 4.0**m overflowed here once m reached 512 (n >= 2048).
+    sweep = return_series_qw(0.5, 10_000).values
+    for n in (2046, 2048, 4096, 9998, 10_000):
+        assert return_hadamard(n) == pytest.approx(sweep[n], rel=1e-12)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkers_return.specfun import (
-    SpecFunTable,
     binom,
     ellipE,
     ellipK,
@@ -338,49 +337,3 @@ def test_scaled_pair_rejects_degree_zero():
     with pytest.raises(ValueError):
         scaled_legendre_pair(0, 0.5, 0.5)
 
-
-# ---------------------------------------------------------------------------
-# memo table
-
-
-def test_table_is_pure_memoization():
-    table = SpecFunTable()
-    for n in (0, 3, 17):
-        for x in (-0.8, 0.25, 1.7):
-            assert table.legendre(n, x) == legendre_eval(n, x)
-            assert table.legendre(n, x) == legendre_eval(n, x)  # cached hit
-            assert table.jacobi10(n, x) == jacobi10_eval(n, x)
-    for m in (0.0, 0.3, 0.77):
-        assert table.elliptic_pair(m) == (ellipK(m), ellipE(m))
-    assert (17, 0.25) in table.legendre_cache
-    assert 0.3 in table.elliptic_cache
-
-
-def test_table_cached_entries_satisfy_recurrence():
-    table = SpecFunTable()
-    for x in (-0.6, 0.1, 0.85):
-        for n in range(0, 60):
-            table.legendre(n, x)
-    cache = table.legendre_cache
-    for x in (-0.6, 0.1, 0.85):
-        for n in range(1, 59):
-            resid = abs(
-                (n + 1) * cache[(n + 1, x)] - (2 * n + 1) * x * cache[(n, x)] + n * cache[(n - 1, x)]
-            )
-            assert resid < 1e-13 * max(1.0, abs(cache[(n, x)]))
-
-
-def test_table_concurrent_readers_see_consistent_values():
-    from concurrent.futures import ThreadPoolExecutor
-
-    table = SpecFunTable()
-    keys = [(n, x) for n in range(25) for x in (-0.5, 0.3, 0.9)]
-
-    def worker(_):
-        return [table.legendre(n, x) for n, x in keys]
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(worker, range(8)))
-    expected = [legendre_eval(n, x) for n, x in keys]
-    for got in results:
-        assert got == expected
