@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__, crw, genfunc, qw, verify
 from .genfunc import ConvergenceError
-from .lattice import Field
 from .series import ReturnSeries
 
 __all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot", "parse_csv"]
@@ -124,7 +123,7 @@ class Walk:
     closed: Callable[[int], ReturnSeries]  # closed-form r_0..r_nmax in one sweep
     gf: Callable[[float], float]  # closed-form generating function at z
     simulate: Callable[[int], ReturnSeries] | None = None  # lattice r_0..r_nmax
-    evolve: Callable[[int], Field] | None = None  # lattice state at time n
+    dist: Callable[[int], np.ndarray] | None = None  # p(-n..n) at time n
 
 
 @dataclass(frozen=True)
@@ -146,17 +145,19 @@ def _quantum(coin: qw.CoinMatrix, alpha_sq: float, gf) -> Walk:
         lambda nmax: qw.return_series_qw(alpha_sq, nmax),
         gf,
         lambda nmax: qw.simulate_return(coin, phi, nmax),
-        lambda n: qw.evolve(coin, phi, n),
+        lambda n: qw.distribution(coin, phi, n),
     )
 
 
 def _correlated(transition: crw.TransitionMatrix, phi_hat: crw.CRWInitialState, params: dict, gf) -> Walk:
+    # The distribution stays on the lattice: a Fourier route leaves rounding
+    # noise of either sign on tail masses that are exactly non-negative here.
     return Walk(
         params,
         lambda nmax: crw.return_series_crw(transition, phi_hat, nmax),
         gf,
         lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
-        lambda n: crw.evolve_crw(transition, phi_hat, n),
+        lambda n: crw.evolve_crw(transition, phi_hat, n).position_distribution(),
     )
 
 
@@ -303,9 +304,9 @@ def cmd_dist(args) -> int:
     if not 0 <= args.nmax <= 10**5:
         raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
     walk = model.parse(args)
-    field_ = walk.evolve(args.nmax)
-    dist = field_.position_distribution()
-    rows = [(int(x), float(p)) for x, p in zip(field_.positions, dist)]
+    dist = walk.dist(args.nmax)
+    positions = np.arange(-args.nmax, args.nmax + 1)
+    rows = [(int(x), float(p)) for x, p in zip(positions, dist)]
     table = Table(
         columns=["x", "probability"],
         rows=rows,

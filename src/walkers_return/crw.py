@@ -15,6 +15,7 @@ Routes to the return probability: exact mass evolution
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import lattice
 from .lattice import Field
 from .series import ReturnSeries
-from .specfun import binom, scaled_legendre_pair
+from .specfun import binom, central_binomial_ratios, scaled_legendre_pair
 
 __all__ = [
     "TransitionMatrix",
@@ -230,10 +231,9 @@ def return_series_crw(
     if params.is_random_walk:
         p = transition.a
         four_pq = 4.0 * p * (1.0 - p)
-        central = 1  # C(2j, j), exact
+        ratios = central_binomial_ratios(nmax // 2)
         for j in range(1, nmax // 2 + 1):
-            central = central * 2 * (2 * j - 1) // j
-            values[2 * j] = four_pq**j * (central / 4**j)
+            values[2 * j] = four_pq**j * ratios[j]
     else:
         dplus, dminus = params.delta_plus, params.delta_minus
         ad2 = params.k_plus - params.k_minus
@@ -257,20 +257,27 @@ def return_sum_form_crw(
     (ad)^n sum_g (bc/ad)^g C(n-1, g-1)^2
         { (n/g)(s/ad + 1) + ((ad - bc)/(abcd)) s },  s = ac phi1 + bd phi2.
 
-    All terms are positive, so plain floating summation is accurate; this
-    is the independent verification twin of :func:`return_closed_crw`.
+    All terms are positive (the brace is at least 1 + s/(bc) > 0), so they
+    are summed in the log domain: each log term from `lgamma`, shifted by the
+    largest before exponentiating, which keeps C(n-1, g-1)^2 and the powers
+    from overflowing.  The logs grow like n, so their rounding leaves a
+    relative error of a few 1e-12 at n = 10^4.
+    This is the independent verification twin of :func:`return_closed_crw`.
     """
     if n < 1:
         raise ValueError("return_sum_form_crw needs n >= 1; r_0 = 1 by definition")
     a, b, c, d = transition.a, transition.b, transition.c, transition.d
     s = a * c * phi_hat.phi1_hat + b * d * phi_hat.phi2_hat
-    ratio = (b * c) / (a * d)
+    log_ratio = math.log((b * c) / (a * d))
     drift = (a * d - b * c) / (a * b * c * d) * s
     base = s / (a * d) + 1.0
-    total = 0.0
-    power = 1.0
-    for g in range(1, n + 1):
-        power *= ratio
-        weight = binom(n - 1, g - 1) ** 2
-        total += power * weight * ((n / g) * base + drift)
-    return (a * d) ** n * total
+    log_top = math.lgamma(n)  # log (n-1)!
+    logs = [
+        g * log_ratio
+        + 2.0 * (log_top - math.lgamma(g) - math.lgamma(n - g + 1))
+        + math.log((n / g) * base + drift)
+        for g in range(1, n + 1)
+    ]
+    peak = max(logs)
+    total = math.fsum(math.exp(term - peak) for term in logs)
+    return math.exp(n * math.log(a * d) + peak + math.log(total))

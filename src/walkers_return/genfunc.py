@@ -25,7 +25,7 @@ import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
 from .series import ReturnSeries
-from .specfun import binom, ellipK, ellipK_from_complement, script_E, script_K
+from .specfun import binom, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
     "QuadratureSpec",
@@ -65,8 +65,9 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        # Written so that NaN fails the check as well.
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be a finite positive number, got {self.tol}")
         if self.max_subdivisions < 1:
             raise ValueError("subdivision budget must be at least 1")
 
@@ -214,11 +215,12 @@ def polya2d_gf(z: float) -> float:
 
 
 def polya2d_series(nmax: int) -> ReturnSeries:
+    """The 2-D return series r_0..r_nmax, equal to :func:`polya2d_return` bit for bit."""
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     values = np.zeros(nmax + 1)
-    for j in range(nmax // 2 + 1):
-        values[2 * j] = polya2d_return(2 * j)
+    ratios = central_binomial_ratios(nmax // 2)
+    values[::2] = ratios * ratios
     return ReturnSeries(model="polya2d", values=values)
 
 

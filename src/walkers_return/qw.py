@@ -9,6 +9,10 @@ provides three independent routes to the return probability at the origin:
 * the path-sum matrix of all balanced left/right step orderings
   (:func:`xi_lemma1`, cross-checked by :func:`xi_bruteforce`),
 * the Legendre closed form (:func:`return_closed_qw`).
+
+The whole position distribution comes from :func:`distribution`, which
+works in momentum space in O(n log n); the lattice :func:`evolve` stays as
+its O(n^2) oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "decompose",
     "step",
     "evolve",
+    "distribution",
     "simulate_return",
     "xi_lemma1",
     "xi_bruteforce",
@@ -190,6 +195,42 @@ def step(field: Field, coin: CoinMatrix) -> Field:
 def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> Field:
     """State after n steps from the origin."""
     return lattice.evolve(initial_field(phi), n, lambda field: step(field, coin))
+
+
+def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
+    """Position distribution p(-n), ..., p(n) after n steps, in momentum space.
+
+    With z marking position, one step multiplies the amplitude polynomial
+    by z^{-1} P + z Q (P the coin's top row, Q its bottom row), so
+    z^n psi_n(z) = V(w)^n phi with w = z^2 and V(w) = P + w Q: the
+    coefficient of w^m is the amplitude at x = -n + 2m.  V(w)^n phi has
+    degree n in w, so its values at the N = n + 1 roots of unity fix it
+    exactly and one FFT recovers the coefficients (Ambainis et al., STOC
+    2001; Grimmett, Janson & Scudo, PRE 69, 026119, 2004).  The n-th power
+    is taken by binary powering of the N sampled 2x2 matrices, not by
+    eigendecomposition, so the mass drifts no more than on the lattice.
+    Wrong-parity sites are never written and stay exactly 0.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    size = n + 1
+    w = np.exp(2j * np.pi * np.arange(size) / size)
+    # The stack of V(w) = [[a, b], [c w, d w]], one 2x2 matrix per sample,
+    # held entry by entry: elementwise products beat np.matmul on 2x2 blocks.
+    a, b, c, d = np.full(size, coin.a), np.full(size, coin.b), coin.c * w, coin.d * w
+    left, right = np.full(size, phi.phi1, dtype=complex), np.full(size, phi.phi2, dtype=complex)
+    k = n
+    while k:
+        if k & 1:
+            left, right = a * left + b * right, c * left + d * right
+        k >>= 1
+        if k:
+            a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    left = np.fft.fft(left) / size
+    right = np.fft.fft(right) / size
+    dist = np.zeros(2 * n + 1)
+    dist[::2] = _probability(left) + _probability(right)
+    return dist
 
 
 def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> ReturnSeries:

@@ -30,6 +30,7 @@ __all__ = [
     "jacobi10_eval",
     "hyp2f1_terminating",
     "binom",
+    "central_binomial_ratios",
     "ellipK",
     "ellipK_from_complement",
     "ellipE",
@@ -140,6 +141,24 @@ def binom(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binom requires k <= n, got ({n}, {k})")
     return math.comb(int(n), int(k))
+
+
+def central_binomial_ratios(jmax: int) -> np.ndarray:
+    """C(2j, j) / 4^j for j = 0..jmax, each correctly rounded.
+
+    C(2j, j) is carried exactly from term to term and 4^j is a shift, so
+    each term costs one bignum update and one int/int true division, which
+    rounds correctly and cannot overflow; every value equals
+    ``binom(2 * j, j) / 4**j``.
+    """
+    jmax = _require_degree(jmax)
+    ratios = np.empty(jmax + 1)
+    ratios[0] = 1.0
+    central = 1  # C(2j, j), exact
+    for j in range(1, jmax + 1):
+        central = central * 2 * (2 * j - 1) // j
+        ratios[j] = central / (1 << 2 * j)
+    return ratios
 
 
 def _agm(m: float) -> tuple[float, float]:

@@ -36,30 +36,40 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name=name, residual=float(residual), tolerance=tolerance)
 
 
+def _worst(*values: float) -> float:
+    """The largest residual, NaN if any residual is NaN.
+
+    The builtin max keeps its running value against a NaN, so a NaN residual
+    would vanish and pass the gate; np.max propagates it, and a NaN residual
+    fails every `residual <= tolerance` comparison.
+    """
+    return float(np.max(values))
+
+
 # ---------------------------------------------------------------------------
 # specfun checks
 
 
 def _check_legendre_recurrence(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for x in np.linspace(-1.0, 1.0, 101):
         values = specfun.legendre_range(201, float(x))
         for n in range(1, 200):
             resid = abs((n + 1) * values[n + 1] - (2 * n + 1) * x * values[n] + n * values[n - 1])
-            worst = max(worst, resid / max(1.0, abs(values[n])))
-    return _result("legendre-three-term-recurrence", worst, 1e-12)
+            residuals.append(resid / max(1.0, abs(values[n])))
+    return _result("legendre-three-term-recurrence", _worst(*residuals), 1e-12)
 
 
 def _check_jacobi_difference_identity(rng: np.random.Generator) -> CheckResult:
     # P_n^(1,0)(k) (1 - k) = P_n(k) - P_{n+1}(k)
-    worst = 0.0
+    residuals = []
     for k in np.linspace(-0.95, 0.95, 39):
         k = float(k)
         for n in range(0, 51):
             lhs = specfun.jacobi10_eval(n, k) * (1.0 - k)
             rhs = specfun.legendre_eval(n, k) - specfun.legendre_eval(n + 1, k)
-            worst = max(worst, abs(lhs - rhs))
-    return _result("jacobi-legendre-difference-identity", worst, 1e-11)
+            residuals.append(abs(lhs - rhs))
+    return _result("jacobi-legendre-difference-identity", _worst(*residuals), 1e-11)
 
 
 def _geo_binomial_sums(alpha_sq: float, n: int) -> tuple[float, float]:
@@ -78,7 +88,7 @@ def _geo_binomial_sums(alpha_sq: float, n: int) -> tuple[float, float]:
 
 def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
     # The two binomial-sum evaluations against the Jacobi / Legendre forms.
-    worst = 0.0
+    residuals = []
     for alpha_sq in (0.3, 0.5, 0.8):
         beta_sq = 1.0 - alpha_sq
         k = 2.0 * alpha_sq - 1.0
@@ -86,14 +96,14 @@ def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
             weighted, plain = _geo_binomial_sums(alpha_sq, n)
             jac = -(beta_sq / n) * alpha_sq**-n * specfun.jacobi10_eval(n - 1, k)
             leg = -beta_sq * alpha_sq**-n * specfun.legendre_eval(n - 1, k)
-            worst = max(worst, abs(weighted - jac) / max(abs(jac), 1e-300))
-            worst = max(worst, abs(plain - leg) / max(abs(leg), 1e-300))
-    return _result("binomial-sum-vs-jacobi-legendre", worst, 1e-9)
+            residuals.append(abs(weighted - jac) / max(abs(jac), 1e-300))
+            residuals.append(abs(plain - leg) / max(abs(leg), 1e-300))
+    return _result("binomial-sum-vs-jacobi-legendre", _worst(*residuals), 1e-9)
 
 
 def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
     spec = genfunc.QuadratureSpec(tol=1e-12)
-    worst = 0.0
+    residuals = []
     for m in np.linspace(0.1, 0.9, 9):
         m = float(m)
         k_quad = genfunc.integrate(
@@ -102,25 +112,23 @@ def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
         e_quad = genfunc.integrate(
             lambda t: math.sqrt(1.0 - (m * math.sin(t)) ** 2), 0.0, math.pi / 2.0, spec
         )
-        worst = max(worst, abs(specfun.ellipK(m) - k_quad), abs(specfun.ellipE(m) - e_quad))
-    return _result("elliptic-agm-vs-quadrature", worst, 1e-10)
+        residuals += [abs(specfun.ellipK(m) - k_quad), abs(specfun.ellipE(m) - e_quad)]
+    return _result("elliptic-agm-vs-quadrature", _worst(*residuals), 1e-10)
 
 
 def _check_landen(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for t in np.linspace(0.02, 0.98, 49):
         t = float(t)
         lhs = (1.0 + t) * specfun.ellipK(t)
         rhs = specfun.ellipK(2.0 * math.sqrt(t) / (1.0 + t))
-        worst = max(worst, abs(lhs - rhs))
-    return _result("landen-transformation", worst, 1e-12)
+        residuals.append(abs(lhs - rhs))
+    return _result("landen-transformation", _worst(*residuals), 1e-12)
 
 
 def _check_kernel_reduction(rng: np.random.Generator) -> CheckResult:
     # scriptK(0, w) collapses to K(w) through the Landen step.
-    worst = 0.0
-    for w in (0.1, 0.25):
-        worst = max(worst, abs(specfun.script_K(0.0, w) - specfun.ellipK(w)))
+    worst = _worst(*(abs(specfun.script_K(0.0, w) - specfun.ellipK(w)) for w in (0.1, 0.25)))
     return _result("kernel-hadamard-reduction", worst, 1e-12)
 
 
@@ -135,7 +143,7 @@ def _check_hadamard_three_routes(rng: np.random.Generator) -> CheckResult:
     coin = qw.CoinMatrix.hadamard()
     phi = qw.QWInitialState.canonical()
     sim = qw.simulate_return(coin, phi, 10)
-    worst = 0.0
+    residuals = []
     for n, exact in _HADAMARD_EXACT.items():
         routes = (
             sim[n],
@@ -143,24 +151,23 @@ def _check_hadamard_three_routes(rng: np.random.Generator) -> CheckResult:
             qw.return_closed_qw(0.5, n),
             qw.return_hadamard(n),
         )
-        for r in routes:
-            worst = max(worst, abs(r - exact))
-    return _result("hadamard-return-three-routes", worst, 1e-10)
+        residuals += [abs(r - exact) for r in routes]
+    return _result("hadamard-return-three-routes", _worst(*residuals), 1e-10)
 
 
 def _check_oracle_triangle_random(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for _ in range(25):
         coin = qw.CoinMatrix.random(rng)
         closed = qw.return_series_qw(coin.alpha_sq, 60).values
         for _ in range(10):
             sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60).values
-            worst = max(worst, float(np.max(np.abs(sim - closed))))
-    return _result("simulation-vs-closed-form-random-coins", worst, 1e-10)
+            residuals.append(float(np.max(np.abs(sim - closed))))
+    return _result("simulation-vs-closed-form-random-coins", _worst(*residuals), 1e-10)
 
 
 def _check_state_independence(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         coin = qw.CoinMatrix.random(rng)
         series = [
@@ -168,13 +175,13 @@ def _check_state_independence(rng: np.random.Generator) -> CheckResult:
             for _ in range(20)
         ]
         stacked = np.stack(series)
-        worst = max(worst, float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
-    return _result("return-series-initial-state-independence", worst, 1e-10)
+        residuals.append(float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
+    return _result("return-series-initial-state-independence", _worst(*residuals), 1e-10)
 
 
 def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
     # All three routes at once across the |alpha|^2 grid, n <= 40.
-    worst = 0.0
+    residuals = []
     for alpha_sq in (0.1, 0.3, 0.5, 0.8, 0.95):
         coin = qw.CoinMatrix.from_alpha_sq(alpha_sq, theta=rng.uniform(0.0, 2.0 * math.pi))
         phi = qw.QWInitialState.random(rng)
@@ -182,27 +189,29 @@ def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
         for n in range(1, 41):
             lemma = qw.return_lemma1(coin, phi, n)
             closed = qw.return_closed_qw(alpha_sq, 2 * n)
-            worst = max(worst, abs(lemma - closed), abs(sim[2 * n] - closed), abs(sim[2 * n] - lemma))
-    return _result("oracle-triangle-simulation-lemma-closed", worst, 1e-10)
+            residuals += [abs(lemma - closed), abs(sim[2 * n] - closed), abs(sim[2 * n] - lemma)]
+    return _result("oracle-triangle-simulation-lemma-closed", _worst(*residuals), 1e-10)
 
 
 def _check_lemma_vs_bruteforce(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         coin = qw.CoinMatrix.random(rng)
         for n in range(1, 7):
             lemma = qw.xi_lemma1(coin, n).matrix
             brute = qw.xi_bruteforce(coin, n, n).matrix
-            worst = max(worst, float(np.max(np.abs(lemma - brute))))
-    return _result("path-sum-lemma-vs-enumeration", worst, 1e-12)
+            residuals.append(float(np.max(np.abs(lemma - brute))))
+    return _result("path-sum-lemma-vs-enumeration", _worst(*residuals), 1e-12)
 
 
 def _check_three_step_listing(rng: np.random.Generator) -> CheckResult:
     coin = qw.CoinMatrix.random(rng)
     p, q, _, _ = qw.decompose(coin)
-    worst = float(np.max(np.abs(qw.xi_bruteforce(coin, 0, 3).matrix - q @ q @ q)))
     listing = q @ q @ p + q @ p @ q + p @ q @ q
-    worst = max(worst, float(np.max(np.abs(qw.xi_bruteforce(coin, 1, 2).matrix - listing))))
+    worst = _worst(
+        float(np.max(np.abs(qw.xi_bruteforce(coin, 0, 3).matrix - q @ q @ q))),
+        float(np.max(np.abs(qw.xi_bruteforce(coin, 1, 2).matrix - listing))),
+    )
     return _result("three-step-word-listing", worst, 1e-14)
 
 
@@ -210,7 +219,7 @@ def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
     alpha_sq = rng.uniform(0.1, 0.9)
     phi = qw.QWInitialState.canonical()
     base = qw.simulate_return(qw.CoinMatrix.from_alpha_sq(alpha_sq), phi, 60).values
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         coin = qw.CoinMatrix.from_alpha_sq(
             alpha_sq,
@@ -219,30 +228,30 @@ def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
             beta_phase=rng.uniform(0.0, 2.0 * math.pi),
         )
         other = qw.simulate_return(coin, phi, 60).values
-        worst = max(worst, float(np.max(np.abs(other - base))))
-    return _result("coin-phase-independence", worst, 1e-10)
+        residuals.append(float(np.max(np.abs(other - base))))
+    return _result("coin-phase-independence", _worst(*residuals), 1e-10)
 
 
 def _check_unitarity_long_run(rng: np.random.Generator) -> CheckResult:
     coin = qw.CoinMatrix.random(rng)
     field = qw.initial_field(qw.QWInitialState.random(rng))
-    worst = 0.0
+    residuals = []
     for _ in range(1000):
         field = qw.step(field, coin)
-        worst = max(worst, abs(field.total_probability() - 1.0))
-    return _result("unitarity-1000-steps", worst, 1e-10)
+        residuals.append(abs(field.total_probability() - 1.0))
+    return _result("unitarity-1000-steps", _worst(*residuals), 1e-10)
 
 
 def _offparity_weight(field, advance) -> float:
     """Largest weight on a wrong-parity site over 30 steps; must be exactly 0."""
-    worst = 0.0
+    residuals = [0.0]
     for _ in range(30):
         field = advance(field)
         dist = field.position_distribution()
         offparity = dist[(field.positions + field.time) % 2 == 1]
         if offparity.size:
-            worst = max(worst, float(np.max(offparity)))
-    return worst
+            residuals.append(float(np.max(offparity)))
+    return _worst(*residuals)
 
 
 def _check_parity_support(rng: np.random.Generator) -> CheckResult:
@@ -250,6 +259,16 @@ def _check_parity_support(rng: np.random.Generator) -> CheckResult:
     field = qw.initial_field(qw.QWInitialState.random(rng))
     worst = _offparity_weight(field, lambda f: qw.step(f, coin))
     return _result("support-parity-exact-zero", worst, 0.0)
+
+
+def _check_dist_spectral_vs_lattice(rng: np.random.Generator) -> CheckResult:
+    coin = qw.CoinMatrix.random(rng)
+    phi = qw.QWInitialState.random(rng)
+    residuals = []
+    for n in (0, 1, 2, 37, 200):
+        walked = qw.evolve(coin, phi, n).position_distribution()
+        residuals.append(float(np.max(np.abs(qw.distribution(coin, phi, n) - walked))))
+    return _result("dist-spectral-vs-lattice", _worst(*residuals), 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +285,16 @@ def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> CheckResult:
         cases.append(
             (crw.TransitionMatrix(a=a, b=a - sign * 1e-10), crw.CRWInitialState.from_phi1(0.3))
         )
-    worst = 0.0
+    residuals = []
     for transition, phi_hat in cases:
         sim = crw.simulate_return_crw(transition, phi_hat, 80).values
         closed = crw.return_series_crw(transition, phi_hat, 80).values
-        worst = max(worst, float(np.max(np.abs(sim - closed))))
-    return _result("crw-closed-form-vs-simulation", worst, 1e-12)
+        residuals.append(float(np.max(np.abs(sim - closed))))
+    return _result("crw-closed-form-vs-simulation", _worst(*residuals), 1e-12)
 
 
 def _check_crw_state_independence(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for a in (0.2, 0.5, 0.9):
         transition = crw.TransitionMatrix.from_persistence(a, a)  # a = d
         series = [
@@ -283,12 +302,12 @@ def _check_crw_state_independence(rng: np.random.Generator) -> CheckResult:
             for _ in range(10)
         ]
         stacked = np.stack(series)
-        worst = max(worst, float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
-    return _result("crw-equal-persistence-state-independence", worst, 1e-12)
+        residuals.append(float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
+    return _result("crw-equal-persistence-state-independence", _worst(*residuals), 1e-12)
 
 
 def _check_rw_reduction(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for p in (0.2, 0.5, 0.7):
         transition = crw.TransitionMatrix.uncorrelated(p)
         phi_hat = crw.CRWInitialState.random(rng)
@@ -296,33 +315,33 @@ def _check_rw_reduction(rng: np.random.Generator) -> CheckResult:
         sim = crw.simulate_return_crw(transition, phi_hat, 60)
         for j in range(31):
             exact = (p * (1.0 - p)) ** j * specfun.binom(2 * j, j)
-            worst = max(worst, abs(series[2 * j] - exact), abs(sim[2 * j] - exact))
-    return _result("uncorrelated-reduction-to-random-walk", worst, 1e-12)
+            residuals += [abs(series[2 * j] - exact), abs(sim[2 * j] - exact)]
+    return _result("uncorrelated-reduction-to-random-walk", _worst(*residuals), 1e-12)
 
 
 def _check_crw_range(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = [0.0]
     for _ in range(20):
         transition = crw.TransitionMatrix.random(rng)
         values = crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 200).values
-        worst = max(worst, float(np.max(values - 1.0)), float(np.max(-values)))
-    return _result("crw-return-values-within-unit-interval", max(0.0, worst), 0.0)
+        residuals += [float(np.max(values - 1.0)), float(np.max(-values))]
+    return _result("crw-return-values-within-unit-interval", _worst(*residuals), 0.0)
 
 
 def _check_crw_sum_form(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         transition = crw.TransitionMatrix.random(rng)
         phi_hat = crw.CRWInitialState.random(rng)
         for n in range(1, 16):
             legendre_form = crw.return_closed_crw(transition, phi_hat, 2 * n)
             sum_form = crw.return_sum_form_crw(transition, phi_hat, n)
-            worst = max(worst, abs(legendre_form - sum_form) / max(abs(legendre_form), 1e-300))
-    return _result("crw-binomial-sum-vs-legendre-form", worst, 1e-11)
+            residuals.append(abs(legendre_form - sum_form) / max(abs(legendre_form), 1e-300))
+    return _result("crw-binomial-sum-vs-legendre-form", _worst(*residuals), 1e-11)
 
 
 def _check_crw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = [0.0]
     for _ in range(20):
         transition = crw.TransitionMatrix.random(rng)
         phi_hat = crw.CRWInitialState.random(rng)
@@ -331,8 +350,8 @@ def _check_crw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
         nmax = genfunc.truncation_for(z, 1e-10)
         series = crw.return_series_crw(transition, phi_hat, nmax)
         ev = genfunc.evaluate_vs_series(closed, series, z)
-        worst = max(worst, ev.abs_err - ev.tail_bound)
-    return _result("crw-generating-function-vs-series", max(0.0, worst), 1e-10)
+        residuals.append(ev.abs_err - ev.tail_bound)
+    return _result("crw-generating-function-vs-series", _worst(*residuals), 1e-10)
 
 
 def _check_crw_parity_support(rng: np.random.Generator) -> CheckResult:
@@ -347,21 +366,21 @@ def _check_crw_parity_support(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_qw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = [0.0]
     for alpha_sq in (0.2, 0.5, 0.8):
         for z in (0.2, 0.5, 0.8):
             closed = genfunc.gf_qw(alpha_sq, z)
             nmax = genfunc.truncation_for(z, 1e-6)
             series = qw.return_series_qw(alpha_sq, nmax)
             ev = genfunc.evaluate_vs_series(closed, series, z)
-            worst = max(worst, ev.abs_err - ev.tail_bound)
-    return _result("qw-generating-function-vs-series", max(0.0, worst), 1e-6)
+            residuals.append(ev.abs_err - ev.tail_bound)
+    return _result("qw-generating-function-vs-series", _worst(*residuals), 1e-6)
 
 
 def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for z in (0.2, 0.3, 0.5, 0.6, 0.8):
-        worst = max(worst, abs(genfunc.gf_qw(0.5, z) - genfunc.gf_hadamard(z)))
+    worst = _worst(
+        *(abs(genfunc.gf_qw(0.5, z) - genfunc.gf_hadamard(z)) for z in (0.2, 0.3, 0.5, 0.6, 0.8))
+    )
     return _result("qw-generating-function-hadamard-limit", worst, 1e-10)
 
 
@@ -382,38 +401,38 @@ def _legendre_product_series(x: float, z: float, nmax: int) -> tuple[float, floa
 
 
 def _check_square_legendre_identity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for x in (-0.6, 0.0, 0.6):
         for z in (0.2, 0.5, 0.8):
             lhs, _, _ = _legendre_product_series(x, z, 400)
             rhs = 2.0 / math.pi * specfun.script_K(x, z) - 1.0
-            worst = max(worst, abs(lhs - rhs))
-    return _result("squared-legendre-generating-function", worst, 1e-8)
+            residuals.append(abs(lhs - rhs))
+    return _result("squared-legendre-generating-function", _worst(*residuals), 1e-8)
 
 
 def _check_product_integral_identity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for x in (-0.6, 0.0, 0.6):
         for z in (0.2, 0.5, 0.8):
             _, lhs, _ = _legendre_product_series(x, z, 400)
             rhs = 2.0 * x / math.pi * genfunc.integral_E_term(x, z)
-            worst = max(worst, abs(lhs - rhs))
-    return _result("legendre-product-integral-identity", worst, 1e-8)
+            residuals.append(abs(lhs - rhs))
+    return _result("legendre-product-integral-identity", _worst(*residuals), 1e-8)
 
 
 def _check_weighted_product_identity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for x in (-0.6, 0.0, 0.6):
         for z in (0.2, 0.5, 0.8):
             _, _, lhs = _legendre_product_series(x, z, 400)
             rhs = 2.0 * x * specfun.script_E(x, z) / (math.pi * (1.0 - z))
-            worst = max(worst, abs(lhs - rhs))
-    return _result("weighted-legendre-product-identity", worst, 1e-8)
+            residuals.append(abs(lhs - rhs))
+    return _result("weighted-legendre-product-identity", _worst(*residuals), 1e-8)
 
 
 def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
     h = 1e-5
-    worst = 0.0
+    residuals = []
     for x in (-0.6, 0.3, 0.6):
         for z in (0.2, 0.5, 0.8):
             sk = specfun.script_K(x, z)
@@ -422,27 +441,26 @@ def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
             dz_num = (specfun.script_K(x, z + h) - specfun.script_K(x, z - h)) / (2.0 * h)
             dx_exact = x * (se - sk) / (x * x - 1.0)
             dx_num = (specfun.script_K(x + h, z) - specfun.script_K(x - h, z)) / (2.0 * h)
-            worst = max(worst, abs(dz_num - dz_exact) / abs(dz_exact))
-            worst = max(worst, abs(dx_num - dx_exact) / abs(dx_exact))
-    return _result("kernel-derivative-relations", worst, 1e-6)
+            residuals.append(abs(dz_num - dz_exact) / abs(dz_exact))
+            residuals.append(abs(dx_num - dx_exact) / abs(dx_exact))
+    return _result("kernel-derivative-relations", _worst(*residuals), 1e-6)
 
 
 def _check_polya2d(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
     series = genfunc.polya2d_series(400)
+    residuals = [0.0]
     for z in (0.3, 0.6):
         ev = genfunc.evaluate_vs_series(genfunc.polya2d_gf(z), series, z)
-        worst = max(worst, ev.abs_err - ev.tail_bound)
-    return _result("polya-2d-generating-function-vs-series", max(0.0, worst), 1e-9)
+        residuals.append(ev.abs_err - ev.tail_bound)
+    return _result("polya-2d-generating-function-vs-series", _worst(*residuals), 1e-9)
 
 
 def _check_polya3d(rng: np.random.Generator) -> CheckResult:
     g1, f1 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=1e-8))
     g2, f2 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=5e-9))
-    worst = abs(g1 - g2)
-    for f in (f1, f2):
-        if not 0.0 < f < 1.0:
-            worst = max(worst, 1.0)
+    # A recurrence probability outside (0, 1), NaN included, fails outright.
+    in_range = all(0.0 < f < 1.0 for f in (f1, f2))
+    worst = _worst(abs(g1 - g2), 0.0 if in_range else 1.0)
     return _result("polya-3d-constant-stability", worst, 1e-6)
 
 
@@ -468,6 +486,7 @@ _SUITES = {
         _check_phase_independence,
         _check_unitarity_long_run,
         _check_parity_support,
+        _check_dist_spectral_vs_lattice,
     ),
     "crw": (
         _check_crw_closed_vs_simulation,

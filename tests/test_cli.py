@@ -201,6 +201,17 @@ def test_dist_mass_sums_to_one(capsys):
     assert sum(row[1] for row in rows) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_dist_qw_wrong_parity_rows_are_exact_zeros(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "41")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [row[0] for row in rows] == list(range(-41, 42))
+    wrong_parity = [row[1] for row in rows if (row[0] + 41) % 2 == 1]
+    assert len(wrong_parity) == 41
+    assert all(p == 0 for p in wrong_parity)
+    assert sum(row[1] for row in rows) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_dist_rejects_oversized_time(capsys):
     code, _, err = run_cli(capsys, "dist", "--model", "hadamard", "--nmax", "100001")
     assert code == 2

@@ -252,6 +252,17 @@ def test_sum_form_equals_legendre_form():
             assert sum_form == pytest.approx(legendre_form, rel=1e-11)
 
 
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("a, b", [(0.7, 0.4), (0.7, 0.3), (0.3, 0.7)])
+def test_sum_form_matches_series_at_long_horizons(a, b, n):
+    # C(n-1, g-1)**2 once overflowed a float from n = 518 on (a = 0.7, b = 0.4).
+    transition = TransitionMatrix(a=a, b=b)
+    phi_hat = CRWInitialState.from_phi1(0.3)
+    series = return_series_crw(transition, phi_hat, 2 * n).values
+    assert series[2 * n] > 0.0
+    assert return_sum_form_crw(transition, phi_hat, n) == pytest.approx(series[2 * n], rel=1e-10)
+
+
 def test_sum_form_rejects_zero_steps():
     with pytest.raises(ValueError):
         return_sum_form_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 0)

@@ -68,6 +68,13 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_quadrature_spec_rejects_non_finite_or_non_positive_tolerance(tol):
+    # tol = nan once passed and ran out the subdivision budget instead.
+    with pytest.raises(ValueError):
+        QuadratureSpec(tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # the E-kernel integral term
 
@@ -234,6 +241,12 @@ def test_polya2d_return_matches_lgamma_form_at_long_horizons(n):
     j = n // 2
     log_central = math.lgamma(2 * j + 1) - 2 * math.lgamma(j + 1) - 2 * j * math.log(2.0)
     assert polya2d_return(n) == pytest.approx(math.exp(2.0 * log_central), rel=1e-9)
+
+
+def test_polya2d_series_equals_per_term_values():
+    series = polya2d_series(4000).values
+    per_term = np.array([polya2d_return(n) for n in range(4001)])
+    assert np.array_equal(series, per_term)
 
 
 def test_polya2d_gf_at_zero():

@@ -1,5 +1,6 @@
 """Quantum walk: coin algebra, evolution, path sums, closed forms."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from walkers_return.qw import (
     CoinMatrix,
     QWInitialState,
     decompose,
+    distribution,
     evolve,
     initial_field,
     return_closed_qw,
@@ -317,3 +319,49 @@ def test_hadamard_formula_matches_legendre_sweep_at_ten_thousand_steps():
     sweep = return_series_qw(0.5, 10_000).values
     for n in (2046, 2048, 4096, 9998, 10_000):
         assert return_hadamard(n) == pytest.approx(sweep[n], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# momentum-space distribution
+
+
+_phase = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@given(
+    alpha_sq=st.floats(0.05, 0.95),
+    phases=st.tuples(_phase, _phase, _phase),
+    mix=st.floats(0.0, math.pi / 2),
+    relative_phase=_phase,
+    n=st.integers(0, 300),
+)
+@settings(max_examples=25, deadline=None)
+def test_distribution_matches_lattice_evolution(alpha_sq, phases, mix, relative_phase, n):
+    theta, alpha_phase, beta_phase = phases
+    coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=theta, alpha_phase=alpha_phase, beta_phase=beta_phase)
+    phi = QWInitialState(phi1=math.cos(mix), phi2=math.sin(mix) * cmath.exp(1j * relative_phase))
+    spectral = distribution(coin, phi, n)
+    lattice = evolve(coin, phi, n).position_distribution()
+    assert spectral.shape == (2 * n + 1,)
+    assert float(np.max(np.abs(spectral - lattice))) <= 1e-13
+
+
+def test_distribution_at_time_zero_is_the_origin():
+    assert distribution(CoinMatrix.hadamard(), QWInitialState(phi1=1.0, phi2=0.0), 0).tolist() == [1.0]
+    dist = distribution(CoinMatrix.hadamard(), QWInitialState.canonical(), 0)
+    assert dist.shape == (1,)
+    assert dist[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_distribution_rejects_negative_time():
+    with pytest.raises(ValueError):
+        distribution(CoinMatrix.hadamard(), QWInitialState.canonical(), -1)
+
+
+def test_distribution_hadamard_at_hundred_thousand_steps():
+    # The lattice route takes about ten minutes here; the Fourier route a second.
+    n = 100_000
+    dist = distribution(CoinMatrix.hadamard(), QWInitialState.canonical(), n)
+    assert dist[n] == pytest.approx(return_series_qw(0.5, n).values[n], abs=1e-12)
+    assert abs(float(dist.sum()) - 1.0) <= 1e-9
+    assert np.all(dist[1::2] == 0.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from walkers_return.specfun import (
     binom,
+    central_binomial_ratios,
     ellipE,
     ellipK,
     ellipK_from_complement,
@@ -203,6 +204,13 @@ def test_binom_rejects_bad_arguments():
         binom(-1, 0)
     with pytest.raises(ValueError):
         binom(3, -1)
+
+
+def test_central_binomial_ratios_equal_per_term_division():
+    ratios = central_binomial_ratios(1500)
+    assert ratios.tolist() == [binom(2 * j, j) / 4**j for j in range(1501)]
+    with pytest.raises(ValueError):
+        central_binomial_ratios(-1)
 
 
 @pytest.mark.parametrize("n", [63, 80, 120, 200])
