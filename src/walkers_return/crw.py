@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,16 @@ class TransitionMatrix:
     @property
     def d(self) -> float:
         return 1.0 - self.b
+
+    def matrix(self) -> np.ndarray:
+        """The matrix [[a, b], [c, d]], computed once and read-only."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        matrix = np.array([[self.a, self.b], [self.c, self.d]])
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def p(self) -> float:
@@ -138,7 +149,7 @@ def initial_field_crw(phi_hat: CRWInitialState) -> Field:
 
 def crw_step(field: Field, transition: TransitionMatrix) -> Field:
     """One time step: L-mass flows one unit left, R-mass one unit right."""
-    return lattice.shift(field, ((transition.a, transition.b), (transition.c, transition.d)))
+    return lattice.shift(field, transition.matrix())
 
 
 def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -> Field:

@@ -59,20 +59,19 @@ class Field:
         return self.observable(self.components[0]) + self.observable(self.components[1])
 
 
-def shift(field: Field, matrix) -> Field:
+def shift(field: Field, matrix: np.ndarray) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1).
 
-    `matrix` is the 2x2 coin ((a, b), (c, d)); P is its top row, Q its bottom row.
+    `matrix` is the 2x2 coin array [[a, b], [c, d]]; P is its top row, Q its
+    bottom row, so one product `matrix @ old` gives both moved components.
     """
-    (a, b), (c, d) = matrix
     old = field.components
     t = field.time
+    moved = matrix @ old
     # L-components come from the right neighbour, R-components from the left.
-    left = a * old[0] + b * old[1]
-    right = c * old[0] + d * old[1]
-    new = np.zeros((2, 2 * t + 3), dtype=left.dtype)
-    new[0, : 2 * t + 1] = left
-    new[1, 2:] = right
+    new = np.zeros((2, 2 * t + 3), dtype=moved.dtype)
+    new[0, : 2 * t + 1] = moved[0]
+    new[1, 2:] = moved[1]
     return Field(time=t + 1, components=new, observable=field.observable)
 
 

@@ -21,7 +21,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -76,21 +76,33 @@ class CoinMatrix:
         if self.alpha == 0 or self.beta == 0:
             raise ValueError("boundary coins with alpha = 0 or beta = 0 are not supported")
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        # Computed once per coin and read-only, so no caller can change it.
+        phase = cmath.exp(1j * self.theta)
+        entries = [
+            [phase * self.alpha, phase * self.beta],
+            [-phase * self.beta.conjugate(), phase * self.alpha.conjugate()],
+        ]
+        matrix = np.array(entries, dtype=complex)
+        matrix.setflags(write=False)
+        return matrix
+
     @property
     def a(self) -> complex:
-        return cmath.exp(1j * self.theta) * self.alpha
+        return complex(self._matrix[0, 0])
 
     @property
     def b(self) -> complex:
-        return cmath.exp(1j * self.theta) * self.beta
+        return complex(self._matrix[0, 1])
 
     @property
     def c(self) -> complex:
-        return -cmath.exp(1j * self.theta) * self.beta.conjugate()
+        return complex(self._matrix[1, 0])
 
     @property
     def d(self) -> complex:
-        return cmath.exp(1j * self.theta) * self.alpha.conjugate()
+        return complex(self._matrix[1, 1])
 
     @property
     def alpha_sq(self) -> float:
@@ -102,7 +114,8 @@ class CoinMatrix:
         return 2.0 * self.alpha_sq - 1.0
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        """The coin [[a, b], [c, d]], read-only."""
+        return self._matrix
 
     @classmethod
     def hadamard(cls) -> "CoinMatrix":
@@ -189,7 +202,7 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def step(field: Field, coin: CoinMatrix) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1)."""
-    return lattice.shift(field, ((coin.a, coin.b), (coin.c, coin.d)))
+    return lattice.shift(field, coin.matrix())
 
 
 def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> Field:
@@ -255,8 +268,11 @@ class PathSumMatrix:
 def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> PathSumMatrix:
     """Path sum by explicit enumeration of every P/Q word.
 
-    Words are applied in time order (first step = rightmost factor).  The
-    C(l+m, l) products cap at l+m <= 14 to stay at desk scale.
+    Words are applied in time order (first step = rightmost factor).  Each
+    of the C(l+m, l) words is one row of a boolean table (True where the
+    step moves left, factor P); all word products advance together, one
+    batched 2x2 product per time step, and are summed at the end.  The
+    enumeration caps at l+m <= 14 to stay at desk scale.
     """
     if l < 0 or m < 0:
         raise ValueError(f"step counts must be non-negative, got ({l}, {m})")
@@ -265,37 +281,51 @@ def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> PathSumMatrix:
         raise ValueError(
             f"brute-force enumeration capped at {_BRUTEFORCE_MAX_STEPS} steps, got {nsteps}"
         )
-    p, q, _, _ = decompose(coin)
-    total = np.zeros((2, 2), dtype=complex)
-    for left_slots in itertools.combinations(range(nsteps), l):
-        left = set(left_slots)
-        word = np.eye(2, dtype=complex)
-        for i in range(nsteps):
-            factor = p if i in left else q
-            word = factor @ word
-        total += word
-    return PathSumMatrix(n_left=l, n_right=m, matrix=total)
+    count = math.comb(nsteps, l)
+    slots = np.array(list(itertools.combinations(range(nsteps), l)), dtype=np.intp)
+    moves_left = np.zeros((count, nsteps), dtype=bool)
+    np.put_along_axis(moves_left, slots, True, axis=1)
+    # P = [[a, b], [0, 0]] and Q = [[0, 0], [c, d]] are U with one row
+    # zeroed: a step keeps the top row of U @ word if it moves left (P),
+    # the bottom row if it moves right (Q).
+    keep = np.stack([moves_left, ~moves_left])[:, None]  # (row, 1, word, step)
+    # words[i, j, w] is entry (i, j) of word w's product so far.
+    words = np.zeros((2, 2, count), dtype=complex)
+    words[0, 0] = words[1, 1] = 1.0
+    for i in range(nsteps):
+        words = (coin.matrix() @ words.reshape(2, 2 * count)).reshape(2, 2, count) * keep[..., i]
+    return PathSumMatrix(n_left=l, n_right=m, matrix=words.sum(axis=2))
 
 
 def _lemma_sums(coin: CoinMatrix, n: int) -> tuple[float, float, float]:
-    """The three scalar weights of the balanced path sum, exactly.
+    """The three scalar weights of the balanced path sum times |alpha|^{2n}, exactly.
 
-    sigma1 = sum_g (1/g) rho^g C(n-1, g-1)^2 and sigma0 = the unweighted
-    sum, with rho = bc/(ad) = -|beta|^2/|alpha|^2.  The alternating terms
+    sigma1 = sum_g (1/g) rho^g C(n-1, g-1)^2, sigma0 = the unweighted sum
+    and the drift n sigma1 - sigma0, with rho = bc/(ad) = -|beta|^2/|alpha|^2;
+    each is returned multiplied by |alpha|^{2n}.  The alternating terms
     cancel almost completely for small |alpha| (the true sums are ~rho^n
-    times smaller than the largest term), so they are accumulated in exact
-    rational arithmetic and rounded once at the end.
+    times smaller than the largest term), so they are accumulated exactly
+    and rounded once at the end.
+
+    With the floats |alpha|^2 = u/v and |beta|^2 = s/t (v, t powers of two),
+    |alpha|^{2n} rho^g = (-sv)^g (tu)^{n-g} / (vt)^n, so every term is an
+    integer over the one denominator (vt)^n.  C(n-1, g-1)/g = C(n, g)/n
+    keeps the sigma1 terms integers too.  Folding |alpha|^{2n} in keeps the
+    rounded values of order one where the sums alone overflow a float.
     """
-    rho = -Fraction(abs(coin.beta) ** 2) / Fraction(abs(coin.alpha) ** 2)
-    sigma1 = Fraction(0)
-    sigma0 = Fraction(0)
-    power = Fraction(1)
+    u, v = (abs(coin.alpha) ** 2).as_integer_ratio()
+    s, t = (abs(coin.beta) ** 2).as_integer_ratio()
+    num, den = -s * v, t * u
+    # term = C(n-1, g-1)^2 num^g den^(n-g), carried from g to g + 1.
+    term = num * den ** (n - 1)
+    plain = 0  # sum of C(n-1, g-1)^2 num^g den^(n-g)
+    weighted = 0  # sum of C(n-1, g-1) C(n, g) num^g den^(n-g)
     for g in range(1, n + 1):
-        power *= rho
-        weight = Fraction(binom(n - 1, g - 1) ** 2)
-        sigma0 += power * weight
-        sigma1 += power * weight / g
-    return float(sigma1), float(sigma0), float(n * sigma1 - sigma0)
+        plain += term
+        weighted += term * n // g
+        term = term * (n - g) ** 2 * num // (g * g * den)
+    scale = (v * t) ** n
+    return weighted / (n * scale), plain / scale, (weighted - plain) / scale
 
 
 def xi_lemma1(coin: CoinMatrix, n: int) -> PathSumMatrix:
@@ -303,14 +333,17 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> PathSumMatrix:
 
     a^n d^n sum_g (bc/ad)^g C(n-1, g-1)^2
         [ ((n-g)/(a g)) P + ((n-g)/(d g)) Q + (1/c) R + (1/b) S ].
+
+    (ad)^n splits into |alpha|^{2n}, which the exact sums absorb, and the
+    unit phase (ad/|ad|)^n.
     """
     if n < 1:
         raise ValueError("xi_lemma1 needs n >= 1; the 0-step path sum is the identity")
     p, q, r, s = decompose(coin)
     _, sigma0, drift = _lemma_sums(coin, n)
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    prefactor = (a * d) ** n
-    matrix = prefactor * (
+    phase = (a * d / abs(a * d)) ** n
+    matrix = phase * (
         (drift / a) * p + (drift / d) * q + (sigma0 / c) * r + (sigma0 / b) * s
     )
     return PathSumMatrix(n_left=n, n_right=n, matrix=matrix)

@@ -13,6 +13,7 @@ import pytest
 import walkers_return
 import walkers_return.cli
 import walkers_return.verify
+from walkers_return.verify import DEFAULT_SEED, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
@@ -43,3 +44,13 @@ def test_traced_return_counts_every_site_step(tracer, tmp_path, model_argv, work
     assert walkers_return.cli.main(argv) == 0
     assert tracer.work[work_key] == SITE_STEPS_40
 
+
+@pytest.mark.parametrize(
+    "suite, work_key, site_steps",
+    [("qw", "qw.step.site_steps", 2355974), ("crw", "crw.crw_step.site_steps", 344500)],
+)
+def test_traced_suite_walks_every_lattice_step(tracer, suite, work_key, site_steps):
+    # The suites' lattice work is pinned, so no faster oracle may skip a step.
+    results = run_suite(suite, seed=DEFAULT_SEED)
+    assert all(result.passed for result in results)
+    assert tracer.work[work_key] == site_steps

@@ -34,6 +34,16 @@ def test_transition_matrix_columns_are_stochastic():
     assert t.q == 0.8
 
 
+def test_transition_matrix_cannot_be_changed_by_a_caller():
+    t = TransitionMatrix(a=0.7, b=0.2)
+    phi_hat = CRWInitialState.from_phi1(0.3)
+    before = simulate_return_crw(t, phi_hat, 20).values
+    assert np.array_equal(t.matrix(), [[0.7, 0.2], [t.c, t.d]])
+    with pytest.raises(ValueError):
+        t.matrix()[0, 0] = 0.0
+    assert np.array_equal(simulate_return_crw(t, phi_hat, 20).values, before)
+
+
 def test_transition_matrix_rejects_boundary_persistence():
     for a in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):

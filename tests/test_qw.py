@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from walkers_return.qw import (
     CoinMatrix,
     QWInitialState,
+    _lemma_sums,
     decompose,
     distribution,
     evolve,
@@ -24,6 +26,7 @@ from walkers_return.qw import (
     xi_bruteforce,
     xi_lemma1,
 )
+from walkers_return.specfun import binom
 
 HADAMARD_EXACT = {0: 1.0, 2: 0.5, 4: 1 / 8, 6: 1 / 8, 8: 9 / 128, 10: 9 / 128}
 
@@ -76,6 +79,15 @@ def test_initial_state_rejects_non_finite_entries(bad):
         QWInitialState(phi1=complex(bad, 0.0), phi2=0.0)
     with pytest.raises(ValueError):
         QWInitialState(phi1=1.0, phi2=complex(0.0, bad))
+
+
+def test_coin_matrix_cannot_be_changed_by_a_caller():
+    coin = CoinMatrix.from_alpha_sq(0.3, theta=0.7)
+    phi = QWInitialState.canonical()
+    before = simulate_return(coin, phi, 20).values
+    with pytest.raises(ValueError):
+        coin.matrix()[0, 0] = 0.0
+    assert np.array_equal(simulate_return(coin, phi, 20).values, before)
 
 
 def test_initial_state_requires_unit_norm():
@@ -199,13 +211,56 @@ def test_bruteforce_refuses_large_words():
         xi_bruteforce(coin, 8, 7)
 
 
+def test_bruteforce_words_sum_to_the_coin_power():
+    # Every word of n steps has some number l of left moves: (P + Q)^n = U^n.
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        coin = CoinMatrix.random(rng)
+        for n in range(0, 15):
+            total = sum(xi_bruteforce(coin, l, n - l).matrix for l in range(n + 1))
+            power = np.linalg.matrix_power(coin.matrix(), n)
+            assert np.max(np.abs(total - power)) < 1e-12
+
+
 def test_lemma_matches_bruteforce_enumeration():
     rng = np.random.default_rng(19)
     for _ in range(10):
         coin = CoinMatrix.random(rng)
-        for n in range(1, 7):
+        for n in range(1, 8):
             diff = np.abs(xi_lemma1(coin, n).matrix - xi_bruteforce(coin, n, n).matrix)
             assert np.max(diff) < 1e-12
+
+
+def _fraction_lemma_sums(coin, n):
+    """sigma1, sigma0 and n sigma1 - sigma0 as exact Fractions, term by term."""
+    rho = -Fraction(abs(coin.beta) ** 2) / Fraction(abs(coin.alpha) ** 2)
+    sigma1 = sigma0 = Fraction(0)
+    power = Fraction(1)
+    for g in range(1, n + 1):
+        power *= rho
+        weight = Fraction(binom(n - 1, g - 1) ** 2)
+        sigma0 += power * weight
+        sigma1 += power * weight / g
+    return sigma1, sigma0, n * sigma1 - sigma0
+
+
+def test_lemma_sums_equal_exact_fraction_sums():
+    # Both round the same rational once, so the floats are identical.
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        coin = CoinMatrix.random(rng)
+        scale = Fraction(abs(coin.alpha) ** 2)
+        for n in range(1, 41):
+            exact = _fraction_lemma_sums(coin, n)
+            assert _lemma_sums(coin, n) == tuple(float(scale**n * x) for x in exact)
+
+
+@pytest.mark.parametrize("alpha_sq, n", [(0.2, 450), (0.1, 320), (0.3, 1100)])
+def test_lemma_return_where_the_unscaled_sums_overflow_a_float(alpha_sq, n):
+    # The bare sums overflow a float at these n; times |alpha|^{2n} they do not.
+    coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=1.3, alpha_phase=0.4)
+    lemma = return_lemma1(coin, QWInitialState.canonical(), n)
+    assert abs(lemma - return_series_qw(alpha_sq, 2 * n).values[2 * n]) <= 1e-12
 
 
 def test_lemma_hadamard_two_step_probability():
