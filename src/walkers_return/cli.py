@@ -1,7 +1,7 @@
 """Command-line front end: return tables, generating-function scans,
 verification suites, and position distributions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or arithmetic error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,27 +27,79 @@ __all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnupl
 _ENV_TOL = "WALKERS_RETURN_TOL"
 
 
-@dataclass
 class Table:
-    """Column-oriented result table with a describing meta header."""
+    """Result table: named columns, one array per column, and a meta header.
 
-    columns: list[str]
-    rows: list[tuple]
-    meta: dict = field(default_factory=dict)
+    Commands hand over the column arrays (`data`).  A table can also be
+    built from row tuples (`rows`), one array per column then holding the
+    cells: integers if every cell is one, floats otherwise.  `rows` reads
+    the table back as row tuples, built on demand.
+    """
+
+    def __init__(self, columns: list[str], rows=None, meta: dict | None = None, data=None) -> None:
+        self.columns = list(columns)
+        self.meta = {} if meta is None else meta
+        if data is None:
+            data = list(zip(*rows)) if rows else [() for _ in self.columns]
+        self.data = [np.asarray(column) for column in data]
+
+    @property
+    def rows(self) -> "_Rows":
+        return _Rows(self.data)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # 17 significant digits round-trip any float64 exactly.
-    return f"{float(value):.17g}"
+class _Rows:
+    """The row tuples of a table stored by columns, one at a time."""
+
+    def __init__(self, data: list[np.ndarray]) -> None:
+        self._data = data
+
+    def __len__(self) -> int:
+        return len(self._data[0]) if self._data else 0
+
+    def __getitem__(self, index: int) -> tuple:
+        return tuple(column[index].item() for column in self._data)
+
+    def __iter__(self):
+        return zip(*(column.tolist() for column in self._data))
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """A column as text: integers exact, floats to 17 significant digits,
+    which round-trip any float64."""
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map("%.17g".__mod__, column.tolist()))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(column: np.ndarray) -> list[str]:
+    """A column as the JSON encoder writes it: float.__repr__, NaN, Infinity."""
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    cells = list(map(float.__repr__, column.tolist()))
+    if not np.isfinite(column).all():
+        cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
+    return cells
+
+
+# Rows formatted and written at a time: bounds the text held in memory.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(data: list[np.ndarray], cells: Callable[[np.ndarray], list[str]]):
+    """Row tuples of formatted cells, one list of them per block of rows."""
+    for start in range(0, len(data[0]) if data else 0, _BLOCK_ROWS):
+        yield list(zip(*(cells(column[start : start + _BLOCK_ROWS]) for column in data)))
 
 
 def emit_csv(table: Table, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_format_cell(v) for v in row])
+    csv.writer(stream, lineterminator="\n").writerow(table.columns)
+    # Number cells hold no comma, quote or line break, so none needs quoting.
+    for rows in _blocks(table.data, _cells):
+        stream.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def parse_csv(text: str) -> Table:
@@ -66,22 +118,24 @@ def parse_csv(text: str) -> Table:
 
 
 def emit_json(table: Table, stream) -> None:
-    records = [dict(zip(table.columns, map(_jsonable, row))) for row in table.rows]
-    json.dump({"meta": table.meta, "rows": records}, stream, indent=2)
-    stream.write("\n")
-
-
-def _jsonable(value):
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
+    """The bytes of json.dump({"meta": ..., "rows": [records]}, indent=2),
+    with each record filled into one template instead of encoded cell by cell."""
+    meta = json.dumps(table.meta, indent=2).replace("\n", "\n  ")
+    keys = [json.dumps(name).replace("%", "%%") for name in table.columns]
+    record = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    stream.write(f'{{\n  "meta": {meta},\n  "rows": ')
+    opening = "[\n"
+    for rows in _blocks(table.data, _json_cells):
+        stream.write(opening + ",\n".join(map(record.__mod__, rows)))
+        opening = ",\n"
+    stream.write("[]\n}\n" if opening == "[\n" else "\n  ]\n}\n")
 
 
 def emit_gnuplot(table: Table, stream) -> None:
     """Two-column plain text (first two columns) for external plotters."""
     stream.write(f"# {table.columns[0]} {table.columns[1]}\n")
-    for row in table.rows:
-        stream.write(f"{_format_cell(row[0])} {_format_cell(row[1])}\n")
+    for rows in _blocks(table.data[:2], _cells):
+        stream.write("".join(map("%s %s\n".__mod__, rows)))
 
 
 def _write_output(table: Table, args) -> None:
@@ -237,7 +291,7 @@ def cmd_return(args) -> int:
     errors = np.abs(closed - simulated)
     table = Table(
         columns=["n", "r_closed", "r_simulated", "abs_err"],
-        rows=list(zip(range(args.nmax + 1), closed, simulated, errors)),
+        data=[np.arange(args.nmax + 1), closed, simulated, errors],
         meta={
             "command": "return",
             "model": args.model,
@@ -261,20 +315,16 @@ def cmd_genfunc(args) -> int:
         raise ValueError("z grid must lie strictly inside (-1, 1)")
     walk = model.parse(args)
 
-    rows = []
-    failed = False
-    for z in map(float, zgrid):
-        evaluation = genfunc.evaluate_vs_series(
-            walk.gf(z), walk.closed(genfunc.truncation_for(z, tol)), z
-        )
-        if not evaluation.consistent(tol):
-            failed = True
-        rows.append(
-            (z, evaluation.closed_value, evaluation.series_value, evaluation.abs_err, evaluation.tail_bound)
-        )
+    evaluations = [
+        genfunc.evaluate_vs_series(walk.gf(z), walk.closed(genfunc.truncation_for(z, tol)), z)
+        for z in map(float, zgrid)
+    ]
     table = Table(
         columns=["z", "gf_closed", "gf_series", "abs_err", "tail_bound"],
-        rows=rows,
+        data=[
+            np.array([getattr(evaluation, name) for evaluation in evaluations], dtype=float)
+            for name in ("z", "closed_value", "series_value", "abs_err", "tail_bound")
+        ],
         meta={
             "command": "genfunc",
             "model": args.model,
@@ -284,7 +334,7 @@ def cmd_genfunc(args) -> int:
         },
     )
     _write_output(table, args)
-    return 1 if failed else 0
+    return 0 if all(evaluation.consistent(tol) for evaluation in evaluations) else 1
 
 
 def cmd_verify(args) -> int:
@@ -305,11 +355,9 @@ def cmd_dist(args) -> int:
         raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
     walk = model.parse(args)
     dist = walk.dist(args.nmax)
-    positions = np.arange(-args.nmax, args.nmax + 1)
-    rows = [(int(x), float(p)) for x, p in zip(positions, dist)]
     table = Table(
         columns=["x", "probability"],
-        rows=rows,
+        data=[np.arange(-args.nmax, args.nmax + 1), dist],
         meta={
             "command": "dist",
             "model": args.model,
@@ -385,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

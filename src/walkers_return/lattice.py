@@ -6,11 +6,15 @@ bottom row Q one site right, new(x) = P old(x+1) + Q old(x-1).  The quantum
 walk shifts complex amplitudes (site weight |amp|^2), the correlated walk
 real conditional masses (site weight the mass itself); the observable that
 turns a component into a weight is carried by the field.
+
+A walk started at the origin occupies at time t only the t + 1 sites
+x = -t + 2m (m = 0..t) of the parity of t; every other site holds exactly
+zero, so the field stores just those slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -18,61 +22,121 @@ import numpy as np
 __all__ = ["Field", "shift", "evolve", "return_values"]
 
 
+class _Cone:
+    """The light cone of the origin up to time `horizon`, and the two flat
+    buffers the steps inside it alternate between: each step writes the one
+    its input field does not live in."""
+
+    def __init__(self, horizon: int, dtype) -> None:
+        self.horizon = horizon
+        size = 2 * (horizon // 2 + 1) + 3  # the widest window, horizon // 2 + 1 slots, as `shift` lays it out
+        self._buffers = [np.empty(size, dtype=dtype) for _ in range(2)]
+        self._turn = 0
+
+    def advance(self, t: int) -> tuple[int, int, np.ndarray]:
+        """First slot and width of the window at time t, and the buffer to
+        write it into.  The window holds the slots m whose site can still
+        reach the origin by `horizon` (|x| <= horizon - t); it is empty only
+        at an odd last step."""
+        reach = self.horizon - t
+        lo = max(0, (t - reach + 1) // 2)
+        self._turn ^= 1
+        return lo, max(0, min(t, (t + reach) // 2) - lo + 1), self._buffers[self._turn]
+
+
 @dataclass(frozen=True)
 class Field:
     """Walker state at one time step.
 
-    Dense storage over positions -time..time: column j of `components`
-    holds the (L, R) pair at position x = j - time.  Odd-parity slots stay
-    exactly zero because the shift never writes into them.
+    Column j of `packed` holds the (L, R) pair at the occupied-parity site
+    x = -time + 2 (lo + j).  A field from `evolve` stores all time + 1 of
+    them (lo = 0).  Inside `return_values` a field keeps only the light
+    cone of the origin and carries the `_Cone` its steps advance in; such
+    fields never leave that loop.  The dense accessors read positions
+    -time..time, with exact zeros on every site not stored.
     """
 
     time: int
-    components: np.ndarray  # shape (2, 2*time + 1)
+    packed: np.ndarray  # shape (2, width), width <= time + 1
     observable: Callable  # elementwise component -> weight, on scalars and arrays
+    lo: int = 0
+    cone: _Cone | None = None
 
     @classmethod
     def at_origin(cls, vector: np.ndarray, observable: Callable) -> "Field":
-        components = np.zeros((2, 1), dtype=vector.dtype)
-        components[:, 0] = vector
-        return cls(time=0, components=components, observable=observable)
+        packed = np.empty((2, 1), dtype=vector.dtype)
+        packed[:, 0] = vector
+        return cls(time=0, packed=packed, observable=observable)
+
+    @property
+    def components(self) -> np.ndarray:
+        """Dense (2, 2*time + 1) array: column j is position x = j - time."""
+        dense = np.zeros((2, 2 * self.time + 1), dtype=self.packed.dtype)
+        dense[:, 2 * self.lo : 2 * (self.lo + self.packed.shape[1]) : 2] = self.packed
+        return dense
 
     @property
     def positions(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1)
 
+    def _slot(self, x: int) -> int | None:
+        """Column of `packed` that holds site x, None where the site is empty."""
+        m, odd = divmod(x + self.time, 2)
+        j = m - self.lo
+        return None if odd or not 0 <= j < self.packed.shape[1] else j
+
     def component(self, x: int) -> np.ndarray:
-        if abs(x) > self.time:
-            return np.zeros(2, dtype=self.components.dtype)
-        return self.components[:, x + self.time]
+        j = self._slot(x)
+        return np.zeros(2, dtype=self.packed.dtype) if j is None else self.packed[:, j]
 
     def probability(self, x: int) -> float:
-        if abs(x) > self.time:
+        j = self._slot(x)
+        if j is None:
             return 0.0
-        j = x + self.time
-        return float(self.observable(self.components[0, j]) + self.observable(self.components[1, j]))
+        return float(self.observable(self.packed[0, j]) + self.observable(self.packed[1, j]))
 
     def total_probability(self) -> float:
-        return float(np.sum(self.observable(self.components)))
+        return float(np.sum(self.observable(self.packed)))
 
     def position_distribution(self) -> np.ndarray:
-        return self.observable(self.components[0]) + self.observable(self.components[1])
+        weights = self.observable(self.packed[0]) + self.observable(self.packed[1])
+        dist = np.zeros(2 * self.time + 1, dtype=weights.dtype)
+        dist[2 * self.lo : 2 * (self.lo + weights.size) : 2] = weights
+        return dist
 
 
 def shift(field: Field, matrix: np.ndarray) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1).
 
     `matrix` is the 2x2 coin array [[a, b], [c, d]]; P is its top row, Q its
-    bottom row, so one product `matrix @ old` gives both moved components.
+    bottom row, so one product `matrix @ old` gives both moved components:
+    in slots, new L[m] = (M old)[0, m] and new R[m] = (M old)[1, m - 1] (the
+    L-components come from the right neighbour, the R-components from the
+    left one).  The product is written straight into place, and only a slot
+    with no source (the last L, the first R of a growing field) is zeroed.
     """
-    old = field.components
-    t = field.time
-    moved = matrix @ old
-    # L-components come from the right neighbour, R-components from the left.
-    new = np.zeros((2, 2 * t + 3), dtype=moved.dtype)
-    new[0, : 2 * t + 1] = moved[0]
-    new[1, 2:] = moved[1]
-    return Field(time=t + 1, components=new, observable=field.observable)
+    old, lo, t = field.packed, field.lo, field.time
+    width = old.shape[1]
+    cone = field.cone
+    if cone is None:
+        new_lo, new_width = 0, t + 2
+        flat = np.empty(2 * t + 7, dtype=old.dtype)
+    else:
+        new_lo, new_width, flat = cone.advance(t + 1)
+    # The new field is flat[1 : 1 + 2 new_width] as a (2, new_width) array:
+    # L slot m at flat[1 + m - new_lo], R slot m at flat[1 + new_width + m - new_lo].
+    # So (M old)[0, j] (L at m = lo + j) and (M old)[1, j] (R at m = lo + j + 1)
+    # are two rows new_width + 1 apart from flat[start].  A window drops at
+    # most its first slot per step, so start >= 0 and width <= new_width + 1.
+    start = 1 + lo - new_lo
+    rows = flat[start : start + 2 * new_width + 2].reshape(2, new_width + 1)
+    np.matmul(matrix, old, out=rows[:, :width])
+    if new_lo + new_width > lo + width:  # the last L slot has no source
+        flat[new_width] = 0
+    if new_lo == lo:  # the first R slot has no source
+        flat[new_width + 1] = 0
+    new = flat[1 : 1 + 2 * new_width].reshape(2, new_width)
+    return Field(t + 1, new, field.observable, new_lo, cone)
 
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
@@ -85,12 +149,28 @@ def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
 
 
 def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np.ndarray:
-    """Origin weights r_0..r_nmax along nmax applications of `step`."""
+    """Origin weights r_0..r_nmax of a walk started from the time-0 `field`.
+
+    Only the light cone of the origin is advanced: at time t the sites with
+    |x| <= min(t, nmax - t), which is about a quarter of the dense field's
+    site work over the walk.  The origin pair is read at every even time,
+    the only times it can be occupied, and turned into weights at the end.
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
-    values = np.empty(nmax + 1)
-    values[0] = field.probability(0)
-    for n in range(1, nmax + 1):
+    if field.time != 0:
+        raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
+    field = replace(field, cone=_Cone(nmax, field.packed.dtype))
+    pairs = np.empty((2, nmax // 2 + 1), dtype=field.packed.dtype)
+    pairs[:, 0] = field.packed[:, 0]
+    for t in range(1, nmax + 1):
         field = step(field)
-        values[n] = field.probability(0)
+        if t % 2 == 0:
+            pairs[:, t // 2] = field.packed[:, t // 2 - field.lo]
+    # The observable is applied to scalars, as a per-step read would: numpy
+    # rounds a scalar |amp| ** 2 with pow and an array's with a product, and
+    # the two differ in the last bit of about one value in a thousand.
+    observable = field.observable
+    values = np.zeros(nmax + 1)
+    values[::2] = [observable(left) + observable(right) for left, right in zip(*pairs)]
     return values

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,30 +71,18 @@ def _check_jacobi_difference_identity(rng: np.random.Generator) -> CheckResult:
     return _result("jacobi-legendre-difference-identity", _worst(*residuals), 1e-11)
 
 
-def _geo_binomial_sums(alpha_sq: float, n: int) -> tuple[float, float]:
-    """Exact alternating sums sum_g (-|b|^2/|a|^2)^g C(n-1, g-1)^2 (/g)."""
-    ratio = -Fraction(1.0 - alpha_sq) / Fraction(alpha_sq)
-    weighted = Fraction(0)
-    plain = Fraction(0)
-    power = Fraction(1)
-    for g in range(1, n + 1):
-        power *= ratio
-        csq = specfun.binom(n - 1, g - 1) ** 2
-        plain += power * csq
-        weighted += power * csq / g
-    return float(weighted), float(plain)
-
-
 def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
-    # The two binomial-sum evaluations against the Jacobi / Legendre forms.
+    # The path-sum lemma's exact alternating sums, which `qw._lemma_sums`
+    # returns multiplied by |alpha|^{2n}, against the Jacobi / Legendre forms.
     residuals = []
     for alpha_sq in (0.3, 0.5, 0.8):
+        coin = qw.CoinMatrix.from_alpha_sq(alpha_sq)
         beta_sq = 1.0 - alpha_sq
         k = 2.0 * alpha_sq - 1.0
         for n in range(1, 16):
-            weighted, plain = _geo_binomial_sums(alpha_sq, n)
-            jac = -(beta_sq / n) * alpha_sq**-n * specfun.jacobi10_eval(n - 1, k)
-            leg = -beta_sq * alpha_sq**-n * specfun.legendre_eval(n - 1, k)
+            weighted, plain, _ = qw._lemma_sums(coin, n)
+            jac = -(beta_sq / n) * specfun.jacobi10_eval(n - 1, k)
+            leg = -beta_sq * specfun.legendre_eval(n - 1, k)
             residuals.append(abs(weighted - jac) / max(abs(jac), 1e-300))
             residuals.append(abs(plain - leg) / max(abs(leg), 1e-300))
     return _result("binomial-sum-vs-jacobi-legendre", _worst(*residuals), 1e-9)

@@ -2,7 +2,8 @@
 
 `bench/tracing.py` wraps `qw.step` and `crw.crw_step` by name in the package
 namespaces and counts site steps from their `(field, ...)` arguments; the
-lattice loops must reach every step through those names at call time.
+lattice loops must reach every step through those names at call time.  It
+counts the rows of each emitted table from `len(table.rows)`.
 """
 
 import sys
@@ -43,6 +44,22 @@ def test_traced_return_counts_every_site_step(tracer, tmp_path, model_argv, work
     argv = ["return", *model_argv, "--nmax", "40", "--out", str(tmp_path / "table.csv")]
     assert walkers_return.cli.main(argv) == 0
     assert tracer.work[work_key] == SITE_STEPS_40
+
+
+@pytest.mark.parametrize(
+    "argv, emitter, rows",
+    [
+        (["return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "40"], "emit_csv", 41),
+        (["dist", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "40"], "emit_csv", 81),
+        (["dist", "--model", "hadamard", "--nmax", "40", "--format", "json"], "emit_json", 81),
+    ],
+)
+def test_traced_emit_counts_every_row(tracer, tmp_path, argv, emitter, rows):
+    # The tracer counts `len(table.rows)`, which must stay the row count
+    # for a table stored by columns.
+    assert walkers_return.cli.main([*argv, "--out", str(tmp_path / "table")]) == 0
+    assert tracer.work[f"cli.{emitter}.rows"] == rows
+    assert tracer.calls[f"cli.{emitter}"] == 1
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,22 @@ def test_long_horizon_runs_do_not_overflow(capsys, argv):
     assert code == 0, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "qw", "--alpha-sq", "1e-320", "--nmax", "10"),
+        ("genfunc", "--model", "crw", "--a", "1e-300", "--d", "0.5", "--z-count", "2"),
+    ],
+    ids=["return", "genfunc"],
+)
+def test_arithmetic_failure_is_a_domain_error(capsys, argv):
+    # Exit 1 means a comparison failed; a division by zero is no comparison.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # genfunc command
 

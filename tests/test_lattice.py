@@ -1,0 +1,115 @@
+"""The compressed lattice field and the light-cone return loop against dense references."""
+
+import numpy as np
+import pytest
+
+from walkers_return import crw, lattice, qw
+
+RETURN_HORIZONS = (0, 1, 2, 3, 7, 40, 301)
+
+
+def _walks(seed):
+    """(simulate_return, initial field, step, step matrix) for a qw walk with a
+    real-entry coin and for a crw walk.
+
+    BLAS rounds a product with a complex coin differently in the last columns
+    of a block than in the others, so a field laid out over other columns can
+    move in the last bit; with real coin entries every column rounds alike.
+    """
+    rng = np.random.default_rng(seed)
+    coin = qw.CoinMatrix.from_alpha_sq(float(rng.uniform(0.05, 0.95)))
+    phi = qw.QWInitialState.random(rng)
+    transition = crw.TransitionMatrix.random(rng)
+    phi_hat = crw.CRWInitialState.random(rng)
+    return [
+        (
+            lambda nmax: qw.simulate_return(coin, phi, nmax).values,
+            qw.initial_field(phi),
+            lambda field: qw.step(field, coin),
+            coin.matrix(),
+        ),
+        (
+            lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax).values,
+            crw.initial_field_crw(phi_hat),
+            lambda field: crw.crw_step(field, transition),
+            transition.matrix(),
+        ),
+    ]
+
+
+def _dense_origin_weights(field, advance, nmax):
+    """r_0..r_nmax read from the untrimmed field after every step, as `evolve` walks it."""
+    weights = [field.probability(0)]
+    for _ in range(nmax):
+        field = advance(field)
+        weights.append(field.probability(0))
+    return np.array(weights)
+
+
+@pytest.mark.parametrize("nmax", RETURN_HORIZONS)
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+def test_light_cone_return_equals_the_dense_walk(nmax, walk):
+    for seed in range(3):
+        simulate, field, advance, _ = _walks(seed)[walk]
+        assert np.array_equal(simulate(nmax), _dense_origin_weights(field, advance, nmax))
+
+
+def test_light_cone_return_with_a_complex_coin_matches_to_rounding():
+    rng = np.random.default_rng(5)
+    coin = qw.CoinMatrix.random(rng)
+    field = qw.initial_field(qw.QWInitialState.random(rng))
+    advance = lambda f: qw.step(f, coin)  # noqa: E731
+    expected = _dense_origin_weights(field, advance, 301)
+    values = lattice.return_values(field, 301, advance)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-15)
+    assert np.all(values[1::2] == 0.0)
+
+
+def _dense_shift(components, matrix):
+    """The dense step: L from the right neighbour, R from the left one."""
+    moved = matrix @ components
+    new = np.zeros((2, components.shape[1] + 2), dtype=moved.dtype)
+    new[0, :-2] = moved[0]
+    new[1, 2:] = moved[1]
+    return new
+
+
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+def test_compressed_field_reads_like_the_dense_reference(walk):
+    _, field, advance, matrix = _walks(11)[walk]
+    observable = field.observable
+    dense = field.packed.copy()
+    for t in range(1, 31):
+        field = advance(field)
+        dense = _dense_shift(dense, matrix)
+        weights = observable(dense[0]) + observable(dense[1])
+        assert field.time == t
+        assert field.packed.shape == (2, t + 1)
+        assert np.array_equal(field.components, dense)
+        assert np.array_equal(field.positions, np.arange(-t, t + 1))
+        assert np.array_equal(field.position_distribution(), weights)
+        assert field.total_probability() == pytest.approx(float(np.sum(weights)), abs=1e-14)
+        for x in range(-t - 2, t + 3):
+            if abs(x) <= t:
+                left, right = dense[:, x + t]
+                assert np.array_equal(field.component(x), dense[:, x + t])
+                assert field.probability(x) == float(observable(left) + observable(right))
+            else:
+                assert np.array_equal(field.component(x), np.zeros(2))
+                assert field.probability(x) == 0.0
+
+
+def test_a_returned_field_is_never_overwritten():
+    rng = np.random.default_rng(3)
+    coin = qw.CoinMatrix.random(rng)
+    first = qw.evolve(coin, qw.QWInitialState.random(rng), 5)
+    kept = first.components.copy()
+    later = lattice.evolve(first, 20, lambda field: qw.step(field, coin))
+    assert later.time == 25
+    assert np.array_equal(first.components, kept)
+
+
+def test_return_values_rejects_a_field_after_time_zero():
+    field = qw.evolve(qw.CoinMatrix.hadamard(), qw.QWInitialState.canonical(), 2)
+    with pytest.raises(ValueError, match="time 0"):
+        lattice.return_values(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard()))
