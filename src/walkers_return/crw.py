@@ -24,7 +24,7 @@ import numpy as np
 from . import lattice
 from .lattice import Field
 from .series import ReturnSeries
-from .specfun import binom, central_binomial_ratios, scaled_legendre_pair
+from .specfun import _scaled_legendre
 
 __all__ = [
     "TransitionMatrix",
@@ -41,8 +41,8 @@ __all__ = [
     "return_sum_form_crw",
 ]
 
-# |ad - bc| below this is classified as the uncorrelated (plain random walk)
-# degeneration; both closed-form branches agree in the limit, the threshold
+# |ad - bc| below this makes `genfunc.gf_crw` hand over to the uncorrelated
+# (plain random walk) form `gf_rw`; both agree in the limit, the threshold
 # only selects which formula evaluates.
 RW_THRESHOLD = 1e-14
 
@@ -163,11 +163,7 @@ def simulate_return_crw(
     values = lattice.return_values(
         initial_field_crw(phi_hat), nmax, lambda field: crw_step(field, transition)
     )
-    return ReturnSeries(
-        model="crw",
-        values=values,
-        params={"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat},
-    )
+    return ReturnSeries(values)
 
 
 @dataclass(frozen=True)
@@ -197,67 +193,41 @@ def closed_form_params(
     )
 
 
-def _closed_even(transition: TransitionMatrix, params: CRWClosedFormParams, j: int) -> float:
-    """Closed-form r_{2j} for one transition matrix."""
-    if params.is_random_walk:
-        # Uncorrelated degeneration: move left w.p. p = a each step.  The
-        # factors (4pq)^j <= 1 and C(2j, j)/4^j < 1 neither overflow nor
-        # underflow early, unlike (pq)^j and C(2j, j) apart.
-        p = transition.a
-        return (4.0 * p * (1.0 - p)) ** j * (binom(2 * j, j) / 4**j)
-    # delta_minus^j P_j(delta_plus/delta_minus) evaluated jointly: the
-    # Legendre argument exceeds 1 in magnitude and P_j alone overflows.
-    t_lo, t_hi = scaled_legendre_pair(j, params.delta_plus, params.delta_minus)
-    ad2 = params.k_plus - params.k_minus  # equals 2ad
-    return (params.k_minus * params.delta_minus * t_lo + params.k_plus * t_hi) / ad2
-
-
 def return_closed_crw(
     transition: TransitionMatrix, phi_hat: CRWInitialState, n: int
 ) -> float:
     """Legendre closed form for the return probability at time n.
 
     r_{2j} = (delta_minus^j / 2ad) (k_minus P_{j-1}(y) + k_plus P_j(y))
-    with y = delta_plus/delta_minus; when |delta_minus| vanishes the walk
-    is an uncorrelated random walk and r_{2j} = (p(1-p))^j C(2j, j).
+    with y = delta_plus/delta_minus; odd times return 0, r_0 = 1.  The
+    value is entry n of :func:`return_series_crw`.
     """
-    if n < 0:
-        raise ValueError(f"time must be non-negative, got {n}")
-    if n == 0:
-        return 1.0
-    if n % 2 == 1:
-        return 0.0
-    return _closed_even(transition, closed_form_params(transition, phi_hat), n // 2)
+    return return_series_crw(transition, phi_hat, n)[n]
 
 
 def return_series_crw(
     transition: TransitionMatrix, phi_hat: CRWInitialState, nmax: int
 ) -> ReturnSeries:
-    """Closed-form return series r_0..r_nmax in one recurrence sweep."""
+    """Closed-form return series r_0..r_nmax from one scaled Legendre sweep.
+
+    T_j = delta_minus^j P_j(delta_plus/delta_minus) comes from the scaled
+    recurrence, so nothing overflows where |y| > 1 and nothing divides by
+    delta_minus; at delta_minus = 0 (the uncorrelated walk) the recurrence
+    gives T_j = delta_plus^j C(2j, j) / 2^j exactly.
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     params = closed_form_params(transition, phi_hat)
+    scaled = np.array(_scaled_legendre(nmax // 2, params.delta_plus, params.delta_minus))
+    ad2 = params.k_plus - params.k_minus  # equals 2ad
     values = np.zeros(nmax + 1)
     values[0] = 1.0
-    if params.is_random_walk:
-        p = transition.a
-        four_pq = 4.0 * p * (1.0 - p)
-        ratios = central_binomial_ratios(nmax // 2)
-        for j in range(1, nmax // 2 + 1):
-            values[2 * j] = four_pq**j * ratios[j]
-    else:
-        dplus, dminus = params.delta_plus, params.delta_minus
-        ad2 = params.k_plus - params.k_minus
-        d2 = dminus * dminus
-        t_prev, t = 1.0, dplus  # T_0, T_1 of the scaled recurrence
-        for j in range(1, nmax // 2 + 1):
-            values[2 * j] = (params.k_minus * dminus * t_prev + params.k_plus * t) / ad2
-            t_prev, t = t, ((2 * j + 1) * dplus * t - j * d2 * t_prev) / (j + 1)
-    return ReturnSeries(
-        model="crw",
-        values=values,
-        params={"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat},
-    )
+    # 2ad rounds to 0 against k_pm when ad is tiny: raise, never return NaN.
+    with np.errstate(divide="raise", invalid="raise"):
+        values[2::2] = (
+            params.k_minus * params.delta_minus * scaled[:-1] + params.k_plus * scaled[1:]
+        ) / ad2
+    return ReturnSeries(values)
 
 
 def return_sum_form_crw(

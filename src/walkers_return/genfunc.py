@@ -221,7 +221,7 @@ def polya2d_series(nmax: int) -> ReturnSeries:
     values = np.zeros(nmax + 1)
     ratios = central_binomial_ratios(nmax // 2)
     values[::2] = ratios * ratios
-    return ReturnSeries(model="polya2d", values=values)
+    return ReturnSeries(values)
 
 
 def _polya3d_head_bound(delta: float) -> float:

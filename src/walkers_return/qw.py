@@ -28,7 +28,7 @@ import numpy as np
 from . import lattice
 from .lattice import Field
 from .series import ReturnSeries
-from .specfun import binom, legendre_eval
+from .specfun import binom, legendre_range
 
 __all__ = [
     "CoinMatrix",
@@ -249,7 +249,7 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
 def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> ReturnSeries:
     """Return probabilities r_0..r_nmax by direct evolution."""
     values = lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
-    return ReturnSeries(model="qw", values=values, params={"alpha_sq": coin.alpha_sq})
+    return ReturnSeries(values)
 
 
 @dataclass(frozen=True)
@@ -356,8 +356,8 @@ def return_lemma1(coin: CoinMatrix, phi: QWInitialState, n: int) -> float:
     return xi_lemma1(coin, n).probability(phi)
 
 
-def _closed_even(k: float, p_lo: float, p_hi: float) -> float:
-    """Closed-form r_{2j} from (P_{j-1}(k), P_j(k))."""
+def _closed_even(k: float, p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """Closed-form r_{2j} from (P_{j-1}(k), P_j(k)), elementwise."""
     return (p_lo * p_lo - 2.0 * k * p_hi * p_lo + p_hi * p_hi) / (2.0 * (k + 1.0))
 
 
@@ -365,35 +365,27 @@ def return_closed_qw(alpha_sq: float, n: int) -> float:
     """Legendre closed form for the return probability at time n.
 
     r_{2j} = ({P_{j-1}(k)}^2 - 2k P_j(k) P_{j-1}(k) + {P_j(k)}^2) / (2(k+1))
-    with k = 2|alpha|^2 - 1; odd times return 0, r_0 = 1.
+    with k = 2|alpha|^2 - 1; odd times return 0, r_0 = 1.  The value is
+    entry n of :func:`return_series_qw`.
     """
-    if not 0.0 < alpha_sq < 1.0:
-        raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
-    if n < 0:
-        raise ValueError(f"time must be non-negative, got {n}")
-    if n == 0:
-        return 1.0
-    if n % 2 == 1:
-        return 0.0
-    j = n // 2
-    k = 2.0 * alpha_sq - 1.0
-    return _closed_even(k, legendre_eval(j - 1, k), legendre_eval(j, k))
+    return return_series_qw(alpha_sq, n)[n]
 
 
 def return_series_qw(alpha_sq: float, nmax: int) -> ReturnSeries:
-    """Closed-form return series r_0..r_nmax in one recurrence sweep."""
+    """Closed-form return series r_0..r_nmax from one Legendre sweep."""
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     k = 2.0 * alpha_sq - 1.0
+    legendre = legendre_range(nmax // 2, k)
     values = np.zeros(nmax + 1)
     values[0] = 1.0
-    p_prev, p = 1.0, k  # P_0(k), P_1(k)
-    for j in range(1, nmax // 2 + 1):
-        values[2 * j] = _closed_even(k, p_prev, p)
-        p_prev, p = p, ((2 * j + 1) * k * p - j * p_prev) / (j + 1)
-    return ReturnSeries(model="qw", values=values, params={"alpha_sq": alpha_sq})
+    # k rounds to -1 for |alpha|^2 below about 1e-17 and the form reads
+    # 0/0: raise FloatingPointError (an ArithmeticError), never return NaN.
+    with np.errstate(divide="raise", invalid="raise"):
+        values[2::2] = _closed_even(k, legendre[:-1], legendre[1:])
+    return ReturnSeries(values)
 
 
 def return_hadamard(n: int) -> float:

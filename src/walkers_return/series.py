@@ -2,23 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Sequence r_0, r_1, ..., r_N of return probabilities for one model.
+    """Sequence r_0, r_1, ..., r_N of return probabilities for one model."""
 
-    `model` is a short tag ("qw", "hadamard", "crw", "rw", "polya2d") and
-    `params` carries the model parameters that produced the values, so the
-    series is self-describing when written to disk.
-    """
-
-    model: str
     values: np.ndarray
-    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)

@@ -1,5 +1,5 @@
-"""Special-function kernels: Legendre/Jacobi polynomials, terminating
-hypergeometric sums, binomial coefficients, complete elliptic integrals.
+"""Special-function kernels: Legendre/Jacobi polynomials, binomial
+coefficients, complete elliptic integrals.
 
 Conventions
 -----------
@@ -12,10 +12,12 @@ This is *not* the parameter convention (parameter = modulus squared) used
 by several libraries; every call site in this package passes the modulus.
 
 Legendre and Jacobi(1,0) polynomials are evaluated by forward three-term
-recurrence, which is stable on [-1, 1].  Arguments with |x| > 1 are legal
-(the correlated-walk closed form needs them); when such values would
-overflow they must be evaluated jointly with their decaying prefactor via
-:func:`scaled_legendre_pair`.
+recurrence, which is stable on [-1, 1].  Every Legendre value, in this
+module and in the walks' closed forms, comes from one scaled sweep
+T_j = denom^j P_j(numer/denom) (plain P_j at denom = 1).  Arguments with
+|x| > 1 are legal (the correlated-walk closed form needs them); when such
+values would overflow they must be evaluated jointly with their decaying
+prefactor, as :func:`scaled_legendre_pair` does.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "legendre_eval",
     "legendre_range",
     "jacobi10_eval",
-    "hyp2f1_terminating",
     "binom",
     "central_binomial_ratios",
     "ellipK",
@@ -57,33 +58,35 @@ def _require_degree(n: int) -> int:
     return int(n)
 
 
+def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
+    """T_j = denom^j P_j(numer/denom) for j = 0..n: the one Legendre sweep.
+
+    T_0 = 1, T_1 = numer, (j+1) T_{j+1} = (2j+1) numer T_j - j denom^2 T_{j-1}.
+    At denom = 1 this is the plain Legendre recurrence.  Every iterate stays
+    bounded whenever the target quantity is, so |numer/denom| > 1 never
+    overflows even though P_j alone would, and denom = 0 is exact: the
+    second term vanishes and T_j = numer^j C(2j, j) / 2^j.
+    """
+    t_prev, t = 1.0, numer
+    values = [t_prev, t]
+    d2 = denom * denom
+    for j in range(1, n):
+        t_prev, t = t, ((2 * j + 1) * numer * t - j * d2 * t_prev) / (j + 1)
+        values.append(t)
+    return values if n else values[:1]
+
+
 def legendre_eval(n: int, x: float) -> float:
     """Legendre polynomial P_n(x) by the three-term recurrence.
 
     P_0 = 1, P_1 = x, (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
     """
-    n = _require_degree(n)
-    x = _require_finite("x", x)
-    if n == 0:
-        return 1.0
-    p_prev, p = 1.0, x
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p
+    return _scaled_legendre(_require_degree(n), _require_finite("x", x), 1.0)[-1]
 
 
 def legendre_range(n: int, x: float) -> np.ndarray:
     """All values P_0(x), ..., P_n(x) in one forward pass."""
-    n = _require_degree(n)
-    x = _require_finite("x", x)
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    if n == 0:
-        return out
-    out[1] = x
-    for j in range(1, n):
-        out[j + 1] = ((2 * j + 1) * x * out[j] - j * out[j - 1]) / (j + 1)
-    return out
+    return np.array(_scaled_legendre(_require_degree(n), _require_finite("x", x), 1.0))
 
 
 def jacobi10_eval(n: int, x: float) -> float:
@@ -103,29 +106,6 @@ def jacobi10_eval(n: int, x: float) -> float:
             ((2 * j + 1) * (2 * j - 1) * x + 1.0) * p - (j - 1) * (2 * j + 1) * p_prev
         ) / ((j + 1) * (2 * j - 1))
     return p
-
-
-def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
-    """Terminating hypergeometric sum 2F1(-n, b; c; z).
-
-    Because the first parameter is a non-positive integer the series is an
-    exact finite sum of n+1 terms; no convergence questions arise.
-    """
-    n = _require_degree(n)
-    b = _require_finite("b", b)
-    c = _require_finite("c", c)
-    z = _require_finite("z", z)
-    # (c)_j vanishes for some j <= n-1 iff c is one of 0, -1, ..., -(n-1).
-    if n >= 1 and c <= 0 and c == int(c) and c > -n:
-        raise ValueError(
-            f"2F1 pole: c={c} hits a non-positive integer before the series terminates"
-        )
-    total = 1.0
-    term = 1.0
-    for j in range(n):
-        term *= (-(n - j)) * (b + j) / ((c + j) * (j + 1)) * z
-        total += term
-    return total
 
 
 def binom(n: int, k: int) -> int:
@@ -255,23 +235,13 @@ def script_E(x: float, z: float) -> float:
 def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, float]:
     """Jointly evaluate (denom^(n-1) P_{n-1}(numer/denom), denom^n P_n(numer/denom)).
 
-    T_j = denom^j P_j(numer/denom) satisfies the scaled recurrence
-
-        (j+1) T_{j+1} = (2j+1) numer T_j - j denom^2 T_{j-1},
-
-    with T_0 = 1, T_1 = numer.  Every iterate stays bounded whenever the
-    target quantity is, so |numer/denom| > 1 (or denom -> 0, where the pair
-    tends to the leading-term limit) never overflows even though P_n alone
-    would.
+    The last two values of the scaled sweep T_j = denom^j P_j(numer/denom),
+    which never overflows where the pair itself is finite.
     """
     n = _require_degree(n)
     if n == 0:
         raise ValueError("scaled_legendre_pair needs n >= 1 (the pair ends at degree n)")
     numer = _require_finite("numer", numer)
     denom = _require_finite("denom", denom)
-    t_prev, t = 1.0, numer
-    d2 = denom * denom
-    for j in range(1, n):
-        t_prev, t = t, ((2 * j + 1) * numer * t - j * d2 * t_prev) / (j + 1)
+    t_prev, t = _scaled_legendre(n, numer, denom)[-2:]
     return t_prev, t
-

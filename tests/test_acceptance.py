@@ -5,9 +5,11 @@ runtime against the stated budget, and prints one summary line; run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion report.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,11 +209,15 @@ def test_criterion_7_polya_baselines():
 
 def test_criterion_8_verify_all_single_command():
     budget = 60.0
+    # A subprocess does not inherit pytest's import path: hand it the package.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with _Timer() as t:
         proc = subprocess.run(
             [sys.executable, "-m", "walkers_return", "verify", "all"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "[FAIL]" not in proc.stdout

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -112,8 +113,9 @@ def test_long_horizon_runs_do_not_overflow(capsys, argv):
     [
         ("return", "--model", "qw", "--alpha-sq", "1e-320", "--nmax", "10"),
         ("genfunc", "--model", "crw", "--a", "1e-300", "--d", "0.5", "--z-count", "2"),
+        ("return", "--model", "crw", "--a", "1e-300", "--d", "0.5", "--nmax", "10"),
     ],
-    ids=["return", "genfunc"],
+    ids=["return", "genfunc", "return-crw"],
 )
 def test_arithmetic_failure_is_a_domain_error(capsys, argv):
     # Exit 1 means a comparison failed; a division by zero is no comparison.
@@ -136,6 +138,19 @@ def test_genfunc_rw_value(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert rows[0][1] == pytest.approx(1.25, abs=1e-12)
+
+
+def test_genfunc_rw_near_the_unit_circle_is_fast(capsys):
+    # z = 0.9999 needs a series of about 4e5 terms; a per-term bignum
+    # central binomial once made this take over 20 s.
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys,
+        "genfunc", "--model", "rw", "--p", "0.5",
+        "--z-start", "0.999", "--z-stop", "0.9999", "--z-count", "2",
+    )
+    assert code == 0, err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_genfunc_hadamard_at_zero(capsys):

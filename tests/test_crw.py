@@ -279,7 +279,7 @@ def test_sum_form_rejects_zero_steps():
 
 
 @pytest.mark.parametrize("p, n", [(0.5, 10_000), (0.4, 10_000), (0.2, 1500)])
-def test_uncorrelated_branch_matches_lgamma_form_at_long_horizons(p, n):
+def test_uncorrelated_walk_matches_lgamma_form_at_long_horizons(p, n):
     # (pq)^j * C(2j, j) overflowed (p = 0.5, n >= 1030) or underflowed to 0
     # (p = 0.2, n = 1500, true value ~1e-147) when the factors were apart.
     transition = TransitionMatrix.uncorrelated(p)

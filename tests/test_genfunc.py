@@ -162,7 +162,7 @@ def test_gf_hadamard_equals_general_form():
 
 def test_gf_hadamard_against_series_oracle():
     values = np.array([return_hadamard(n) for n in range(601)])
-    series = ReturnSeries(model="hadamard", values=values)
+    series = ReturnSeries(values)
     value, tail = series_sum(series, 0.7)
     assert abs(gf_hadamard(0.7) - value) <= 1e-8 + tail
 
@@ -212,7 +212,7 @@ def test_gf_rw_biased_matches_its_series():
     values = np.zeros(401)
     for j in range(201):
         values[2 * j] = (p * (1.0 - p)) ** j * binom(2 * j, j)
-    value, tail = series_sum(ReturnSeries(model="rw", values=values), z)
+    value, tail = series_sum(ReturnSeries(values), z)
     assert abs(gf_rw(p, z) - value) <= 1e-10 + tail
     t = TransitionMatrix.uncorrelated(p)
     assert gf_crw(t, CRWInitialState.from_phi1(0.5), z) == gf_rw(p, z)
@@ -356,7 +356,7 @@ def test_kernel_derivative_relations(x, z):
 
 
 def test_series_sum_point_mass():
-    series = ReturnSeries(model="rw", values=np.array([1.0, 0.0, 0.0]))
+    series = ReturnSeries(np.array([1.0, 0.0, 0.0]))
     value, tail = series_sum(series, 0.9)
     assert value == 1.0
     assert tail == pytest.approx(0.9**3 / 0.1)
@@ -364,7 +364,7 @@ def test_series_sum_point_mass():
 
 def test_series_sum_hadamard_vs_closed():
     values = np.array([return_hadamard(n) for n in range(601)])
-    value, tail = series_sum(ReturnSeries(model="hadamard", values=values), 0.5)
+    value, tail = series_sum(ReturnSeries(values), 0.5)
     assert abs(value - gf_hadamard(0.5)) <= 1e-8 + tail
 
 
@@ -375,7 +375,7 @@ def test_series_sum_symmetric_rw():
 
 
 def test_series_sum_rejects_large_z():
-    series = ReturnSeries(model="rw", values=np.array([1.0]))
+    series = ReturnSeries(np.array([1.0]))
     with pytest.raises(ValueError):
         series_sum(series, 1.0)
 

@@ -14,7 +14,6 @@ from walkers_return.specfun import (
     ellipE,
     ellipK,
     ellipK_from_complement,
-    hyp2f1_terminating,
     jacobi10_eval,
     legendre_eval,
     legendre_range,
@@ -74,6 +73,8 @@ def test_legendre_range_matches_scalar():
     values = legendre_range(30, 0.37)
     for n in (0, 1, 7, 30):
         assert values[n] == legendre_eval(n, 0.37)
+    for n in (1, 2, 7, 30):
+        assert scaled_legendre_pair(n, 0.37, 1.0) == (legendre_eval(n - 1, 0.37), legendre_eval(n, 0.37))
 
 
 def test_legendre_rejects_bad_arguments():
@@ -123,28 +124,7 @@ def test_jacobi10_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# terminating 2F1
-
-
-def test_hyp2f1_empty_series():
-    assert hyp2f1_terminating(0, 3.7, -11.2, 0.9) == 1.0
-
-
-def test_hyp2f1_single_term_by_hand():
-    # 1 + (-1)(2)/(2)(1) * 0.5
-    assert hyp2f1_terminating(1, 2.0, 2.0, 0.5) == 0.5
-
-
-def test_hyp2f1_pole_raises():
-    with pytest.raises(ValueError):
-        hyp2f1_terminating(3, 1.0, -1.0, 0.3)
-    with pytest.raises(ValueError):
-        hyp2f1_terminating(2, 1.0, 0.0, 0.3)
-
-
-def test_hyp2f1_pole_exactly_at_termination_is_fine():
-    # c = -n is never reached: the denominators stop at c + n - 1 = -1.
-    assert math.isfinite(hyp2f1_terminating(2, 1.0, -2.0, 0.5))
+# alternating binomial sums
 
 
 def _alternating_sum_oracle(n, w):
@@ -162,20 +142,15 @@ def _alternating_sum_oracle(n, w):
 
 
 @pytest.mark.parametrize("alpha_sq", [0.3, 0.5, 0.8])
-def test_hyp2f1_geometric_chain(alpha_sq):
-    # The weighted alternating binomial sum equals both hypergeometric forms
-    # and the Jacobi form, for n <= 12.
+def test_alternating_binomial_sum_equals_jacobi_form(alpha_sq):
+    # The weighted alternating binomial sum equals the Jacobi form, for n <= 12.
     beta_sq = 1.0 - alpha_sq
     w = beta_sq / alpha_sq
     k = 2.0 * alpha_sq - 1.0
     for n in range(1, 13):
         oracle, _ = _alternating_sum_oracle(n, w)
-        via_pfaff = -w * hyp2f1_terminating(n - 1, 1.0 - n, 2.0, -w)
-        via_transformed = -beta_sq * alpha_sq**-n * hyp2f1_terminating(n - 1, n + 1.0, 2.0, beta_sq)
         via_jacobi = -(beta_sq / n) * alpha_sq**-n * jacobi10_eval(n - 1, k)
         scale = max(abs(oracle), 1e-300)
-        assert abs(via_pfaff - oracle) / scale < 1e-9
-        assert abs(via_transformed - oracle) / scale < 1e-9
         assert abs(via_jacobi - oracle) / scale < 1e-9
 
 
