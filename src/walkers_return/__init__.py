@@ -14,7 +14,6 @@ from .crw import (
     simulate_return_crw,
 )
 from .genfunc import (
-    QuadratureSpec,
     gf_crw,
     gf_hadamard,
     gf_qw,
@@ -32,7 +31,6 @@ from .qw import (
     return_series_qw,
     simulate_return,
 )
-from .series import ReturnSeries
 
 __all__ = [
     "__version__",
@@ -40,8 +38,6 @@ __all__ = [
     "QWInitialState",
     "TransitionMatrix",
     "CRWInitialState",
-    "ReturnSeries",
-    "QuadratureSpec",
     "simulate_return",
     "return_closed_qw",
     "return_series_qw",

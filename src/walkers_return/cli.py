@@ -1,7 +1,8 @@
 """Command-line front end: return tables, generating-function scans,
 verification suites, and position distributions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, domain or arithmetic error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or arithmetic
+error, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import __version__, crw, genfunc, qw, verify
 from .genfunc import ConvergenceError
-from .series import ReturnSeries
 
 __all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot", "parse_csv"]
 
@@ -174,9 +174,9 @@ class Walk:
     """A model bound to its parsed parameters: what each command computes from it."""
 
     params: dict  # the meta block's "params"
-    closed: Callable[[int], ReturnSeries]  # closed-form r_0..r_nmax in one sweep
+    closed: Callable[[int], np.ndarray]  # closed-form r_0..r_nmax in one sweep
     gf: Callable[[float], float]  # closed-form generating function at z
-    simulate: Callable[[int], ReturnSeries] | None = None  # lattice r_0..r_nmax
+    simulate: Callable[[int], np.ndarray] | None = None  # lattice r_0..r_nmax
     dist: Callable[[int], np.ndarray] | None = None  # p(-n..n) at time n
 
 
@@ -232,7 +232,8 @@ def _parse_crw(args) -> Walk:
         raise ValueError("model crw requires --a (left-persistence probability)")
     if args.d is None and args.b is None:
         raise ValueError("model crw requires --d (right-persistence) or --b (= 1 - d)")
-    if args.d is not None and args.b is not None and abs(args.b - (1.0 - args.d)) > 1e-12:
+    # Written so that a NaN --b or --d fails the check as well.
+    if args.d is not None and args.b is not None and not abs(args.b - (1.0 - args.d)) <= 1e-12:
         raise ValueError(f"inconsistent --b {args.b} and --d {args.d}: b must equal 1 - d")
     b = args.b if args.b is not None else 1.0 - args.d
     transition = crw.TransitionMatrix(a=args.a, b=b)
@@ -286,8 +287,8 @@ def cmd_return(args) -> int:
         raise ValueError(f"--nmax must be non-negative, got {args.nmax}")
     tol = _resolve_tol(args, model.return_tol)
     walk = model.parse(args)
-    closed = walk.closed(args.nmax).values
-    simulated = walk.simulate(args.nmax).values
+    closed = walk.closed(args.nmax)
+    simulated = walk.simulate(args.nmax)
     errors = np.abs(closed - simulated)
     table = Table(
         columns=["n", "r_closed", "r_simulated", "abs_err"],
@@ -311,7 +312,8 @@ def cmd_genfunc(args) -> int:
     if args.z_count < 1:
         raise ValueError(f"--z-count must be at least 1, got {args.z_count}")
     zgrid = np.linspace(args.z_start, args.z_stop, args.z_count)
-    if np.any(np.abs(zgrid) >= 1.0):
+    # Written so that a NaN grid point fails the check as well.
+    if not np.all(np.abs(zgrid) < 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
     walk = model.parse(args)
 
@@ -433,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

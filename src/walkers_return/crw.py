@@ -23,7 +23,6 @@ import numpy as np
 
 from . import lattice
 from .lattice import Field
-from .series import ReturnSeries
 from .specfun import _scaled_legendre
 
 __all__ = [
@@ -158,12 +157,11 @@ def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -
 
 def simulate_return_crw(
     transition: TransitionMatrix, phi_hat: CRWInitialState, nmax: int
-) -> ReturnSeries:
+) -> np.ndarray:
     """Return probabilities r_0..r_nmax by direct mass evolution."""
-    values = lattice.return_values(
+    return lattice.return_values(
         initial_field_crw(phi_hat), nmax, lambda field: crw_step(field, transition)
     )
-    return ReturnSeries(values)
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ def return_closed_crw(
 
 def return_series_crw(
     transition: TransitionMatrix, phi_hat: CRWInitialState, nmax: int
-) -> ReturnSeries:
+) -> np.ndarray:
     """Closed-form return series r_0..r_nmax from one scaled Legendre sweep.
 
     T_j = delta_minus^j P_j(delta_plus/delta_minus) comes from the scaled
@@ -227,7 +225,7 @@ def return_series_crw(
         values[2::2] = (
             params.k_minus * params.delta_minus * scaled[:-1] + params.k_plus * scaled[1:]
         ) / ad2
-    return ReturnSeries(values)
+    return values
 
 
 def return_sum_form_crw(

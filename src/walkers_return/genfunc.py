@@ -24,11 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
-from .series import ReturnSeries
 from .specfun import binom, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
-    "QuadratureSpec",
     "ConvergenceError",
     "GFEvaluation",
     "integrate",
@@ -48,6 +46,9 @@ __all__ = [
 
 _Z_MARGIN = 1e-6
 
+# Subdivisions the adaptive Simpson rule may make before it gives up.
+_MAX_SUBDIVISIONS = 4000
+
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet its tolerance within the subdivision budget."""
@@ -57,35 +58,23 @@ class ConvergenceError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-Simpson policy: absolute tolerance and subdivision budget."""
-
-    tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails the check as well.
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be a finite positive number, got {self.tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("subdivision budget must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+def _check_tol(tol: float) -> None:
+    # Written so that NaN fails the check as well.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite positive number, got {tol}")
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> float:
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(fa, fm, fb, b - a)
     # Stack of (a, m, b, fa, fm, fb, coarse Simpson value, local tolerance).
-    stack = [(a, m, b, fa, fm, fb, whole, spec.tol)]
+    stack = [(a, m, b, fa, fm, fb, whole, tol)]
     total = 0.0
     used = 0
     while stack:
@@ -97,9 +86,9 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, spec: Qua
         err = (left + right - coarse) / 15.0
         if abs(err) <= tol:
             total += left + right + err  # Richardson-extrapolated accept
-        elif used >= spec.max_subdivisions:
+        elif used >= _MAX_SUBDIVISIONS:
             raise ConvergenceError(
-                f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions",
+                f"adaptive Simpson exceeded {_MAX_SUBDIVISIONS} subdivisions",
                 estimate=abs(err),
             )
         else:
@@ -109,37 +98,41 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, spec: Qua
     return total
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Integrate f over [a, b] to the spec's absolute tolerance."""
+def integrate(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
+    """Integrate f over [a, b] to the absolute tolerance `tol`."""
+    _check_tol(tol)
     if b < a:
         raise ValueError(f"inverted interval [{a}, {b}]")
     if a == b:
         return 0.0
-    return _adaptive_simpson(f, a, b, spec)
+    return _adaptive_simpson(f, a, b, tol)
 
 
-def integral_E_term(k: float, z2: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def integral_E_term(k: float, z2: float, tol: float = 1e-10) -> float:
     """The quadrature term of the quantum-walk generating function:
     integral_0^{z2} scriptE(k, w) / (1 - w) dw.
 
     The integrand is smooth on [0, z2] for z2 < 1; the 1/(1-w) pole sits
     outside the admissible domain.
     """
+    _check_tol(tol)
     if not -1.0 < k < 1.0:
         raise ValueError(f"k must lie in (-1, 1), got {k}")
     if not 0.0 <= z2 < 1.0 - _Z_MARGIN:
         raise ValueError(f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {z2}")
     if z2 == 0.0:
         return 0.0
-    return integrate(lambda w: script_E(k, w) / (1.0 - w), 0.0, z2, spec)
+    return integrate(lambda w: script_E(k, w) / (1.0 - w), 0.0, z2, tol)
 
 
-def gf_qw(alpha_sq: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def gf_qw(alpha_sq: float, z: float, tol: float = 1e-10) -> float:
     """Generating function sum_n r_n z^n of the quantum walk.
 
     (1/(pi (k+1))) ((1+z^2) scriptK(k, z^2) - 2 k^2 I(k, z^2) - pi/2) + 1
-    with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature.
+    with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature,
+    run to the absolute tolerance `tol`.
     """
+    _check_tol(tol)
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
     if not abs(z) < 1.0 - _Z_MARGIN:
@@ -148,7 +141,7 @@ def gf_qw(alpha_sq: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
     w = z * z
     bracket = (1.0 + w) * script_K(k, w) - math.pi / 2.0
     if k != 0.0:
-        bracket -= 2.0 * k * k * integral_E_term(k, w, spec)
+        bracket -= 2.0 * k * k * integral_E_term(k, w, tol)
     return bracket / (math.pi * (k + 1.0)) + 1.0
 
 
@@ -214,14 +207,14 @@ def polya2d_gf(z: float) -> float:
     return 2.0 / math.pi * ellipK(abs(z))
 
 
-def polya2d_series(nmax: int) -> ReturnSeries:
+def polya2d_series(nmax: int) -> np.ndarray:
     """The 2-D return series r_0..r_nmax, equal to :func:`polya2d_return` bit for bit."""
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     values = np.zeros(nmax + 1)
     ratios = central_binomial_ratios(nmax // 2)
     values[::2] = ratios * ratios
-    return ReturnSeries(values)
+    return values
 
 
 def _polya3d_head_bound(delta: float) -> float:
@@ -237,7 +230,7 @@ def _polya3d_head_bound(delta: float) -> float:
     return 1.5 * kernel
 
 
-def polya3d_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
+def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     """Lattice Green constant G and 3-D recurrence probability F = 1 - 1/G.
 
     G = (1/pi^2) integral_{-pi}^{pi} 3 K(2/(3 - cos t)) / (3 - cos t) dt,
@@ -247,8 +240,9 @@ def polya3d_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float,
     The integrand is even with an integrable logarithmic singularity at
     t = 0 (modulus -> 1), so the half-range integral is accumulated over
     dyadic segments [pi/2^{j+1}, pi/2^j] that never touch the endpoint,
-    until the analytic head bound drops below the tolerance.
+    until the analytic head bound drops below the tolerance `tol`.
     """
+    _check_tol(tol)
 
     def integrand(t: float) -> float:
         # 3 K(1/(1+s)) / (2 (1+s)) with s = sin^2(t/2); going through the
@@ -258,17 +252,16 @@ def polya3d_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float,
         kernel = ellipK_from_complement(math.sqrt(s * (2.0 + s)) / (1.0 + s))
         return 3.0 * kernel / (2.0 * (1.0 + s))
 
-    target = spec.tol
     total = 0.0
     hi = math.pi
     lo = 0.5 * math.pi
-    # The head bound reaches 0.4*target within ~64 halvings for any target
-    # >= 1e-12, so a uniform per-segment budget of target/128 keeps the sum
-    # of segment errors below target/2 while staying above rounding noise.
-    seg_spec = QuadratureSpec(tol=max(target / 128.0, 1e-14), max_subdivisions=spec.max_subdivisions)
+    # The head bound reaches 0.4*tol within ~64 halvings for any tol
+    # >= 1e-12, so a uniform per-segment budget of tol/128 keeps the sum
+    # of segment errors below tol/2 while staying above rounding noise.
+    seg_tol = max(tol / 128.0, 1e-14)
     for _ in range(200):
-        total += integrate(integrand, lo, hi, seg_spec)
-        if _polya3d_head_bound(lo) < 0.4 * target:
+        total += integrate(integrand, lo, hi, seg_tol)
+        if _polya3d_head_bound(lo) < 0.4 * tol:
             break
         hi = lo
         lo *= 0.5
@@ -291,8 +284,8 @@ def truncation_for(z: float, target: float) -> int:
     return max(0, math.ceil(n))
 
 
-def series_sum(series: ReturnSeries, z: float) -> tuple[float, float]:
-    """Truncated power series sum_{n<=N} r_n z^n and its tail bound.
+def series_sum(series: np.ndarray, z: float) -> tuple[float, float]:
+    """Truncated power series sum_{n<=N} r_n z^n of `series` = r_0..r_N and its tail bound.
 
     The bound |z|^{N+1}/(1-|z|) is rigorous because every r_n lies in [0, 1].
     """
@@ -300,7 +293,7 @@ def series_sum(series: ReturnSeries, z: float) -> tuple[float, float]:
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
     powers = np.power(z, np.arange(len(series)))
-    value = float(math.fsum(series.values * powers))
+    value = float(math.fsum(series * powers))
     tail = az ** len(series) / (1.0 - az)
     return value, tail
 
@@ -323,12 +316,12 @@ class GFEvaluation:
         return self.abs_err <= tol + self.tail_bound
 
 
-def evaluate_vs_series(closed_value: float, series: ReturnSeries, z: float) -> GFEvaluation:
+def evaluate_vs_series(closed_value: float, series: np.ndarray, z: float) -> GFEvaluation:
     value, tail = series_sum(series, z)
     return GFEvaluation(
         z=z,
         closed_value=closed_value,
         series_value=value,
-        truncation=series.nmax,
+        truncation=len(series) - 1,
         tail_bound=tail,
     )

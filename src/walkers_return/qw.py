@@ -27,7 +27,6 @@ import numpy as np
 
 from . import lattice
 from .lattice import Field
-from .series import ReturnSeries
 from .specfun import binom, legendre_range
 
 __all__ = [
@@ -246,18 +245,15 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
     return dist
 
 
-def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> ReturnSeries:
+def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> np.ndarray:
     """Return probabilities r_0..r_nmax by direct evolution."""
-    values = lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
-    return ReturnSeries(values)
+    return lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
 
 
 @dataclass(frozen=True)
 class PathSumMatrix:
-    """Sum of all n_left + n_right step products with the given composition."""
+    """Sum of the step products of every word with one left/right composition."""
 
-    n_left: int
-    n_right: int
     matrix: np.ndarray  # 2x2 complex
 
     def probability(self, phi: QWInitialState) -> float:
@@ -294,7 +290,7 @@ def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> PathSumMatrix:
     words[0, 0] = words[1, 1] = 1.0
     for i in range(nsteps):
         words = (coin.matrix() @ words.reshape(2, 2 * count)).reshape(2, 2, count) * keep[..., i]
-    return PathSumMatrix(n_left=l, n_right=m, matrix=words.sum(axis=2))
+    return PathSumMatrix(words.sum(axis=2))
 
 
 def _lemma_sums(coin: CoinMatrix, n: int) -> tuple[float, float, float]:
@@ -346,7 +342,7 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> PathSumMatrix:
     matrix = phase * (
         (drift / a) * p + (drift / d) * q + (sigma0 / c) * r + (sigma0 / b) * s
     )
-    return PathSumMatrix(n_left=n, n_right=n, matrix=matrix)
+    return PathSumMatrix(matrix)
 
 
 def return_lemma1(coin: CoinMatrix, phi: QWInitialState, n: int) -> float:
@@ -371,7 +367,7 @@ def return_closed_qw(alpha_sq: float, n: int) -> float:
     return return_series_qw(alpha_sq, n)[n]
 
 
-def return_series_qw(alpha_sq: float, nmax: int) -> ReturnSeries:
+def return_series_qw(alpha_sq: float, nmax: int) -> np.ndarray:
     """Closed-form return series r_0..r_nmax from one Legendre sweep."""
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
@@ -385,7 +381,7 @@ def return_series_qw(alpha_sq: float, nmax: int) -> ReturnSeries:
     # 0/0: raise FloatingPointError (an ArithmeticError), never return NaN.
     with np.errstate(divide="raise", invalid="raise"):
         values[2::2] = _closed_even(k, legendre[:-1], legendre[1:])
-    return ReturnSeries(values)
+    return values
 
 
 def return_hadamard(n: int) -> float:

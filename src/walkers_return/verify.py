@@ -89,15 +89,14 @@ def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
-    spec = genfunc.QuadratureSpec(tol=1e-12)
     residuals = []
     for m in np.linspace(0.1, 0.9, 9):
         m = float(m)
         k_quad = genfunc.integrate(
-            lambda t: 1.0 / math.sqrt(1.0 - (m * math.sin(t)) ** 2), 0.0, math.pi / 2.0, spec
+            lambda t: 1.0 / math.sqrt(1.0 - (m * math.sin(t)) ** 2), 0.0, math.pi / 2.0, tol=1e-12
         )
         e_quad = genfunc.integrate(
-            lambda t: math.sqrt(1.0 - (m * math.sin(t)) ** 2), 0.0, math.pi / 2.0, spec
+            lambda t: math.sqrt(1.0 - (m * math.sin(t)) ** 2), 0.0, math.pi / 2.0, tol=1e-12
         )
         residuals += [abs(specfun.ellipK(m) - k_quad), abs(specfun.ellipE(m) - e_quad)]
     return _result("elliptic-agm-vs-quadrature", _worst(*residuals), 1e-10)
@@ -146,9 +145,9 @@ def _check_oracle_triangle_random(rng: np.random.Generator) -> CheckResult:
     residuals = []
     for _ in range(25):
         coin = qw.CoinMatrix.random(rng)
-        closed = qw.return_series_qw(coin.alpha_sq, 60).values
+        closed = qw.return_series_qw(coin.alpha_sq, 60)
         for _ in range(10):
-            sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60).values
+            sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
             residuals.append(float(np.max(np.abs(sim - closed))))
     return _result("simulation-vs-closed-form-random-coins", _worst(*residuals), 1e-10)
 
@@ -158,7 +157,7 @@ def _check_state_independence(rng: np.random.Generator) -> CheckResult:
     for _ in range(5):
         coin = qw.CoinMatrix.random(rng)
         series = [
-            qw.simulate_return(coin, qw.QWInitialState.random(rng), 60).values
+            qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
             for _ in range(20)
         ]
         stacked = np.stack(series)
@@ -172,7 +171,7 @@ def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
     for alpha_sq in (0.1, 0.3, 0.5, 0.8, 0.95):
         coin = qw.CoinMatrix.from_alpha_sq(alpha_sq, theta=rng.uniform(0.0, 2.0 * math.pi))
         phi = qw.QWInitialState.random(rng)
-        sim = qw.simulate_return(coin, phi, 80).values
+        sim = qw.simulate_return(coin, phi, 80)
         for n in range(1, 41):
             lemma = qw.return_lemma1(coin, phi, n)
             closed = qw.return_closed_qw(alpha_sq, 2 * n)
@@ -205,7 +204,7 @@ def _check_three_step_listing(rng: np.random.Generator) -> CheckResult:
 def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
     alpha_sq = rng.uniform(0.1, 0.9)
     phi = qw.QWInitialState.canonical()
-    base = qw.simulate_return(qw.CoinMatrix.from_alpha_sq(alpha_sq), phi, 60).values
+    base = qw.simulate_return(qw.CoinMatrix.from_alpha_sq(alpha_sq), phi, 60)
     residuals = []
     for _ in range(5):
         coin = qw.CoinMatrix.from_alpha_sq(
@@ -214,7 +213,7 @@ def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
             alpha_phase=rng.uniform(0.0, 2.0 * math.pi),
             beta_phase=rng.uniform(0.0, 2.0 * math.pi),
         )
-        other = qw.simulate_return(coin, phi, 60).values
+        other = qw.simulate_return(coin, phi, 60)
         residuals.append(float(np.max(np.abs(other - base))))
     return _result("coin-phase-independence", _worst(*residuals), 1e-10)
 
@@ -274,8 +273,8 @@ def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> CheckResult:
         )
     residuals = []
     for transition, phi_hat in cases:
-        sim = crw.simulate_return_crw(transition, phi_hat, 80).values
-        closed = crw.return_series_crw(transition, phi_hat, 80).values
+        sim = crw.simulate_return_crw(transition, phi_hat, 80)
+        closed = crw.return_series_crw(transition, phi_hat, 80)
         residuals.append(float(np.max(np.abs(sim - closed))))
     return _result("crw-closed-form-vs-simulation", _worst(*residuals), 1e-12)
 
@@ -285,7 +284,7 @@ def _check_crw_state_independence(rng: np.random.Generator) -> CheckResult:
     for a in (0.2, 0.5, 0.9):
         transition = crw.TransitionMatrix.from_persistence(a, a)  # a = d
         series = [
-            crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 60).values
+            crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 60)
             for _ in range(10)
         ]
         stacked = np.stack(series)
@@ -310,7 +309,7 @@ def _check_crw_range(rng: np.random.Generator) -> CheckResult:
     residuals = [0.0]
     for _ in range(20):
         transition = crw.TransitionMatrix.random(rng)
-        values = crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 200).values
+        values = crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 200)
         residuals += [float(np.max(values - 1.0)), float(np.max(-values))]
     return _result("crw-return-values-within-unit-interval", _worst(*residuals), 0.0)
 
@@ -443,8 +442,8 @@ def _check_polya2d(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_polya3d(rng: np.random.Generator) -> CheckResult:
-    g1, f1 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=1e-8))
-    g2, f2 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=5e-9))
+    g1, f1 = genfunc.polya3d_constants(tol=1e-8)
+    g2, f2 = genfunc.polya3d_constants(tol=5e-9)
     # A recurrence probability outside (0, 1), NaN included, fails outright.
     in_range = all(0.0 < f < 1.0 for f in (f1, f2))
     worst = _worst(abs(g1 - g2), 0.0 if in_range else 1.0)

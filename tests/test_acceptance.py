@@ -31,24 +31,22 @@ class _Timer:
         return False
 
 
+def _named(results, name):
+    found = [r for r in results if r.name == name]
+    assert len(found) == 1, f"expected one check named {name}, got {len(found)}"
+    return found[0]
+
+
 def test_criterion_1_hadamard_three_routes():
+    # The check compares simulation, path-sum lemma, closed form and the
+    # C(2m, m) formula with the exact values at n = 0, 2, ..., 10; each
+    # route within 5e-11 of the exact value keeps any two within 1e-10.
     budget = 1.0
     with _Timer() as t:
-        exact = {2: 0.5, 4: 1 / 8, 6: 1 / 8, 8: 9 / 128, 10: 9 / 128}
-        coin = qw.CoinMatrix.hadamard()
-        phi = qw.QWInitialState.canonical()
-        sim = qw.simulate_return(coin, phi, 10)
-        worst = 0.0
-        for n, value in exact.items():
-            routes = [sim[n], qw.return_lemma1(coin, phi, n // 2), qw.return_closed_qw(0.5, n)]
-            for r in routes:
-                assert abs(r - value) < 1e-10
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    worst = max(worst, abs(routes[i] - routes[j]))
-        assert worst < 1e-10
+        result = _named(verify.run_suite("qw"), "hadamard-return-three-routes")
+        assert result.residual <= 5e-11
     assert t.elapsed < budget
-    _report(1, t.elapsed, budget, f"five Hadamard return values, three routes, spread {worst:.1e}")
+    _report(1, t.elapsed, budget, f"Hadamard return values n<=10, every route within {result.residual:.1e}")
 
 
 def test_criterion_2_oracle_triangle_random_coins():
@@ -59,10 +57,10 @@ def test_criterion_2_oracle_triangle_random_coins():
         worst_spread = 0.0
         for _ in range(25):
             coin = qw.CoinMatrix.random(rng)
-            closed = qw.return_series_qw(coin.alpha_sq, 60).values
+            closed = qw.return_series_qw(coin.alpha_sq, 60)
             runs = []
             for _ in range(10):
-                sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60).values
+                sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
                 runs.append(sim)
                 worst_closed = max(worst_closed, float(np.max(np.abs(sim - closed))))
             stacked = np.stack(runs)
@@ -99,20 +97,21 @@ def test_criterion_3_lemma_exactness():
 
 
 def test_criterion_4_qw_generating_function():
+    # The series check runs the 3x3 grid |alpha|^2, z in {0.2, 0.5, 0.8};
+    # the Hadamard limit runs z in {0.2, 0.3, 0.5, 0.6, 0.8}.
     budget = 30.0
     with _Timer() as t:
-        worst = 0.0
-        for alpha_sq in (0.2, 0.5, 0.8):
-            for z in (0.2, 0.5, 0.8):
-                closed = genfunc.gf_qw(alpha_sq, z)
-                series = qw.return_series_qw(alpha_sq, genfunc.truncation_for(z, 1e-6))
-                ev = genfunc.evaluate_vs_series(closed, series, z)
-                assert ev.abs_err <= 1e-6 + ev.tail_bound
-                worst = max(worst, ev.abs_err)
-        for z in (0.2, 0.5, 0.8):
-            assert abs(genfunc.gf_qw(0.5, z) - genfunc.gf_hadamard(z)) < 1e-10
+        results = verify.run_suite("genfunc")
+        series = _named(results, "qw-generating-function-vs-series")
+        assert series.tolerance == 1e-6
+        assert series.residual <= 1e-6
+        hadamard = _named(results, "qw-generating-function-hadamard-limit")
+        assert hadamard.residual < 1e-10
     assert t.elapsed < budget
-    _report(4, t.elapsed, budget, f"3x3 grid vs series, worst abs err {worst:.1e}; Hadamard limit ok")
+    _report(
+        4, t.elapsed, budget,
+        f"3x3 grid vs series, excess over tail {series.residual:.1e}; Hadamard limit {hadamard.residual:.1e}",
+    )
 
 
 def test_criterion_5_proof_identity_suite():
@@ -145,15 +144,15 @@ def test_criterion_6_crw():
         for _ in range(50):
             transition = crw.TransitionMatrix.random(rng)
             state = crw.CRWInitialState.random(rng)
-            sim = crw.simulate_return_crw(transition, state, 80).values
-            closed = crw.return_series_crw(transition, state, 80).values
+            sim = crw.simulate_return_crw(transition, state, 80)
+            closed = crw.return_series_crw(transition, state, 80)
             worst_sim = max(worst_sim, float(np.max(np.abs(sim - closed))))
         assert worst_sim < 1e-12
 
         spread = 0.0
         equal = crw.TransitionMatrix.from_persistence(0.65, 0.65)
         runs = np.stack(
-            [crw.return_series_crw(equal, crw.CRWInitialState.random(rng), 60).values for _ in range(10)]
+            [crw.return_series_crw(equal, crw.CRWInitialState.random(rng), 60) for _ in range(10)]
         )
         spread = float(np.max(runs.max(axis=0) - runs.min(axis=0)))
         assert spread < 1e-12
@@ -198,8 +197,8 @@ def test_criterion_7_polya_baselines():
         for z in (0.3, 0.6):
             ev = genfunc.evaluate_vs_series(genfunc.polya2d_gf(z), series, z)
             assert ev.abs_err <= 1e-9 + ev.tail_bound
-        g1, f1 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=1e-8))
-        g2, f2 = genfunc.polya3d_constants(genfunc.QuadratureSpec(tol=5e-9))
+        g1, f1 = genfunc.polya3d_constants(tol=1e-8)
+        g2, f2 = genfunc.polya3d_constants(tol=5e-9)
         assert abs(g1 - g2) < 1e-6
         assert 0.0 < f1 < 1.0
         assert 0.0 < f2 < 1.0

@@ -61,11 +61,17 @@ def test_return_crw_accepts_b_or_d(capsys):
 
 
 def test_return_rejects_inconsistent_b_and_d(capsys):
-    code, _, err = run_cli(
-        capsys, "return", "--model", "crw", "--a", "0.7", "--b", "0.5", "--d", "0.6"
-    )
-    assert code == 2
-    assert "b must equal 1 - d" in err
+    # abs(b - (1 - d)) > 1e-12 is False for NaN: `--d nan` was once ignored.
+    for argv in [
+        ("return", "--model", "crw", "--a", "0.7", "--b", "0.5", "--d", "0.6"),
+        ("return", "--model", "crw", "--a", "0.5", "--b", "0.5", "--d", "nan", "--nmax", "4"),
+        ("return", "--model", "crw", "--a", "0.5", "--b", "nan", "--d", "0.5", "--nmax", "4"),
+        ("genfunc", "--model", "crw", "--a", "0.5", "--b", "0.5", "--d", "nan", "--z-count", "2"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "b must equal 1 - d" in err
 
 
 def test_return_rejects_unknown_model(capsys):
@@ -188,13 +194,16 @@ def test_genfunc_polya2d(capsys):
 
 
 def test_genfunc_rejects_z_outside_unit_disk(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "genfunc", "--model", "hadamard",
-        "--z-start", "0.5", "--z-stop", "1.0", "--z-count", "2",
-    )
-    assert code == 2
-    assert "inside (-1, 1)" in err
+    # np.abs(nan) >= 1.0 is False: a NaN grid point once passed the grid check.
+    for start, stop in [("0.5", "1.0"), ("nan", "0.5"), ("0.1", "nan")]:
+        code, out, err = run_cli(
+            capsys,
+            "genfunc", "--model", "hadamard",
+            "--z-start", start, "--z-stop", stop, "--z-count", "2",
+        )
+        assert code == 2, (start, stop)
+        assert out == ""
+        assert "inside (-1, 1)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +329,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     parsed = parse_csv(target.read_text())
     assert parsed.rows[4][1] == pytest.approx(0.125, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "4"),
+        ("dist", "--model", "hadamard", "--nmax", "4"),
+    ],
+    ids=["return", "dist"],
+)
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
+    # Exit 1 means a comparison failed; a path that cannot be opened is no comparison.
+    path = tmp_path / "missing" / "x.csv" if target == "missing-parent" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ def test_transition_matrix_columns_are_stochastic():
 def test_transition_matrix_cannot_be_changed_by_a_caller():
     t = TransitionMatrix(a=0.7, b=0.2)
     phi_hat = CRWInitialState.from_phi1(0.3)
-    before = simulate_return_crw(t, phi_hat, 20).values
+    before = simulate_return_crw(t, phi_hat, 20)
     assert np.array_equal(t.matrix(), [[0.7, 0.2], [t.c, t.d]])
     with pytest.raises(ValueError):
         t.matrix()[0, 0] = 0.0
-    assert np.array_equal(simulate_return_crw(t, phi_hat, 20).values, before)
+    assert np.array_equal(simulate_return_crw(t, phi_hat, 20), before)
 
 
 def test_transition_matrix_rejects_boundary_persistence():
@@ -190,8 +190,8 @@ def test_closed_form_matches_simulation_random_cases():
     for _ in range(50):
         t = TransitionMatrix.random(rng)
         state = CRWInitialState.random(rng)
-        sim = simulate_return_crw(t, state, 80).values
-        closed = return_series_crw(t, state, 80).values
+        sim = simulate_return_crw(t, state, 80)
+        closed = return_series_crw(t, state, 80)
         assert float(np.max(np.abs(sim - closed))) < 1e-12
 
 
@@ -200,8 +200,8 @@ def test_closed_form_stable_near_degenerate_delta(offset):
     t = TransitionMatrix(a=0.6, b=0.6 - offset)
     state = CRWInitialState.from_phi1(0.3)
     assert not closed_form_params(t, state).is_random_walk
-    sim = simulate_return_crw(t, state, 80).values
-    closed = return_series_crw(t, state, 80).values
+    sim = simulate_return_crw(t, state, 80)
+    closed = return_series_crw(t, state, 80)
     assert float(np.max(np.abs(sim - closed))) < 1e-12
 
 
@@ -223,7 +223,7 @@ def test_equal_persistence_is_state_independent():
     rng = np.random.default_rng(59)
     t = TransitionMatrix.from_persistence(0.7, 0.7)
     series = [
-        return_series_crw(t, CRWInitialState.random(rng), 60).values for _ in range(10)
+        return_series_crw(t, CRWInitialState.random(rng), 60) for _ in range(10)
     ]
     stacked = np.stack(series)
     assert float(np.max(stacked.max(axis=0) - stacked.min(axis=0))) < 1e-12
@@ -246,7 +246,7 @@ def test_return_values_stay_in_unit_interval():
     rng = np.random.default_rng(61)
     for _ in range(20):
         t = TransitionMatrix.random(rng)
-        values = return_series_crw(t, CRWInitialState.random(rng), 200).values
+        values = return_series_crw(t, CRWInitialState.random(rng), 200)
         assert np.all(values >= 0.0)
         assert np.all(values <= 1.0)
 
@@ -268,7 +268,7 @@ def test_sum_form_matches_series_at_long_horizons(a, b, n):
     # C(n-1, g-1)**2 once overflowed a float from n = 518 on (a = 0.7, b = 0.4).
     transition = TransitionMatrix(a=a, b=b)
     phi_hat = CRWInitialState.from_phi1(0.3)
-    series = return_series_crw(transition, phi_hat, 2 * n).values
+    series = return_series_crw(transition, phi_hat, 2 * n)
     assert series[2 * n] > 0.0
     assert return_sum_form_crw(transition, phi_hat, n) == pytest.approx(series[2 * n], rel=1e-10)
 
@@ -284,7 +284,7 @@ def test_uncorrelated_walk_matches_lgamma_form_at_long_horizons(p, n):
     # (p = 0.2, n = 1500, true value ~1e-147) when the factors were apart.
     transition = TransitionMatrix.uncorrelated(p)
     phi_hat = CRWInitialState.from_phi1(0.5)
-    series = return_series_crw(transition, phi_hat, n).values
+    series = return_series_crw(transition, phi_hat, n)
     j = n // 2
     log_central = math.lgamma(2 * j + 1) - 2 * math.lgamma(j + 1) - 2 * j * math.log(2.0)
     expected = math.exp(j * math.log(4.0 * p * (1.0 - p)) + log_central)

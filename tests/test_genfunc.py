@@ -8,7 +8,6 @@ import pytest
 from walkers_return.crw import CRWInitialState, TransitionMatrix, return_series_crw
 from walkers_return.genfunc import (
     ConvergenceError,
-    QuadratureSpec,
     evaluate_vs_series,
     gf_crw,
     gf_hadamard,
@@ -24,7 +23,6 @@ from walkers_return.genfunc import (
     truncation_for,
 )
 from walkers_return.qw import return_hadamard, return_series_qw
-from walkers_return.series import ReturnSeries
 from walkers_return.specfun import (
     binom,
     ellipK,
@@ -40,9 +38,8 @@ from walkers_return.specfun import (
 
 
 def test_integrate_polynomial_exactly():
-    spec = QuadratureSpec(tol=1e-12)
-    assert integrate(lambda x: x * x, 0.0, 1.0, spec) == pytest.approx(1 / 3, abs=1e-12)
-    assert integrate(lambda x: math.sin(x), 0.0, math.pi, spec) == pytest.approx(2.0, abs=1e-11)
+    assert integrate(lambda x: x * x, 0.0, 1.0, tol=1e-12) == pytest.approx(1 / 3, abs=1e-12)
+    assert integrate(lambda x: math.sin(x), 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
 
 
 def test_integrate_empty_interval_is_zero():
@@ -55,24 +52,31 @@ def test_integrate_rejects_inverted_interval():
 
 
 def test_integrate_raises_on_exhausted_budget():
-    spec = QuadratureSpec(tol=1e-14, max_subdivisions=3)
     with pytest.raises(ConvergenceError) as err:
-        integrate(lambda x: x**-0.5, 1e-12, 1.0, spec)
+        integrate(lambda x: x**-0.5, 1e-12, 1.0, tol=1e-14)
     assert err.value.estimate > 0.0
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
+# Every public function that takes a quadrature tolerance, called where it
+# returns early without integrating as well as where it integrates.
+_TOL_TAKERS = {
+    "integrate": lambda tol: integrate(lambda x: x, 0.0, 1.0, tol),
+    "integrate empty interval": lambda tol: integrate(lambda x: x, 2.0, 2.0, tol),
+    "integral_E_term": lambda tol: integral_E_term(0.3, 0.5, tol),
+    "integral_E_term empty range": lambda tol: integral_E_term(0.3, 0.0, tol),
+    "gf_qw": lambda tol: gf_qw(0.3, 0.5, tol),
+    "gf_qw at k = 0": lambda tol: gf_qw(0.5, 0.5, tol),
+    "polya3d_constants": lambda tol: polya3d_constants(tol),
+}
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-def test_quadrature_spec_rejects_non_finite_or_non_positive_tolerance(tol):
+def test_quadrature_tolerance_rejects_non_finite_or_non_positive(tol):
     # tol = nan once passed and ran out the subdivision budget instead.
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol=tol)
+    for name, call in _TOL_TAKERS.items():
+        with pytest.raises(ValueError, match="tolerance"):
+            call(tol)
+            pytest.fail(f"{name} accepted tol={tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +166,7 @@ def test_gf_hadamard_equals_general_form():
 
 def test_gf_hadamard_against_series_oracle():
     values = np.array([return_hadamard(n) for n in range(601)])
-    series = ReturnSeries(values)
-    value, tail = series_sum(series, 0.7)
+    value, tail = series_sum(values, 0.7)
     assert abs(gf_hadamard(0.7) - value) <= 1e-8 + tail
 
 
@@ -212,7 +215,7 @@ def test_gf_rw_biased_matches_its_series():
     values = np.zeros(401)
     for j in range(201):
         values[2 * j] = (p * (1.0 - p)) ** j * binom(2 * j, j)
-    value, tail = series_sum(ReturnSeries(values), z)
+    value, tail = series_sum(values, z)
     assert abs(gf_rw(p, z) - value) <= 1e-10 + tail
     t = TransitionMatrix.uncorrelated(p)
     assert gf_crw(t, CRWInitialState.from_phi1(0.5), z) == gf_rw(p, z)
@@ -244,7 +247,7 @@ def test_polya2d_return_matches_lgamma_form_at_long_horizons(n):
 
 
 def test_polya2d_series_equals_per_term_values():
-    series = polya2d_series(4000).values
+    series = polya2d_series(4000)
     per_term = np.array([polya2d_return(n) for n in range(4001)])
     assert np.array_equal(series, per_term)
 
@@ -272,8 +275,8 @@ def test_polya3d_kernel_finite_at_pi():
 
 
 def test_polya3d_stable_under_tolerance_halving():
-    g1, f1 = polya3d_constants(QuadratureSpec(tol=1e-8))
-    g2, f2 = polya3d_constants(QuadratureSpec(tol=5e-9))
+    g1, f1 = polya3d_constants(tol=1e-8)
+    g2, f2 = polya3d_constants(tol=5e-9)
     assert abs(g1 - g2) < 1e-6
     assert 0.0 < f1 < 1.0
     assert 0.0 < f2 < 1.0
@@ -356,15 +359,14 @@ def test_kernel_derivative_relations(x, z):
 
 
 def test_series_sum_point_mass():
-    series = ReturnSeries(np.array([1.0, 0.0, 0.0]))
-    value, tail = series_sum(series, 0.9)
+    value, tail = series_sum(np.array([1.0, 0.0, 0.0]), 0.9)
     assert value == 1.0
     assert tail == pytest.approx(0.9**3 / 0.1)
 
 
 def test_series_sum_hadamard_vs_closed():
     values = np.array([return_hadamard(n) for n in range(601)])
-    value, tail = series_sum(ReturnSeries(values), 0.5)
+    value, tail = series_sum(values, 0.5)
     assert abs(value - gf_hadamard(0.5)) <= 1e-8 + tail
 
 
@@ -375,9 +377,8 @@ def test_series_sum_symmetric_rw():
 
 
 def test_series_sum_rejects_large_z():
-    series = ReturnSeries(np.array([1.0]))
     with pytest.raises(ValueError):
-        series_sum(series, 1.0)
+        series_sum(np.array([1.0]), 1.0)
 
 
 def test_truncation_rule():

@@ -23,13 +23,13 @@ def _walks(seed):
     phi_hat = crw.CRWInitialState.random(rng)
     return [
         (
-            lambda nmax: qw.simulate_return(coin, phi, nmax).values,
+            lambda nmax: qw.simulate_return(coin, phi, nmax),
             qw.initial_field(phi),
             lambda field: qw.step(field, coin),
             coin.matrix(),
         ),
         (
-            lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax).values,
+            lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
             crw.initial_field_crw(phi_hat),
             lambda field: crw.crw_step(field, transition),
             transition.matrix(),

@@ -84,10 +84,10 @@ def test_initial_state_rejects_non_finite_entries(bad):
 def test_coin_matrix_cannot_be_changed_by_a_caller():
     coin = CoinMatrix.from_alpha_sq(0.3, theta=0.7)
     phi = QWInitialState.canonical()
-    before = simulate_return(coin, phi, 20).values
+    before = simulate_return(coin, phi, 20)
     with pytest.raises(ValueError):
         coin.matrix()[0, 0] = 0.0
-    assert np.array_equal(simulate_return(coin, phi, 20).values, before)
+    assert np.array_equal(simulate_return(coin, phi, 20), before)
 
 
 def test_initial_state_requires_unit_norm():
@@ -260,7 +260,7 @@ def test_lemma_return_where_the_unscaled_sums_overflow_a_float(alpha_sq, n):
     # The bare sums overflow a float at these n; times |alpha|^{2n} they do not.
     coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=1.3, alpha_phase=0.4)
     lemma = return_lemma1(coin, QWInitialState.canonical(), n)
-    assert abs(lemma - return_series_qw(alpha_sq, 2 * n).values[2 * n]) <= 1e-12
+    assert abs(lemma - return_series_qw(alpha_sq, 2 * n)[2 * n]) <= 1e-12
 
 
 def test_lemma_hadamard_two_step_probability():
@@ -339,7 +339,7 @@ def test_return_series_independent_of_initial_state():
     rng = np.random.default_rng(23)
     coin = CoinMatrix.random(rng)
     series = [
-        simulate_return(coin, QWInitialState.random(rng), 60).values for _ in range(20)
+        simulate_return(coin, QWInitialState.random(rng), 60) for _ in range(20)
     ]
     stacked = np.stack(series)
     assert float(np.max(stacked.max(axis=0) - stacked.min(axis=0))) < 1e-10
@@ -348,7 +348,7 @@ def test_return_series_independent_of_initial_state():
 def test_return_series_independent_of_coin_phases():
     rng = np.random.default_rng(29)
     phi = QWInitialState.canonical()
-    base = simulate_return(CoinMatrix.from_alpha_sq(0.62), phi, 60).values
+    base = simulate_return(CoinMatrix.from_alpha_sq(0.62), phi, 60)
     for _ in range(5):
         coin = CoinMatrix.from_alpha_sq(
             0.62,
@@ -356,7 +356,7 @@ def test_return_series_independent_of_coin_phases():
             alpha_phase=rng.uniform(0, 2 * math.pi),
             beta_phase=rng.uniform(0, 2 * math.pi),
         )
-        other = simulate_return(coin, phi, 60).values
+        other = simulate_return(coin, phi, 60)
         assert float(np.max(np.abs(other - base))) < 1e-10
 
 
@@ -371,7 +371,7 @@ def test_unitarity_over_thousand_steps():
 
 def test_hadamard_formula_matches_legendre_sweep_at_ten_thousand_steps():
     # 4.0**m overflowed here once m reached 512 (n >= 2048).
-    sweep = return_series_qw(0.5, 10_000).values
+    sweep = return_series_qw(0.5, 10_000)
     for n in (2046, 2048, 4096, 9998, 10_000):
         assert return_hadamard(n) == pytest.approx(sweep[n], rel=1e-12)
 
@@ -417,6 +417,6 @@ def test_distribution_hadamard_at_hundred_thousand_steps():
     # The lattice route takes about ten minutes here; the Fourier route a second.
     n = 100_000
     dist = distribution(CoinMatrix.hadamard(), QWInitialState.canonical(), n)
-    assert dist[n] == pytest.approx(return_series_qw(0.5, n).values[n], abs=1e-12)
+    assert dist[n] == pytest.approx(return_series_qw(0.5, n)[n], abs=1e-12)
     assert abs(float(dist.sum()) - 1.0) <= 1e-9
     assert np.all(dist[1::2] == 0.0)
