@@ -316,17 +316,15 @@ def cmd_genfunc(args) -> int:
     if not np.all(np.abs(zgrid) < 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
     walk = model.parse(args)
-
-    evaluations = [
-        genfunc.evaluate_vs_series(walk.gf(z), walk.closed(genfunc.truncation_for(z, tol)), z)
-        for z in map(float, zgrid)
-    ]
+    closed = np.array([walk.gf(z) for z in zgrid.tolist()])
+    # Called through the module, so that a traced run counts every sum.
+    series, tails = np.array(
+        [genfunc.series_sum(walk.closed(genfunc.truncation_for(z, tol)), z) for z in zgrid.tolist()]
+    ).T
+    errors = np.abs(closed - series)
     table = Table(
         columns=["z", "gf_closed", "gf_series", "abs_err", "tail_bound"],
-        data=[
-            np.array([getattr(evaluation, name) for evaluation in evaluations], dtype=float)
-            for name in ("z", "closed_value", "series_value", "abs_err", "tail_bound")
-        ],
+        data=[zgrid, closed, series, errors, tails],
         meta={
             "command": "genfunc",
             "model": args.model,
@@ -336,7 +334,8 @@ def cmd_genfunc(args) -> int:
         },
     )
     _write_output(table, args)
-    return 0 if all(evaluation.consistent(tol) for evaluation in evaluations) else 1
+    # A NaN error fails the comparison.
+    return 0 if np.all(errors <= tol + tails) else 1
 
 
 def cmd_verify(args) -> int:

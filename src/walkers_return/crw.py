@@ -30,7 +30,6 @@ __all__ = [
     "CRWInitialState",
     "initial_field_crw",
     "CRWClosedFormParams",
-    "RW_THRESHOLD",
     "crw_step",
     "evolve_crw",
     "simulate_return_crw",
@@ -39,11 +38,6 @@ __all__ = [
     "return_series_crw",
     "return_sum_form_crw",
 ]
-
-# |ad - bc| below this makes `genfunc.gf_crw` hand over to the uncorrelated
-# (plain random walk) form `gf_rw`; both agree in the limit, the threshold
-# only selects which formula evaluates.
-RW_THRESHOLD = 1e-14
 
 _MASS_TOL = 1e-12
 
@@ -172,10 +166,6 @@ class CRWClosedFormParams:
     delta_minus: float
     k_plus: float
     k_minus: float
-
-    @property
-    def is_random_walk(self) -> bool:
-        return abs(self.delta_minus) < RW_THRESHOLD
 
 
 def closed_form_params(

@@ -5,8 +5,8 @@ Closed forms:
 * quantum walk: elliptic-integral kernels plus a quadrature term
   (:func:`gf_qw`), reducing to (1+z^2) K(z^2)/pi + 1/2 for the Hadamard
   coin (:func:`gf_hadamard`);
-* correlated walk: an algebraic square-root form (:func:`gf_crw`), with
-  the uncorrelated degeneration :func:`gf_rw`;
+* correlated walk: an algebraic square-root form (:func:`gf_crw`), and
+  the uncorrelated walk's own 1/sqrt(1 - 4pqz^2) (:func:`gf_rw`);
 * 2-D/3-D simple-walk baselines: (2/pi) K(z) and the lattice Green
   constant behind the 3-D recurrence probability (:func:`polya3d_constants`).
 
@@ -18,7 +18,6 @@ tail bound (return probabilities never exceed 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,6 @@ from .specfun import binom, central_binomial_ratios, ellipK, ellipK_from_complem
 
 __all__ = [
     "ConvergenceError",
-    "GFEvaluation",
     "integrate",
     "integral_E_term",
     "gf_qw",
@@ -41,7 +39,6 @@ __all__ = [
     "polya3d_constants",
     "series_sum",
     "truncation_for",
-    "evaluate_vs_series",
 ]
 
 _Z_MARGIN = 1e-6
@@ -101,6 +98,8 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: floa
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] to the absolute tolerance `tol`."""
     _check_tol(tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError(f"inverted interval [{a}, {b}]")
     if a == b:
@@ -169,14 +168,14 @@ def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z: float) -> 
     """Correlated-walk generating function.
 
     (1/2ad) ((delta_minus k_minus z^2 + k_plus)
-             / sqrt(delta_minus^2 z^4 - 2 delta_plus z^2 + 1) - k_plus) + 1,
-    degenerating to :func:`gf_rw` when delta_minus vanishes.
+             / sqrt(delta_minus^2 z^4 - 2 delta_plus z^2 + 1) - k_plus) + 1.
+
+    Nothing divides by delta_minus: at delta_minus = 0 (the uncorrelated
+    walk) the form is 1/sqrt(1 - 4pqz^2), whatever phi_hat.
     """
     if not abs(z) < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
     params = closed_form_params(transition, phi_hat)
-    if params.is_random_walk:
-        return gf_rw(transition.a, z)
     w = z * z
     radicand = params.delta_minus**2 * w * w - 2.0 * params.delta_plus * w + 1.0
     if radicand <= 0.0:
@@ -276,8 +275,7 @@ def truncation_for(z: float, target: float) -> int:
     az = abs(z)
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
-    if target <= 0.0:
-        raise ValueError(f"target must be positive, got {target}")
+    _check_tol(target)
     if az == 0.0:
         return 0
     n = math.log(0.1 * target * (1.0 - az)) / math.log(az) - 1.0
@@ -296,32 +294,3 @@ def series_sum(series: np.ndarray, z: float) -> tuple[float, float]:
     value = float(math.fsum(series * powers))
     tail = az ** len(series) / (1.0 - az)
     return value, tail
-
-
-@dataclass(frozen=True)
-class GFEvaluation:
-    """One closed-form vs truncated-series comparison point."""
-
-    z: float
-    closed_value: float
-    series_value: float
-    truncation: int
-    tail_bound: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.closed_value - self.series_value)
-
-    def consistent(self, tol: float) -> bool:
-        return self.abs_err <= tol + self.tail_bound
-
-
-def evaluate_vs_series(closed_value: float, series: np.ndarray, z: float) -> GFEvaluation:
-    value, tail = series_sum(series, z)
-    return GFEvaluation(
-        z=z,
-        closed_value=closed_value,
-        series_value=value,
-        truncation=len(series) - 1,
-        tail_bound=tail,
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "CoinMatrix",
     "QWInitialState",
     "initial_field",
-    "PathSumMatrix",
     "decompose",
     "step",
     "evolve",
@@ -250,25 +249,15 @@ def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> np.ndar
     return lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
 
 
-@dataclass(frozen=True)
-class PathSumMatrix:
-    """Sum of the step products of every word with one left/right composition."""
-
-    matrix: np.ndarray  # 2x2 complex
-
-    def probability(self, phi: QWInitialState) -> float:
-        vec = self.matrix @ phi.vector()
-        return float(np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2)
-
-
-def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> PathSumMatrix:
+def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:
     """Path sum by explicit enumeration of every P/Q word.
 
-    Words are applied in time order (first step = rightmost factor).  Each
-    of the C(l+m, l) words is one row of a boolean table (True where the
-    step moves left, factor P); all word products advance together, one
-    batched 2x2 product per time step, and are summed at the end.  The
-    enumeration caps at l+m <= 14 to stay at desk scale.
+    The 2x2 complex sum of the step products of every word with l left (P)
+    and m right (Q) steps.  Words are applied in time order (first step =
+    rightmost factor).  Each of the C(l+m, l) words is one row of a boolean
+    table (True where the step moves left, factor P); all word products
+    advance together, one batched 2x2 product per time step, and are summed
+    at the end.  The enumeration caps at l+m <= 14 to stay at desk scale.
     """
     if l < 0 or m < 0:
         raise ValueError(f"step counts must be non-negative, got ({l}, {m})")
@@ -290,7 +279,7 @@ def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> PathSumMatrix:
     words[0, 0] = words[1, 1] = 1.0
     for i in range(nsteps):
         words = (coin.matrix() @ words.reshape(2, 2 * count)).reshape(2, 2, count) * keep[..., i]
-    return PathSumMatrix(words.sum(axis=2))
+    return words.sum(axis=2)
 
 
 def _lemma_sums(coin: CoinMatrix, n: int) -> tuple[float, float, float]:
@@ -324,8 +313,8 @@ def _lemma_sums(coin: CoinMatrix, n: int) -> tuple[float, float, float]:
     return weighted / (n * scale), plain / scale, (weighted - plain) / scale
 
 
-def xi_lemma1(coin: CoinMatrix, n: int) -> PathSumMatrix:
-    """Balanced path sum over 2n steps (n left, n right) in closed form.
+def xi_lemma1(coin: CoinMatrix, n: int) -> np.ndarray:
+    """Balanced path sum over 2n steps (n left, n right) in closed form, a 2x2 array.
 
     a^n d^n sum_g (bc/ad)^g C(n-1, g-1)^2
         [ ((n-g)/(a g)) P + ((n-g)/(d g)) Q + (1/c) R + (1/b) S ].
@@ -339,17 +328,17 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> PathSumMatrix:
     _, sigma0, drift = _lemma_sums(coin, n)
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
     phase = (a * d / abs(a * d)) ** n
-    matrix = phase * (
+    return phase * (
         (drift / a) * p + (drift / d) * q + (sigma0 / c) * r + (sigma0 / b) * s
     )
-    return PathSumMatrix(matrix)
 
 
 def return_lemma1(coin: CoinMatrix, phi: QWInitialState, n: int) -> float:
     """Return probability at time 2n via the path-sum matrix."""
     if n == 0:
         return 1.0
-    return xi_lemma1(coin, n).probability(phi)
+    v = xi_lemma1(coin, n) @ phi.vector()
+    return float(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
 
 
 def _closed_even(k: float, p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:

@@ -141,14 +141,14 @@ def central_binomial_ratios(jmax: int) -> np.ndarray:
     return ratios
 
 
-def _agm(m: float) -> tuple[float, float]:
-    """AGM iteration for modulus m: returns (K(m), c-sum for E).
+def _agm(m: float, mc: float) -> tuple[float, float]:
+    """AGM iteration from modulus m and its complement mc = sqrt(1 - m^2).
 
-    a_0 = 1, b_0 = sqrt(1-m^2), c_0 = m; the second value is
-    sum_i 2^{i-1} c_i^2, so E = K * (1 - that sum).
+    a_0 = 1, b_0 = mc, c_0 = m; returns K(m) = pi / (2 a_inf) and the
+    c-sum sum_i 2^{i-1} c_i^2, so E = K * (1 - that sum).
     """
     a = 1.0
-    bb = math.sqrt((1.0 - m) * (1.0 + m))
+    bb = mc
     c = m
     csum = 0.5 * c * c
     weight = 0.5
@@ -164,12 +164,17 @@ def _agm(m: float) -> tuple[float, float]:
     raise RuntimeError(f"AGM did not converge for modulus {m}")  # pragma: no cover
 
 
+def _complement(m: float) -> float:
+    """sqrt(1 - m^2), factored so that it keeps its precision near m = 1."""
+    return math.sqrt((1.0 - m) * (1.0 + m))
+
+
 def ellipK(m: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention."""
     m = _require_finite("m", m)
     if not 0.0 <= m < 1.0:
         raise ValueError(f"ellipK requires modulus in [0, 1), got {m} (K diverges at 1)")
-    return _agm(m)[0]
+    return _agm(m, _complement(m))[0]
 
 
 def ellipK_from_complement(mc: float) -> float:
@@ -182,12 +187,7 @@ def ellipK_from_complement(mc: float) -> float:
     mc = _require_finite("mc", mc)
     if not 0.0 < mc <= 1.0:
         raise ValueError(f"complementary modulus must lie in (0, 1], got {mc}")
-    a, bb = 1.0, mc
-    for _ in range(_AGM_MAX_ITER):
-        if a - bb <= 4e-16 * a:
-            return math.pi / (2.0 * a)
-        a, bb = 0.5 * (a + bb), math.sqrt(a * bb)
-    raise RuntimeError(f"AGM did not converge for complement {mc}")  # pragma: no cover
+    return _agm(_complement(mc), mc)[0]
 
 
 def ellipE(m: float) -> float:
@@ -197,7 +197,7 @@ def ellipE(m: float) -> float:
         raise ValueError(f"ellipE requires modulus in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
-    k, csum = _agm(m)
+    k, csum = _agm(m, _complement(m))
     return k * (1.0 - csum)
 
 

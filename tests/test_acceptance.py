@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walkers_return import crw, genfunc, qw, specfun, verify
+from walkers_return import genfunc, qw, specfun, verify
 
 
 def _report(criterion, elapsed, budget, detail):
@@ -50,50 +50,41 @@ def test_criterion_1_hadamard_three_routes():
 
 
 def test_criterion_2_oracle_triangle_random_coins():
+    # At seed 101 the check draws exactly this criterion's 25 coins x 10
+    # states.  No check measures the per-coin spread over those states, so
+    # it is measured here on the same draws.
     budget = 10.0
     with _Timer() as t:
+        result = _named(verify.run_suite("qw", seed=101), "simulation-vs-closed-form-random-coins")
+        assert result.tolerance == 1e-10
+        assert result.residual < 1e-10
         rng = np.random.default_rng(101)
-        worst_closed = 0.0
         worst_spread = 0.0
         for _ in range(25):
             coin = qw.CoinMatrix.random(rng)
-            closed = qw.return_series_qw(coin.alpha_sq, 60)
-            runs = []
-            for _ in range(10):
-                sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
-                runs.append(sim)
-                worst_closed = max(worst_closed, float(np.max(np.abs(sim - closed))))
-            stacked = np.stack(runs)
-            worst_spread = max(
-                worst_spread, float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
+            runs = np.stack(
+                [qw.simulate_return(coin, qw.QWInitialState.random(rng), 60) for _ in range(10)]
             )
-        assert worst_closed < 1e-10
+            worst_spread = max(worst_spread, float(np.max(runs.max(axis=0) - runs.min(axis=0))))
         assert worst_spread < 1e-10
     assert t.elapsed < budget
     _report(
         2, t.elapsed, budget,
-        f"25 coins x 10 states, n<=60: closed-form dev {worst_closed:.1e}, state spread {worst_spread:.1e}",
+        f"25 coins x 10 states, n<=60: closed-form dev {result.residual:.1e}, state spread {worst_spread:.1e}",
     )
 
 
 def test_criterion_3_lemma_exactness():
+    # 10 random coins at n <= 6, then the listings Q^3 and Q^2 P + QPQ + PQ^2.
     budget = 5.0
     with _Timer() as t:
-        rng = np.random.default_rng(103)
-        worst = 0.0
-        for _ in range(10):
-            coin = qw.CoinMatrix.random(rng)
-            for n in range(1, 7):
-                diff = np.abs(qw.xi_lemma1(coin, n).matrix - qw.xi_bruteforce(coin, n, n).matrix)
-                worst = max(worst, float(np.max(diff)))
-        assert worst < 1e-12
-        # the three-step listing Q^2 P + QPQ + PQ^2
-        coin = qw.CoinMatrix.random(rng)
-        p, q, _, _ = qw.decompose(coin)
-        listing = q @ q @ p + q @ p @ q + p @ q @ q
-        assert np.max(np.abs(qw.xi_bruteforce(coin, 1, 2).matrix - listing)) < 1e-14
+        results = verify.run_suite("qw", seed=103)
+        lemma = _named(results, "path-sum-lemma-vs-enumeration")
+        assert lemma.tolerance == 1e-12
+        assert lemma.residual < 1e-12
+        assert _named(results, "three-step-word-listing").residual < 1e-14
     assert t.elapsed < budget
-    _report(3, t.elapsed, budget, f"path-sum lemma vs enumeration, n<=6: max entry dev {worst:.1e}")
+    _report(3, t.elapsed, budget, f"path-sum lemma vs enumeration, n<=6: max entry dev {lemma.residual:.1e}")
 
 
 def test_criterion_4_qw_generating_function():
@@ -137,50 +128,26 @@ def test_criterion_5_proof_identity_suite():
 
 
 def test_criterion_6_crw():
+    # At seed 106 the closed-form check draws exactly this criterion's 50
+    # random walks, plus two with delta_minus = +-1e-10.
     budget = 15.0
     with _Timer() as t:
-        rng = np.random.default_rng(106)
-        worst_sim = 0.0
-        for _ in range(50):
-            transition = crw.TransitionMatrix.random(rng)
-            state = crw.CRWInitialState.random(rng)
-            sim = crw.simulate_return_crw(transition, state, 80)
-            closed = crw.return_series_crw(transition, state, 80)
-            worst_sim = max(worst_sim, float(np.max(np.abs(sim - closed))))
-        assert worst_sim < 1e-12
-
-        spread = 0.0
-        equal = crw.TransitionMatrix.from_persistence(0.65, 0.65)
-        runs = np.stack(
-            [crw.return_series_crw(equal, crw.CRWInitialState.random(rng), 60) for _ in range(10)]
-        )
-        spread = float(np.max(runs.max(axis=0) - runs.min(axis=0)))
-        assert spread < 1e-12
-
-        worst_rw = 0.0
-        for p in (0.2, 0.5, 0.7):
-            series = crw.return_series_crw(
-                crw.TransitionMatrix.uncorrelated(p), crw.CRWInitialState.from_phi1(0.3), 60
-            )
-            for j in range(31):
-                exact = (p * (1 - p)) ** j * specfun.binom(2 * j, j)
-                worst_rw = max(worst_rw, abs(series[2 * j] - exact))
-        assert worst_rw < 1e-12
-
-        worst_gf = 0.0
-        for _ in range(20):
-            transition = crw.TransitionMatrix.random(rng)
-            state = crw.CRWInitialState.random(rng)
-            z = float(rng.uniform(-0.9, 0.9))
-            closed_gf = genfunc.gf_crw(transition, state, z)
-            series = crw.return_series_crw(transition, state, genfunc.truncation_for(z, 1e-10))
-            ev = genfunc.evaluate_vs_series(closed_gf, series, z)
-            assert ev.abs_err <= 1e-10 + ev.tail_bound
-            worst_gf = max(worst_gf, ev.abs_err)
+        results = verify.run_suite("crw", seed=106)
+        sim = _named(results, "crw-closed-form-vs-simulation")
+        assert sim.residual < 1e-12
+        spread = _named(results, "crw-equal-persistence-state-independence")
+        assert spread.residual < 1e-12
+        rw = _named(results, "uncorrelated-reduction-to-random-walk")
+        assert rw.residual < 1e-12
+        # Closed-form generating function minus its series, beyond the tail bound.
+        gf = _named(results, "crw-generating-function-vs-series")
+        assert gf.tolerance == 1e-10
+        assert gf.residual <= 1e-10
     assert t.elapsed < budget
     _report(
         6, t.elapsed, budget,
-        f"closed=sim {worst_sim:.1e}, a=d spread {spread:.1e}, rw branch {worst_rw:.1e}, gf {worst_gf:.1e}",
+        f"closed=sim {sim.residual:.1e}, a=d spread {spread.residual:.1e}, "
+        f"rw branch {rw.residual:.1e}, gf excess over tail {gf.residual:.1e}",
     )
 
 
@@ -194,16 +161,15 @@ def test_criterion_7_polya_baselines():
             assert series[2 * j] == pytest.approx(
                 specfun.binom(2 * j, j) ** 2 / 16.0**j, rel=1e-13
             )
-        for z in (0.3, 0.6):
-            ev = genfunc.evaluate_vs_series(genfunc.polya2d_gf(z), series, z)
-            assert ev.abs_err <= 1e-9 + ev.tail_bound
-        g1, f1 = genfunc.polya3d_constants(tol=1e-8)
-        g2, f2 = genfunc.polya3d_constants(tol=5e-9)
-        assert abs(g1 - g2) < 1e-6
-        assert 0.0 < f1 < 1.0
-        assert 0.0 < f2 < 1.0
+        results = verify.run_suite("genfunc")
+        # The same 400-term series against (2/pi) K(z) at z = 0.3 and 0.6.
+        assert _named(results, "polya-2d-generating-function-vs-series").residual <= 1e-9
+        # G at tol 1e-8 and 5e-9; a recurrence probability outside (0, 1)
+        # makes the residual 1.
+        polya3d = _named(results, "polya-3d-constant-stability")
+        assert polya3d.residual < 1e-6
     assert t.elapsed < budget
-    _report(7, t.elapsed, budget, f"2-D gf ok; 3-D constant G={g1:.9f} halving dev {abs(g1-g2):.1e}")
+    _report(7, t.elapsed, budget, f"2-D gf ok; 3-D constant halving dev {polya3d.residual:.1e}")
 
 
 def test_criterion_8_verify_all_single_command():

@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import time
 
 import pytest
 
+from walkers_return import genfunc, qw
 from walkers_return.cli import Table, emit_csv, main, parse_csv
 
 
@@ -204,6 +206,36 @@ def test_genfunc_rejects_z_outside_unit_disk(capsys):
         assert code == 2, (start, stop)
         assert out == ""
         assert "inside (-1, 1)" in err
+
+
+# ---------------------------------------------------------------------------
+# a NaN from any route fails the comparison gate
+
+
+def test_nan_generating_function_fails_the_genfunc_gate(capsys, monkeypatch):
+    monkeypatch.setattr(genfunc, "gf_rw", lambda p, z: math.nan)
+    code, out, _ = run_cli(capsys, "genfunc", "--model", "rw", "--p", "0.5", "--z-count", "3")
+    assert code == 1
+    _, rows = csv_rows(out)
+    assert len(rows) == 3
+    assert all(math.isnan(row[1]) and math.isnan(row[3]) for row in rows)
+
+
+def test_nan_return_value_fails_the_return_gate(capsys, monkeypatch):
+    # The NaN sits after the first entry, where a builtin max would drop it.
+    series_qw = qw.return_series_qw
+
+    def with_nan(alpha_sq, nmax):
+        values = series_qw(alpha_sq, nmax)
+        values[2] = math.nan
+        return values
+
+    monkeypatch.setattr(qw, "return_series_qw", with_nan)
+    code, out, _ = run_cli(capsys, "return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "6")
+    assert code == 1
+    _, rows = csv_rows(out)
+    assert math.isnan(rows[2][3])
+    assert all(row[3] <= 1e-10 for i, row in enumerate(rows) if i != 2)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,6 @@ def test_params_for_symmetric_walk():
     params = closed_form_params(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5))
     assert params.delta_plus == pytest.approx(0.5)
     assert params.delta_minus == 0.0
-    assert params.is_random_walk
 
 
 def test_params_for_equal_persistence():
@@ -199,7 +198,6 @@ def test_closed_form_matches_simulation_random_cases():
 def test_closed_form_stable_near_degenerate_delta(offset):
     t = TransitionMatrix(a=0.6, b=0.6 - offset)
     state = CRWInitialState.from_phi1(0.3)
-    assert not closed_form_params(t, state).is_random_walk
     sim = simulate_return_crw(t, state, 80)
     closed = return_series_crw(t, state, 80)
     assert float(np.max(np.abs(sim - closed))) < 1e-12
@@ -235,7 +233,6 @@ def test_uncorrelated_reduction_to_random_walk(p):
     state = CRWInitialState.from_phi1(0.42)
     series = return_series_crw(t, state, 60)
     sim = simulate_return_crw(t, state, 60)
-    assert closed_form_params(t, state).is_random_walk
     for j in range(31):
         exact = (p * (1.0 - p)) ** j * binom(2 * j, j)
         assert abs(series[2 * j] - exact) < 1e-12
