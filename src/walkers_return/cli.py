@@ -175,7 +175,7 @@ class Walk:
 
     params: dict  # the meta block's "params"
     closed: Callable[[int], np.ndarray]  # closed-form r_0..r_nmax in one sweep
-    gf: Callable[[float], float]  # closed-form generating function at z
+    gf: Callable[[np.ndarray], np.ndarray]  # closed-form generating function on a z grid
     simulate: Callable[[int], np.ndarray] | None = None  # lattice r_0..r_nmax
     dist: Callable[[int], np.ndarray] | None = None  # p(-n..n) at time n
 
@@ -316,7 +316,7 @@ def cmd_genfunc(args) -> int:
     if not np.all(np.abs(zgrid) < 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
     walk = model.parse(args)
-    closed = np.array([walk.gf(z) for z in zgrid.tolist()])
+    closed = walk.gf(zgrid)
     # Called through the module, so that a traced run counts every sum.
     series, tails = np.array(
         [genfunc.series_sum(walk.closed(genfunc.truncation_for(z, tol)), z) for z in zgrid.tolist()]

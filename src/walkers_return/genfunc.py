@@ -13,6 +13,14 @@ Closed forms:
 Each closed form can be cross-checked against the truncated power series
 of its return values; :func:`series_sum` reports the rigorous geometric
 tail bound (return probabilities never exceed 1).
+
+Every generating function takes a float z and returns a float, or takes
+an array of z and returns the array of values, each equal to its scalar
+call.  The quadrature behind :func:`gf_qw` and :func:`polya3d_constants`
+is :func:`integrate`: adaptive bisection with a 16-point Gauss-Legendre
+rule, run on whole arrays of intervals with one integrand call per level.
+The E-kernel term is integrated in s = -log(1 - w), which removes its
+1/(1 - w) factor.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
-from .specfun import binom, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
+from .specfun import _plain, _require_in, binom, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
     "ConvergenceError",
@@ -43,8 +51,21 @@ __all__ = [
 
 _Z_MARGIN = 1e-6
 
-# Subdivisions the adaptive Simpson rule may make before it gives up.
+# Subdivisions the adaptive quadrature may make per integral before it gives up.
 _MAX_SUBDIVISIONS = 4000
+# Relative disagreement of the coarse and fine values that counts as rounding.
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+# The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+# weights (the rule is symmetric about 0).
+_G16_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_G16_WEIGHTS = (
+    0.1894506104550685, 0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
+    0.12462897125553388, 0.09515851168249279, 0.062253523938647894, 0.027152459411754096,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -61,71 +82,98 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite positive number, got {tol}")
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+def _z_array(z, bound: float = 1.0) -> np.ndarray:
+    """z as a float array with every |z| below `bound` (NaN fails too)."""
+    z = np.asarray(z, dtype=float)
+    _require_in(z, np.abs(z) < bound, f"|z| must be below {bound}, got {{}}")
+    return z
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    # Stack of (a, m, b, fa, fm, fb, coarse Simpson value, local tolerance).
-    stack = [(a, m, b, fa, fm, fb, whole, tol)]
-    total = 0.0
-    used = 0
-    while stack:
-        a0, m0, b0, f0, f1, f2, coarse, tol = stack.pop()
-        lm, rm = 0.5 * (a0 + m0), 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(f0, flm, f1, m0 - a0)
-        right = _simpson(f1, frm, f2, b0 - m0)
-        err = (left + right - coarse) / 15.0
-        if abs(err) <= tol:
-            total += left + right + err  # Richardson-extrapolated accept
-        elif used >= _MAX_SUBDIVISIONS:
-            raise ConvergenceError(
-                f"adaptive Simpson exceeded {_MAX_SUBDIVISIONS} subdivisions",
-                estimate=abs(err),
-            )
-        else:
-            used += 1
-            stack.append((a0, lm, m0, f0, flm, f1, left, tol / 2.0))
-            stack.append((m0, rm, b0, f1, frm, f2, right, tol / 2.0))
-    return total
+def _gauss16(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 16-point Gauss-Legendre value on every interval [lo_i, hi_i], from one call of f."""
+    centre = (0.5 * (lo + hi))[:, None]
+    half = 0.5 * (hi - lo)
+    offsets = half[:, None] * _G16_NODES
+    values = f(np.concatenate([centre - offsets, centre + offsets], axis=1).ravel()).reshape(len(lo), 16)
+    pairs = values[:, :8] + values[:, 8:]
+    # Summed node by node, so that each interval's value does not depend on
+    # how many others share the call.
+    total = _G16_WEIGHTS[0] * pairs[:, 0]
+    for j in range(1, 8):
+        total += _G16_WEIGHTS[j] * pairs[:, j]
+    return half * total
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Integrate f over [a, b] to the absolute tolerance `tol`."""
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-10):
+    """Integrate f over [a, b] to the absolute tolerance `tol`.
+
+    Adaptive Gauss-Legendre bisection: the 16-point rule on an interval is
+    the coarse value, the rule on each half the fine one, and the fine value
+    is accepted where the two differ by at most the level's tolerance, which
+    halves per level, or by at most a few ulps of the fine value.  `f` must
+    be elementwise on a numpy array.  `a` and `b` may be arrays of interval
+    ends (broadcast together): then f is called once per level for the live
+    intervals of every integral, and an array of integrals comes back, each
+    with the bits it would get alone.  Float ends give a float.
+    """
     _check_tol(tol)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all(np.isfinite(lo) & np.isfinite(hi)):
         raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
-    if b < a:
+    if np.any(hi < lo):
         raise ValueError(f"inverted interval [{a}, {b}]")
-    if a == b:
-        return 0.0
-    return _adaptive_simpson(f, a, b, tol)
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    totals = np.zeros(lo.size)
+    used = np.zeros(lo.size, dtype=int)
+    # Empty intervals integrate to 0 without evaluating f.
+    owner = np.flatnonzero(lo < hi)
+    lo, hi = lo[owner], hi[owner]
+    coarse = _gauss16(f, lo, hi) if owner.size else None
+    level_tol = tol
+    while owner.size:
+        mid = 0.5 * (lo + hi)
+        halves = _gauss16(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[: owner.size], halves[owner.size :]
+        fine = left + right
+        error = np.abs(fine - coarse)
+        # Halving can push the level's tolerance below the rounding of fine
+        # itself, which no bisection resolves; a few ulps of fine then pass.
+        split = ~(error <= np.maximum(level_tol, _ROUNDING * np.abs(fine)))  # NaN splits
+        np.add.at(totals, owner[~split], fine[~split])
+        used += np.bincount(owner[split], minlength=totals.size)
+        spent = split & (used[owner] > _MAX_SUBDIVISIONS)
+        if spent.any():
+            raise ConvergenceError(
+                f"adaptive Gauss-Legendre bisection exceeded {_MAX_SUBDIVISIONS} subdivisions",
+                estimate=float(np.max(error[spent])),
+            )
+        owner = np.concatenate([owner[split], owner[split]])
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        coarse = np.concatenate([left[split], right[split]])
+        level_tol /= 2.0
+    return _plain(totals.reshape(shape))
 
 
-def integral_E_term(k: float, z2: float, tol: float = 1e-10) -> float:
+def integral_E_term(k: float, z2, tol: float = 1e-10):
     """The quadrature term of the quantum-walk generating function:
-    integral_0^{z2} scriptE(k, w) / (1 - w) dw.
+    integral_0^{z2} scriptE(k, w) / (1 - w) dw, for a float or an array z2.
 
-    The integrand is smooth on [0, z2] for z2 < 1; the 1/(1-w) pole sits
-    outside the admissible domain.
+    Evaluated after the substitution w = 1 - e^{-s} (dw = (1 - w) ds) as
+    integral_0^{-log1p(-z2)} scriptE(k, -expm1(-s)) ds, whose integrand has
+    no 1/(1 - w) factor left and stays smooth as z2 -> 1.  One `integrate`
+    call serves every z2.
     """
     _check_tol(tol)
     if not -1.0 < k < 1.0:
         raise ValueError(f"k must lie in (-1, 1), got {k}")
-    if not 0.0 <= z2 < 1.0 - _Z_MARGIN:
-        raise ValueError(f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {z2}")
-    if z2 == 0.0:
-        return 0.0
-    return integrate(lambda w: script_E(k, w) / (1.0 - w), 0.0, z2, tol)
+    z2 = np.asarray(z2, dtype=float)
+    _require_in(z2, (0.0 <= z2) & (z2 < 1.0 - _Z_MARGIN), f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {{}}")
+    return integrate(lambda s: script_E(k, -np.expm1(-s)), 0.0, -np.log1p(-z2), tol)
 
 
-def gf_qw(alpha_sq: float, z: float, tol: float = 1e-10) -> float:
-    """Generating function sum_n r_n z^n of the quantum walk.
+def gf_qw(alpha_sq: float, z, tol: float = 1e-10):
+    """Generating function sum_n r_n z^n of the quantum walk, at a float or an array z.
 
     (1/(pi (k+1))) ((1+z^2) scriptK(k, z^2) - 2 k^2 I(k, z^2) - pi/2) + 1
     with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature,
@@ -134,37 +182,34 @@ def gf_qw(alpha_sq: float, z: float, tol: float = 1e-10) -> float:
     _check_tol(tol)
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
-    if not abs(z) < 1.0 - _Z_MARGIN:
-        raise ValueError(f"|z| must be below {1.0 - _Z_MARGIN}, got {z}")
+    z = _z_array(z, 1.0 - _Z_MARGIN)
     k = 2.0 * alpha_sq - 1.0
     w = z * z
     bracket = (1.0 + w) * script_K(k, w) - math.pi / 2.0
     if k != 0.0:
-        bracket -= 2.0 * k * k * integral_E_term(k, w, tol)
-    return bracket / (math.pi * (k + 1.0)) + 1.0
+        bracket = bracket - 2.0 * k * k * integral_E_term(k, w, tol)
+    return _plain(bracket / (math.pi * (k + 1.0)) + 1.0)
 
 
-def gf_hadamard(z: float) -> float:
+def gf_hadamard(z):
     """Hadamard-walk generating function (1+z^2) K(z^2) / pi + 1/2."""
-    if not abs(z) < 1.0:
-        raise ValueError(f"|z| must be below 1, got {z}")
+    z = _z_array(z)
     w = z * z
-    return (1.0 + w) * ellipK(w) / math.pi + 0.5
+    return _plain((1.0 + w) * ellipK(w) / math.pi + 0.5)
 
 
-def gf_rw(p: float, z: float) -> float:
+def gf_rw(p: float, z):
     """Uncorrelated-walk generating function 1/sqrt(1 - 4 p (1-p) z^2).
 
     Equals 1/sqrt(1 - z^2) in the symmetric case p = 1/2.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not abs(z) < 1.0:
-        raise ValueError(f"|z| must be below 1, got {z}")
-    return 1.0 / math.sqrt(1.0 - 4.0 * p * (1.0 - p) * z * z)
+    z = _z_array(z)
+    return _plain(1.0 / np.sqrt(1.0 - 4.0 * p * (1.0 - p) * z * z))
 
 
-def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z: float) -> float:
+def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z):
     """Correlated-walk generating function.
 
     (1/2ad) ((delta_minus k_minus z^2 + k_plus)
@@ -173,18 +218,19 @@ def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z: float) -> 
     Nothing divides by delta_minus: at delta_minus = 0 (the uncorrelated
     walk) the form is 1/sqrt(1 - 4pqz^2), whatever phi_hat.
     """
-    if not abs(z) < 1.0:
-        raise ValueError(f"|z| must be below 1, got {z}")
+    z = _z_array(z)
     params = closed_form_params(transition, phi_hat)
     w = z * z
     radicand = params.delta_minus**2 * w * w - 2.0 * params.delta_plus * w + 1.0
-    if radicand <= 0.0:
+    if not np.all(radicand > 0.0):
         # Unreachable for |z| < 1 with a valid transition matrix: the
         # nearest root of the radicand sits at w >= 1.
-        raise ValueError(f"generating-function radicand {radicand} not positive at z={z}")
+        raise ValueError(f"generating-function radicand {np.min(radicand)} not positive at some z")
     ad2 = params.k_plus - params.k_minus
-    value = (params.delta_minus * params.k_minus * w + params.k_plus) / math.sqrt(radicand)
-    return (value - params.k_plus) / ad2 + 1.0
+    value = (params.delta_minus * params.k_minus * w + params.k_plus) / np.sqrt(radicand)
+    # ad = 0 (a or d underflowed): raise FloatingPointError, never return NaN.
+    with np.errstate(divide="raise", invalid="raise"):
+        return _plain((value - params.k_plus) / ad2 + 1.0)
 
 
 def polya2d_return(n: int) -> float:
@@ -199,11 +245,10 @@ def polya2d_return(n: int) -> float:
     return central * central
 
 
-def polya2d_gf(z: float) -> float:
-    """Generating function (2/pi) K(z) of the 2-D return series."""
-    if not abs(z) < 1.0:
-        raise ValueError(f"|z| must be below 1, got {z}")
-    return 2.0 / math.pi * ellipK(abs(z))
+def polya2d_gf(z):
+    """Generating function (2/pi) K(|z|) of the 2-D return series."""
+    z = _z_array(z)
+    return _plain(2.0 / math.pi * ellipK(np.abs(z)))
 
 
 def polya2d_series(nmax: int) -> np.ndarray:
@@ -243,29 +288,29 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     """
     _check_tol(tol)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         # 3 K(1/(1+s)) / (2 (1+s)) with s = sin^2(t/2); going through the
         # complementary modulus sqrt(s(2+s))/(1+s) avoids the 1 - cos t
         # cancellation that rounds the modulus to exactly 1 for small t.
-        s = math.sin(0.5 * t) ** 2
-        kernel = ellipK_from_complement(math.sqrt(s * (2.0 + s)) / (1.0 + s))
+        s = np.sin(0.5 * t) ** 2
+        kernel = ellipK_from_complement(np.sqrt(s * (2.0 + s)) / (1.0 + s))
         return 3.0 * kernel / (2.0 * (1.0 + s))
 
-    total = 0.0
-    hi = math.pi
-    lo = 0.5 * math.pi
+    # Upper ends pi, pi/2, pi/4, ... of the segments, down to the first
+    # segment whose lower end leaves a head bound below 0.4*tol.
+    his = [math.pi]
+    while _polya3d_head_bound(0.5 * his[-1]) >= 0.4 * tol:
+        if len(his) == 200:  # pragma: no cover
+            raise ConvergenceError("dyadic refinement stalled", estimate=_polya3d_head_bound(0.5 * his[-1]))
+        his.append(0.5 * his[-1])
     # The head bound reaches 0.4*tol within ~64 halvings for any tol
     # >= 1e-12, so a uniform per-segment budget of tol/128 keeps the sum
     # of segment errors below tol/2 while staying above rounding noise.
     seg_tol = max(tol / 128.0, 1e-14)
-    for _ in range(200):
-        total += integrate(integrand, lo, hi, seg_tol)
-        if _polya3d_head_bound(lo) < 0.4 * tol:
-            break
-        hi = lo
-        lo *= 0.5
-    else:  # pragma: no cover
-        raise ConvergenceError("dyadic refinement stalled", estimate=_polya3d_head_bound(lo))
+    his = np.array(his)
+    total = 0.0
+    for value in integrate(integrand, 0.5 * his, his, seg_tol).tolist():
+        total += value  # hi -> lo
     g = total * 2.0 / math.pi**2
     return g, 1.0 - 1.0 / g
 

@@ -10,6 +10,9 @@ Elliptic integrals take the MODULUS as argument:
 
 This is *not* the parameter convention (parameter = modulus squared) used
 by several libraries; every call site in this package passes the modulus.
+The elliptic kernels (K, E and the script kernels) are elementwise: a float
+gives a float, an array gives an array, and each element gets the bits it
+would get alone.
 
 Legendre and Jacobi(1,0) polynomials are evaluated by forward three-term
 recurrence, which is stable on [-1, 1].  Every Legendre value, in this
@@ -43,11 +46,24 @@ __all__ = [
 _AGM_MAX_ITER = 40
 
 
+def _require_in(values: np.ndarray, inside: np.ndarray, message: str) -> None:
+    """Raise ValueError(message.format(first value outside)) unless `inside` holds everywhere."""
+    if not inside.all():
+        raise ValueError(message.format(float(np.extract(~inside, values)[0])))
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    """`value` as a float array (0-d for a scalar), every element finite."""
+    values = np.asarray(value, dtype=float)
+    _require_in(values, np.isfinite(values), name + " must be finite, got {!r}")
+    return values
 
 
 def _require_degree(n: int) -> int:
@@ -141,95 +157,118 @@ def central_binomial_ratios(jmax: int) -> np.ndarray:
     return ratios
 
 
-def _agm(m: float, mc: float) -> tuple[float, float]:
-    """AGM iteration from modulus m and its complement mc = sqrt(1 - m^2).
+def _plain(values: np.ndarray) -> float | np.ndarray:
+    """A float for scalar arguments (a 0-d result), else the array itself."""
+    return float(values) if np.ndim(values) == 0 else values
 
-    a_0 = 1, b_0 = mc, c_0 = m; returns K(m) = pi / (2 a_inf) and the
-    c-sum sum_i 2^{i-1} c_i^2, so E = K * (1 - that sum).
+
+def _agm(m: np.ndarray, mc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """AGM iteration from modulus m and its complement mc = sqrt(1 - m^2), elementwise.
+
+    m and mc share one shape.  a_0 = 1, b_0 = mc, c_0 = m; returns
+    K(m) = pi / (2 a_inf) and the c-sum sum_i 2^{i-1} c_i^2, so
+    E = K * (1 - that sum).  Each element stops at its own iteration, so it
+    gets the bits it would get alone.
     """
-    a = 1.0
-    bb = mc
-    c = m
+    shape = np.shape(mc)
+    c = np.ravel(m)
+    b = np.ravel(mc)
+    a = np.ones(b.size)
     csum = 0.5 * c * c
     weight = 0.5
+    k = np.empty(b.size)
+    sums = np.empty(b.size)
+    live = np.arange(b.size)
     for _ in range(_AGM_MAX_ITER):
         # Quadratic convergence stalls at the rounding floor of a - b
         # (about half an ulp of a), so the cut sits just above one ulp.
-        if abs(c) <= 4e-16 * a:
-            return math.pi / (2.0 * a), csum
-        c = 0.5 * (a - bb)
-        a, bb = 0.5 * (a + bb), math.sqrt(a * bb)
+        done = abs(c) <= 4e-16 * a
+        finished = np.count_nonzero(done)
+        if finished:
+            k[live[done]] = math.pi / (2.0 * a[done])
+            sums[live[done]] = csum[done]
+            if finished == live.size:
+                return k.reshape(shape), sums.reshape(shape)
+            live, a, b, csum = live[~done], a[~done], b[~done], csum[~done]
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
         weight *= 2.0
         csum += weight * c * c
-    raise RuntimeError(f"AGM did not converge for modulus {m}")  # pragma: no cover
+    raise RuntimeError(f"AGM did not converge for modulus {np.ravel(m)[0]}")  # pragma: no cover
 
 
-def _complement(m: float) -> float:
+def _complement(m: np.ndarray) -> np.ndarray:
     """sqrt(1 - m^2), factored so that it keeps its precision near m = 1."""
-    return math.sqrt((1.0 - m) * (1.0 + m))
+    return np.sqrt((1.0 - m) * (1.0 + m))
 
 
-def ellipK(m: float) -> float:
-    """Complete elliptic integral of the first kind, modulus convention."""
-    m = _require_finite("m", m)
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"ellipK requires modulus in [0, 1), got {m} (K diverges at 1)")
-    return _agm(m, _complement(m))[0]
+def ellipK(m):
+    """Complete elliptic integral of the first kind, modulus convention.
+
+    Like every elliptic kernel here it takes a float and returns a float,
+    or takes an array and returns an array of the same shape.
+    """
+    m = _finite_array("m", m)
+    _require_in(m, (0.0 <= m) & (m < 1.0), "ellipK requires modulus in [0, 1), got {} (K diverges at 1)")
+    return _plain(_agm(m, _complement(m))[0])
 
 
-def ellipK_from_complement(mc: float) -> float:
+def ellipK_from_complement(mc):
     """K(m) evaluated from the complementary modulus mc = sqrt(1 - m^2).
 
     Near m = 1 the modulus itself rounds to 1 and K appears to diverge,
     but mc is often computable without cancellation; K = pi / (2 AGM(1, mc))
     stays accurate there (K grows only like log(4/mc)).
     """
-    mc = _require_finite("mc", mc)
-    if not 0.0 < mc <= 1.0:
-        raise ValueError(f"complementary modulus must lie in (0, 1], got {mc}")
-    return _agm(_complement(mc), mc)[0]
+    mc = _finite_array("mc", mc)
+    _require_in(mc, (0.0 < mc) & (mc <= 1.0), "complementary modulus must lie in (0, 1], got {}")
+    return _plain(_agm(_complement(mc), mc)[0])
 
 
-def ellipE(m: float) -> float:
+def ellipE(m):
     """Complete elliptic integral of the second kind, modulus convention."""
-    m = _require_finite("m", m)
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"ellipE requires modulus in [0, 1], got {m}")
-    if m == 1.0:
-        return 1.0
-    k, csum = _agm(m, _complement(m))
-    return k * (1.0 - csum)
+    m = _finite_array("m", m)
+    _require_in(m, (0.0 <= m) & (m <= 1.0), "ellipE requires modulus in [0, 1], got {}")
+    # E(1) = 1 exactly; the AGM from mc = 0 would never converge there.
+    edge = m == 1.0
+    inner = np.where(edge, 0.0, m)
+    k, csum = _agm(inner, _complement(inner))
+    return _plain(np.where(edge, 1.0, k * (1.0 - csum)))
 
 
-def _script_pieces(x: float, z: float) -> tuple[float, float]:
-    """Inner modulus and sqrt-denominator shared by script K and script E."""
-    x = _require_finite("x", x)
-    z = _require_finite("z", z)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"first argument must lie in (-1, 1), got {x}")
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"second argument must lie in [0, 1), got {z}")
+def _script_pieces(x, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner modulus, its complement and sqrt-denominator shared by script K and script E.
+
+    1 - m^2 = (1 - z)^2 / D exactly, so the complement is taken as
+    (1 - z)/sqrt(D), free of the cancellation in 1 - m^2 as z -> 1.
+    """
+    x = _finite_array("x", x)
+    z = _finite_array("z", z)
+    _require_in(x, (-1.0 < x) & (x < 1.0), "first argument must lie in (-1, 1), got {}")
+    _require_in(z, (0.0 <= z) & (z < 1.0), "second argument must lie in [0, 1), got {}")
     denom = 1.0 - 2.0 * z * (2.0 * x * x - 1.0) + z * z
-    if denom <= 0.0:
-        raise ValueError(f"denominator 1 - 2z(2x^2-1) + z^2 is not positive at (x={x}, z={z})")
+    _require_in(denom, denom > 0.0, "denominator 1 - 2z(2x^2-1) + z^2 = {} is not positive")
     mod_sq = 4.0 * z * (1.0 - x * x) / denom
-    if not 0.0 <= mod_sq < 1.0:
-        raise ValueError(
-            f"inner modulus^2 = {mod_sq} outside [0, 1) at (x={x}, z={z}); admissible z is [0, 1)"
-        )
-    return math.sqrt(mod_sq), math.sqrt(denom)
+    _require_in(
+        mod_sq,
+        (0.0 <= mod_sq) & (mod_sq < 1.0),
+        "inner modulus^2 = {} outside [0, 1); admissible z is [0, 1)",
+    )
+    root = np.sqrt(denom)
+    return np.sqrt(mod_sq), (1.0 - z) / root, root
 
 
-def script_K(x: float, z: float) -> float:
+def script_K(x, z):
     """Kernel K(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = 1 - 2z(2x^2-1) + z^2."""
-    modulus, root = _script_pieces(x, z)
-    return ellipK(modulus) / root
+    modulus, complement, root = _script_pieces(x, z)
+    return _plain(_agm(modulus, complement)[0] / root)
 
 
-def script_E(x: float, z: float) -> float:
+def script_E(x, z):
     """Kernel E(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = 1 - 2z(2x^2-1) + z^2."""
-    modulus, root = _script_pieces(x, z)
-    return ellipE(modulus) / root
+    modulus, complement, root = _script_pieces(x, z)
+    k, csum = _agm(modulus, complement)
+    return _plain(k * (1.0 - csum) / root)
 
 
 def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, float]:

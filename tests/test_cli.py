@@ -5,6 +5,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from walkers_return import genfunc, qw
@@ -213,7 +214,7 @@ def test_genfunc_rejects_z_outside_unit_disk(capsys):
 
 
 def test_nan_generating_function_fails_the_genfunc_gate(capsys, monkeypatch):
-    monkeypatch.setattr(genfunc, "gf_rw", lambda p, z: math.nan)
+    monkeypatch.setattr(genfunc, "gf_rw", lambda p, z: np.full_like(z, math.nan))
     code, out, _ = run_cli(capsys, "genfunc", "--model", "rw", "--p", "0.5", "--z-count", "3")
     assert code == 1
     _, rows = csv_rows(out)

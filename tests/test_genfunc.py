@@ -38,7 +38,7 @@ from walkers_return.specfun import (
 
 def test_integrate_polynomial_exactly():
     assert integrate(lambda x: x * x, 0.0, 1.0, tol=1e-12) == pytest.approx(1 / 3, abs=1e-12)
-    assert integrate(lambda x: math.sin(x), 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
+    assert integrate(lambda x: np.sin(x), 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
 
 
 def test_integrate_empty_interval_is_zero():
@@ -61,9 +61,66 @@ def test_integrate_rejects_non_finite_interval_before_evaluating(a, b):
 
 
 def test_integrate_raises_on_exhausted_budget():
+    # sin(1/x) oscillates ever faster towards x = 1e-6: no budget resolves it.
     with pytest.raises(ConvergenceError) as err:
-        integrate(lambda x: x**-0.5, 1e-12, 1.0, tol=1e-14)
+        integrate(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol=1e-14)
     assert err.value.estimate > 0.0
+
+
+def test_integrate_accepts_rounding_level_agreement_near_a_singularity():
+    # Halving the tolerance per level asks for 1e-26 on the intervals at the
+    # x^-1/2 singularity, below the rounding of their own values.
+    value = integrate(lambda x: x**-0.5, 1e-12, 1.0, tol=1e-14)
+    assert value == pytest.approx(2.0 - 2e-6, abs=1e-14)
+
+
+def test_integrate_over_intervals_equals_single_calls_bit_for_bit():
+    # The intervals refine to different depths, and one is empty.
+    def f(x):
+        return np.exp(-x) * np.cos(3.0 * x) + 1.0 / (1.0 + 100.0 * x * x)
+
+    lo = np.array([0.0, -2.0, 0.5, 1.0, 0.0])
+    hi = np.array([1.0, 3.0, 0.5, 7.0, 1e-3])
+    batched = integrate(f, lo, hi, tol=1e-12)
+    assert isinstance(batched, np.ndarray) and batched.shape == lo.shape
+    single = [integrate(f, a, b, tol=1e-12) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert all(type(v) is float for v in single)
+    assert batched.tolist() == single
+    assert single[2] == 0.0
+
+
+def test_integrate_calls_the_integrand_once_per_level_for_all_intervals():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sqrt(x)
+
+    levels = []
+    for b in (0.5, 1.0, 2.0):
+        calls.clear()
+        integrate(f, 0.0, b, tol=1e-10)
+        levels.append(len(calls))
+    calls.clear()
+    integrate(f, 0.0, np.array([0.5, 1.0, 2.0]), tol=1e-10)
+    assert len(calls) == max(levels) > 2
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([0.0, 0.0]), np.array([1.0, math.nan])),
+        (np.array([0.0, -math.inf]), 1.0),
+        (0.0, np.array([1.0, -1.0])),
+        (np.array([0.0, 2.0]), np.array([1.0, 1.0])),
+    ],
+)
+def test_integrate_rejects_bad_array_bounds_before_evaluating(a, b):
+    def integrand(x):
+        pytest.fail(f"integrand evaluated at {x}")
+
+    with pytest.raises(ValueError, match="finite|inverted"):
+        integrate(integrand, a, b)
 
 
 # Every public function that takes a quadrature tolerance, called where it
@@ -153,11 +210,82 @@ def test_gf_qw_series_grid(alpha_sq, z):
     assert abs(closed - value) <= 1e-6 + tail
 
 
+def test_integral_E_term_meets_its_tolerance_where_simpson_accepted_early():
+    # The adaptive Simpson rule accepted this after 5 evaluations, 1.27e-9 off.
+    mpmath = pytest.importorskip("mpmath")
+    k, z2 = 2.0 * 0.2441 - 1.0, 0.3925**2
+    with mpmath.workdps(30):
+        x = mpmath.mpf(k)
+
+        def script_e(w):
+            denom = 1 - 2 * w * (2 * x * x - 1) + w * w
+            return mpmath.ellipe(4 * w * (1 - x * x) / denom) / mpmath.sqrt(denom)
+
+        exact = mpmath.quad(lambda w: script_e(w) / (1 - w), [0, mpmath.mpf(z2)])
+        assert abs(integral_E_term(k, z2, tol=1e-10) - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha_sq", [0.02, 0.3, 0.97])
+@pytest.mark.parametrize("z", [0.999, 0.9999, 0.999998])
+def test_gf_qw_near_the_unit_circle_against_mpmath(alpha_sq, z):
+    # Formerly up to 1.8e-9 off, and a ConvergenceError at z = 0.999998.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        k, w = 2 * mpmath.mpf(alpha_sq) - 1, mpmath.mpf(z) ** 2
+
+        def kernel(elliptic, t):
+            denom = 1 - 2 * t * (2 * k * k - 1) + t * t
+            return elliptic(4 * t * (1 - k * k) / denom) / mpmath.sqrt(denom)
+
+        quad = mpmath.quad(lambda t: kernel(mpmath.ellipe, t) / (1 - t), [0, w])
+        bracket = (1 + w) * kernel(mpmath.ellipk, w) - 2 * k * k * quad - mpmath.pi / 2
+        exact = bracket / (mpmath.pi * (k + 1)) + 1
+        assert abs(gf_qw(alpha_sq, z) - exact) <= 1e-10
+
+
 def test_gf_qw_domain_errors():
     with pytest.raises(ValueError):
         gf_qw(0.5, 0.9999999)
     with pytest.raises(ValueError):
         gf_qw(0.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# every generating function on an array of z
+
+_TRANSITION = TransitionMatrix(a=0.7, b=0.4)
+_GF_ON_GRID = {
+    "gf_qw": lambda z: gf_qw(0.3, z),
+    "gf_qw at k = 0": lambda z: gf_qw(0.5, z),
+    "gf_hadamard": gf_hadamard,
+    "gf_rw": lambda z: gf_rw(0.35, z),
+    "gf_crw": lambda z: gf_crw(_TRANSITION, CRWInitialState.from_phi1(0.2), z),
+    "polya2d_gf": polya2d_gf,
+}
+
+
+@pytest.mark.parametrize("name", list(_GF_ON_GRID))
+def test_gf_on_an_array_equals_its_scalar_values(name):
+    gf = _GF_ON_GRID[name]
+    zgrid = np.linspace(-0.98, 0.98, 9)
+    values = gf(zgrid)
+    assert isinstance(values, np.ndarray) and values.shape == zgrid.shape
+    scalar = [gf(z) for z in zgrid.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert values.tolist() == scalar
+
+
+@pytest.mark.parametrize("name", list(_GF_ON_GRID))
+def test_gf_rejects_an_array_with_one_z_outside(name):
+    with pytest.raises(ValueError, match="must be below"):
+        _GF_ON_GRID[name](np.array([0.2, math.nan, 0.5]))
+    with pytest.raises(ValueError, match="must be below"):
+        _GF_ON_GRID[name](np.array([0.2, -1.0]))
+
+
+def test_integral_E_term_on_an_array_equals_its_scalar_values():
+    z2 = np.array([0.0, 0.04, 0.5, 0.9604, 0.999])
+    assert integral_E_term(0.3, z2).tolist() == [integral_E_term(0.3, v) for v in z2.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +425,11 @@ def test_polya3d_probability_bracketed_by_riemann_sums():
     # left/right Riemann sums on [delta, pi] enclose that piece, and the
     # head over (0, delta] is non-negative and bounded by
     # 1.5 * integral_0^delta (ln(4 sqrt2/t) + 2t + 1e-7) dt.
-    def integrand(t):
-        s = math.sin(0.5 * t) ** 2
-        kernel = ellipK_from_complement(math.sqrt(s * (2.0 + s)) / (1.0 + s))
-        return 3.0 * kernel / (2.0 * (1.0 + s))
-
     delta = 1e-6
     m = 20000
     grid = np.linspace(delta, math.pi, m + 1)
-    values = np.array([integrand(t) for t in grid])
+    s = np.sin(0.5 * grid) ** 2
+    values = 3.0 * ellipK_from_complement(np.sqrt(s * (2.0 + s)) / (1.0 + s)) / (2.0 * (1.0 + s))
     h = (math.pi - delta) / m
     lower = h * values[1:].sum()
     head = 1.5 * (delta * (math.log(4.0 * math.sqrt(2.0) / delta) + 1.0) + delta**2 + 1e-7 * delta)
