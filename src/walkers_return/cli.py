@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -317,10 +318,13 @@ def cmd_genfunc(args) -> int:
         raise ValueError("z grid must lie strictly inside (-1, 1)")
     walk = model.parse(args)
     closed = walk.gf(zgrid)
+    points = zgrid.tolist()
+    cuts = [genfunc.truncation_for(z, tol) for z in points]
+    # One sweep serves every z: each closed route's first n + 1 values are
+    # the same whatever the nmax it is swept to.
+    values = walk.closed(max(cuts))
     # Called through the module, so that a traced run counts every sum.
-    series, tails = np.array(
-        [genfunc.series_sum(walk.closed(genfunc.truncation_for(z, tol)), z) for z in zgrid.tolist()]
-    ).T
+    series, tails = np.array([genfunc.series_sum(values[: n + 1], z) for z, n in zip(points, cuts)]).T
     errors = np.abs(closed - series)
     table = Table(
         columns=["z", "gf_closed", "gf_series", "abs_err", "tail_bound"],
@@ -391,7 +395,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Every later call in the process returns the same object, so callers
+    must not mutate it.  Nothing in the tree depends on a request: every
+    text and default is fixed, and the environment (`WALKERS_RETURN_TOL`)
+    is read per request by the commands, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="walkers-return",
         description="Return probabilities of 1-D quantum and correlated random walks, "
@@ -430,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:

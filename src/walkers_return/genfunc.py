@@ -26,6 +26,7 @@ The E-kernel term is integrated in s = -log(1 - w), which removes its
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -323,7 +324,14 @@ def truncation_for(z: float, target: float) -> int:
     _check_tol(target)
     if az == 0.0:
         return 0
-    n = math.log(0.1 * target * (1.0 - az)) / math.log(az) - 1.0
+    bound = 0.1 * target * (1.0 - az)
+    # Below the normal range the product loses bits or rounds to 0: take its
+    # log as a sum of logs there instead.
+    if bound >= sys.float_info.min:
+        log_bound = math.log(bound)
+    else:
+        log_bound = math.log(0.1) + math.log(target) + math.log(1.0 - az)
+    n = log_bound / math.log(az) - 1.0
     return max(0, math.ceil(n))
 
 

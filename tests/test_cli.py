@@ -3,12 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from walkers_return import genfunc, qw
+import walkers_return
+from walkers_return import cli, crw, genfunc, qw
 from walkers_return.cli import Table, emit_csv, main, parse_csv
 
 
@@ -207,6 +212,48 @@ def test_genfunc_rejects_z_outside_unit_disk(capsys):
         assert code == 2, (start, stop)
         assert out == ""
         assert "inside (-1, 1)" in err
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "model"),
+    [
+        (qw, "return_series_qw", ("--model", "qw", "--alpha-sq", "0.3")),
+        (qw, "return_series_qw", ("--model", "hadamard")),
+        (crw, "return_series_crw", ("--model", "crw", "--a", "0.7", "--d", "0.6")),
+        (crw, "return_series_crw", ("--model", "rw", "--p", "0.4")),
+        (genfunc, "polya2d_series", ("--model", "polya2d")),
+    ],
+    ids=["qw", "hadamard", "crw", "rw", "polya2d"],
+)
+def test_genfunc_sweeps_the_series_once(capsys, monkeypatch, module, name, model):
+    sweep = getattr(module, name)
+    cuts = []
+
+    def counted(*args):
+        cuts.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code, out, err = run_cli(
+        capsys, "genfunc", *model, "--z-start", "-0.5", "--z-stop", "0.9", "--z-count", "5", "--tol", "1e-8"
+    )
+    assert code == 0, err
+    # One sweep, to the cut of the z farthest from 0, serves all five rows.
+    assert cuts == [genfunc.truncation_for(0.9, 1e-8)]
+    assert len(csv_rows(out)[1]) == 5
+
+
+@pytest.mark.parametrize("tol", ["5e-324", "1e-323"])
+def test_genfunc_with_a_subnormal_tolerance_is_no_domain_error(capsys, tol):
+    # 0.1 * tol * (1 - |z|) underflows to 0: "error: math domain error" once exited 2.
+    code, out, err = run_cli(
+        capsys, "genfunc", "--model", "rw", "--p", "0.5", "--tol", tol, "--z-stop", "0.9", "--z-count", "2"
+    )
+    assert code in (0, 1)
+    assert err == ""
+    _, rows = csv_rows(out)
+    assert [row[0] for row in rows] == pytest.approx([0.1, 0.9])
+    assert all(row[1] == pytest.approx(row[2], abs=1e-14) and row[4] == 0.0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +464,72 @@ def test_non_positive_env_tolerance_is_usage_error(capsys, monkeypatch, value):
     code, _, err = run_cli(capsys, "genfunc", "--model", "hadamard", "--z-count", "1")
     assert code == 2
     assert "WALKERS_RETURN_TOL must be a finite positive number" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """A mixed request sequence run in one process gives, request by request,
+    the stdout, --out bytes, stderr and exit code of a fresh interpreter."""
+    out = str(tmp_path / "table.txt")
+    hadamard = ("return", "--model", "hadamard", "--nmax", "8")
+    sequence = [
+        ({}, ("return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "6", "--tol", "1e-30")),
+        ({}, ("return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "6")),
+        ({}, ("return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "5", "--out", out)),
+        ({}, ("genfunc", "--model", "qw", "--alpha-sq", "0.3", "--z-count", "3", "--format", "json")),
+        ({"WALKERS_RETURN_TOL": "1e-30"}, hadamard),
+        ({}, hadamard),
+        ({}, ("dist", "--model", "crw", "--a", "0.6", "--b", "0.3", "--nmax", "4", "--gnuplot", "--out", out)),
+        ({}, ("genfunc", "--model", "polya2d", "--z-count", "2", "--gnuplot")),
+        ({}, ("verify", "specfun")),
+        ({}, ("genfunc", "--model", "rw", "--p", "0.5", "--z-stop", "1.5")),
+        ({}, ("dist", "--model", "qw", "--nmax", "many")),
+        ({}, ("--version",)),
+        ({}, ("dist", "--model", "hadamard", "--nmax", "3", "--format", "json", "--out", out)),
+    ]
+    # Usage text wraps at the terminal width: fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("WALKERS_RETURN_TOL", raising=False)
+    package_root = str(Path(walkers_return.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    base_env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def written(argv):
+        if "--out" not in argv:
+            return None
+        path = Path(out)
+        data = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return data
+
+    in_process = []
+    for env, argv in sequence:
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, written(argv)))
+        for key in env:
+            monkeypatch.delenv(key)
+
+    codes = [result[0] for result in in_process]
+    assert codes == [1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0]
+    for (env, argv), expected in zip(sequence, in_process):
+        child = subprocess.run(
+            [sys.executable, "-m", "walkers_return", *argv],
+            env=dict(base_env, **env),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr, written(argv)) == expected, argv

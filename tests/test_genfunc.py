@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkers_return.crw import CRWInitialState, TransitionMatrix, return_series_crw
 from walkers_return.genfunc import (
@@ -527,3 +529,49 @@ def test_truncation_rule():
     assert truncation_for(0.0, 1e-8) == 0
     with pytest.raises(ValueError):
         truncation_for(1.0, 1e-8)
+
+
+@pytest.mark.parametrize(
+    ("z", "target", "n"),
+    [(0.98, 1e-6, 991), (0.5, 1e-8, 30), (-0.25, 1e-10, 18), (0.999999, 1e-9, 36841343), (0.9, 1e-300, 6600)],
+)
+def test_truncation_with_a_normal_bound_is_pinned(z, target, n):
+    assert truncation_for(z, target) == n
+
+
+@pytest.mark.parametrize(("z", "target"), [(0.9, 5e-324), (0.5, 1e-323), (-0.999999, 5e-324), (0.5, 2e-307)])
+def test_truncation_with_a_subnormal_bound(z, target):
+    # target * (1 - |z|) / 10 is subnormal or 0 here: log(0) once raised "math domain error".
+    n = truncation_for(z, target)
+    log_bound = math.log(0.1) + math.log(target) + math.log1p(-abs(z))
+    log_z = math.log(abs(z))
+    assert (n + 1) * log_z <= log_bound < n * log_z
+
+
+# ---------------------------------------------------------------------------
+# prefix stability: `genfunc` sweeps once to the largest N and slices per z
+
+prefix_cuts = st.tuples(st.integers(0, 200), st.integers(1, 1500))
+
+
+@given(st.floats(1e-6, 1.0 - 1e-6), prefix_cuts)
+@settings(max_examples=40, deadline=None)
+def test_qw_series_is_prefix_stable(alpha_sq, cuts):
+    m, extra = cuts
+    assert np.array_equal(return_series_qw(alpha_sq, m), return_series_qw(alpha_sq, m + extra)[: m + 1])
+
+
+@given(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999), st.floats(0.0, 1.0), prefix_cuts)
+@settings(max_examples=40, deadline=None)
+def test_crw_series_is_prefix_stable(a, b, phi1, cuts):
+    m, extra = cuts
+    transition, phi = TransitionMatrix(a=a, b=b), CRWInitialState.from_phi1(phi1)
+    longer = return_series_crw(transition, phi, m + extra)
+    assert np.array_equal(return_series_crw(transition, phi, m), longer[: m + 1])
+
+
+@given(prefix_cuts)
+@settings(max_examples=20, deadline=None)
+def test_polya2d_series_is_prefix_stable(cuts):
+    m, extra = cuts
+    assert np.array_equal(polya2d_series(m), polya2d_series(m + extra)[: m + 1])
