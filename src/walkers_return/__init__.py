@@ -19,7 +19,6 @@ from .genfunc import (
     gf_qw,
     gf_rw,
     polya2d_gf,
-    polya2d_return,
     polya3d_constants,
     series_sum,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "gf_hadamard",
     "gf_crw",
     "gf_rw",
-    "polya2d_return",
     "polya2d_gf",
     "polya3d_constants",
     "series_sum",

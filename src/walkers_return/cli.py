@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -23,46 +22,23 @@ import numpy as np
 from . import __version__, crw, genfunc, qw, verify
 from .genfunc import ConvergenceError
 
-__all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot", "parse_csv"]
+__all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot"]
 
 _ENV_TOL = "WALKERS_RETURN_TOL"
 
 
 class Table:
-    """Result table: named columns, one array per column, and a meta header.
+    """Result table: named columns, one array per column (`data`), and a meta header."""
 
-    Commands hand over the column arrays (`data`).  A table can also be
-    built from row tuples (`rows`), one array per column then holding the
-    cells: integers if every cell is one, floats otherwise.  `rows` reads
-    the table back as row tuples, built on demand.
-    """
-
-    def __init__(self, columns: list[str], rows=None, meta: dict | None = None, data=None) -> None:
+    def __init__(self, columns: list[str], data, meta: dict | None = None) -> None:
         self.columns = list(columns)
         self.meta = {} if meta is None else meta
-        if data is None:
-            data = list(zip(*rows)) if rows else [() for _ in self.columns]
         self.data = [np.asarray(column) for column in data]
 
     @property
-    def rows(self) -> "_Rows":
-        return _Rows(self.data)
-
-
-class _Rows:
-    """The row tuples of a table stored by columns, one at a time."""
-
-    def __init__(self, data: list[np.ndarray]) -> None:
-        self._data = data
-
-    def __len__(self) -> int:
-        return len(self._data[0]) if self._data else 0
-
-    def __getitem__(self, index: int) -> tuple:
-        return tuple(column[index].item() for column in self._data)
-
-    def __iter__(self):
-        return zip(*(column.tolist() for column in self._data))
+    def rows(self) -> range:
+        """The row indices; `len(table.rows)` is the row count."""
+        return range(len(self.data[0]) if self.data else 0)
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -101,21 +77,6 @@ def emit_csv(table: Table, stream) -> None:
     # Number cells hold no comma, quote or line break, so none needs quoting.
     for rows in _blocks(table.data, _cells):
         stream.write("\n".join(map(",".join, rows)) + "\n")
-
-
-def parse_csv(text: str) -> Table:
-    reader = csv.reader(io.StringIO(text))
-    columns = next(reader)
-    rows = []
-    for raw in reader:
-        parsed = []
-        for cell in raw:
-            try:
-                parsed.append(int(cell))
-            except ValueError:
-                parsed.append(float(cell))
-        rows.append(tuple(parsed))
-    return Table(columns=columns, rows=rows)
 
 
 def emit_json(table: Table, stream) -> None:

@@ -78,14 +78,6 @@ class TransitionMatrix:
         matrix.setflags(write=False)
         return matrix
 
-    @property
-    def p(self) -> float:
-        return self.a
-
-    @property
-    def q(self) -> float:
-        return self.d
-
     @classmethod
     def from_persistence(cls, p: float, q: float) -> "TransitionMatrix":
         return cls(a=p, b=1.0 - q)
@@ -94,10 +86,6 @@ class TransitionMatrix:
     def uncorrelated(cls, p: float) -> "TransitionMatrix":
         """Move left with probability p regardless of history (a = b = p)."""
         return cls(a=p, b=p)
-
-    @classmethod
-    def symmetric(cls) -> "TransitionMatrix":
-        return cls(a=0.5, b=0.5)
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "TransitionMatrix":
@@ -131,13 +119,9 @@ class CRWInitialState:
         return cls.from_phi1(rng.uniform(0.0, 1.0))
 
 
-def _mass(masses: np.ndarray) -> np.ndarray:
-    return masses
-
-
 def initial_field_crw(phi_hat: CRWInitialState) -> Field:
     """Mass field at time 0: masses (last step Left, last step Right) at the origin."""
-    return Field.at_origin(phi_hat.vector(), _mass)
+    return Field.at_origin(phi_hat.vector())
 
 
 def crw_step(field: Field, transition: TransitionMatrix) -> Field:

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
-from .specfun import _plain, _require_in, binom, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
+from .specfun import _plain, _require_in, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
     "ConvergenceError",
@@ -42,7 +42,6 @@ __all__ = [
     "gf_hadamard",
     "gf_crw",
     "gf_rw",
-    "polya2d_return",
     "polya2d_gf",
     "polya2d_series",
     "polya3d_constants",
@@ -234,18 +233,6 @@ def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z):
         return _plain((value - params.k_plus) / ad2 + 1.0)
 
 
-def polya2d_return(n: int) -> float:
-    """Simple 2-D lattice walk return probability r_{2j} = C(2j, j)^2 / 16^j."""
-    if n < 0:
-        raise ValueError(f"time must be non-negative, got {n}")
-    if n % 2 == 1:
-        return 0.0
-    j = n // 2
-    # int/int true division is correctly rounded and cannot overflow.
-    central = binom(2 * j, j) / 4**j
-    return central * central
-
-
 def polya2d_gf(z):
     """Generating function (2/pi) K(|z|) of the 2-D return series."""
     z = _z_array(z)
@@ -253,7 +240,7 @@ def polya2d_gf(z):
 
 
 def polya2d_series(nmax: int) -> np.ndarray:
-    """The 2-D return series r_0..r_nmax, equal to :func:`polya2d_return` bit for bit."""
+    """The 2-D return series r_0..r_nmax, r_{2j} = (C(2j, j) / 4^j)^2, each ratio correctly rounded."""
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     values = np.zeros(nmax + 1)

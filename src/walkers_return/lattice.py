@@ -3,9 +3,9 @@
 Both walks carry a (Left, Right) pair per site and advance by the same
 split of a 2x2 matrix M: the top row P sends the pair one site left, the
 bottom row Q one site right, new(x) = P old(x+1) + Q old(x-1).  The quantum
-walk shifts complex amplitudes (site weight |amp|^2), the correlated walk
-real conditional masses (site weight the mass itself); the observable that
-turns a component into a weight is carried by the field.
+walk shifts complex amplitudes, the correlated walk real conditional
+masses; the site weight follows from the dtype: |amp|^2 for a complex
+amplitude, the value itself for a real mass.
 
 A walk started at the origin occupies at time t only the t + 1 sites
 x = -t + 2m (m = 0..t) of the parity of t; every other site holds exactly
@@ -20,6 +20,12 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["Field", "shift", "evolve", "return_values"]
+
+
+def _weight(values):
+    """Site weight of numpy components, elementwise: |amp|^2 for complex
+    amplitudes, the value itself for real masses."""
+    return np.abs(values) ** 2 if values.dtype.kind == "c" else values
 
 
 class _Cone:
@@ -52,54 +58,31 @@ class Field:
     x = -time + 2 (lo + j).  A field from `evolve` stores all time + 1 of
     them (lo = 0).  Inside `return_values` a field keeps only the light
     cone of the origin and carries the `_Cone` its steps advance in; such
-    fields never leave that loop.  The dense accessors read positions
-    -time..time, with exact zeros on every site not stored.
+    fields never leave that loop.  `positions` and
+    `position_distribution()` read positions -time..time, with exact zeros
+    on every site not stored.
     """
 
     time: int
     packed: np.ndarray  # shape (2, width), width <= time + 1
-    observable: Callable  # elementwise component -> weight, on scalars and arrays
     lo: int = 0
     cone: _Cone | None = None
 
     @classmethod
-    def at_origin(cls, vector: np.ndarray, observable: Callable) -> "Field":
+    def at_origin(cls, vector: np.ndarray) -> "Field":
         packed = np.empty((2, 1), dtype=vector.dtype)
         packed[:, 0] = vector
-        return cls(time=0, packed=packed, observable=observable)
-
-    @property
-    def components(self) -> np.ndarray:
-        """Dense (2, 2*time + 1) array: column j is position x = j - time."""
-        dense = np.zeros((2, 2 * self.time + 1), dtype=self.packed.dtype)
-        dense[:, 2 * self.lo : 2 * (self.lo + self.packed.shape[1]) : 2] = self.packed
-        return dense
+        return cls(time=0, packed=packed)
 
     @property
     def positions(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1)
 
-    def _slot(self, x: int) -> int | None:
-        """Column of `packed` that holds site x, None where the site is empty."""
-        m, odd = divmod(x + self.time, 2)
-        j = m - self.lo
-        return None if odd or not 0 <= j < self.packed.shape[1] else j
-
-    def component(self, x: int) -> np.ndarray:
-        j = self._slot(x)
-        return np.zeros(2, dtype=self.packed.dtype) if j is None else self.packed[:, j]
-
-    def probability(self, x: int) -> float:
-        j = self._slot(x)
-        if j is None:
-            return 0.0
-        return float(self.observable(self.packed[0, j]) + self.observable(self.packed[1, j]))
-
     def total_probability(self) -> float:
-        return float(np.sum(self.observable(self.packed)))
+        return float(np.sum(_weight(self.packed)))
 
     def position_distribution(self) -> np.ndarray:
-        weights = self.observable(self.packed[0]) + self.observable(self.packed[1])
+        weights = _weight(self.packed[0]) + _weight(self.packed[1])
         dist = np.zeros(2 * self.time + 1, dtype=weights.dtype)
         dist[2 * self.lo : 2 * (self.lo + weights.size) : 2] = weights
         return dist
@@ -136,7 +119,7 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     if new_lo == lo:  # the first R slot has no source
         flat[new_width + 1] = 0
     new = flat[1 : 1 + 2 * new_width].reshape(2, new_width)
-    return Field(t + 1, new, field.observable, new_lo, cone)
+    return Field(t + 1, new, new_lo, cone)
 
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
@@ -167,10 +150,9 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
         field = step(field)
         if t % 2 == 0:
             pairs[:, t // 2] = field.packed[:, t // 2 - field.lo]
-    # The observable is applied to scalars, as a per-step read would: numpy
+    # The weight is applied to scalars, as a per-step read would: numpy
     # rounds a scalar |amp| ** 2 with pow and an array's with a product, and
     # the two differ in the last bit of about one value in a thousand.
-    observable = field.observable
     values = np.zeros(nmax + 1)
-    values[::2] = [observable(left) + observable(right) for left, right in zip(*pairs)]
+    values[::2] = [_weight(left) + _weight(right) for left, right in zip(*pairs)]
     return values

@@ -106,11 +106,6 @@ class CoinMatrix:
     def alpha_sq(self) -> float:
         return abs(self.alpha) ** 2
 
-    @property
-    def k(self) -> float:
-        """Legendre argument 2|alpha|^2 - 1 of the closed form."""
-        return 2.0 * self.alpha_sq - 1.0
-
     def matrix(self) -> np.ndarray:
         """The coin [[a, b], [c, d]], read-only."""
         return self._matrix
@@ -175,13 +170,9 @@ class QWInitialState:
         return cls(phi1=complex(v[0]), phi2=complex(v[1]))
 
 
-def _probability(amps: np.ndarray) -> np.ndarray:
-    return np.abs(amps) ** 2
-
-
 def initial_field(phi: QWInitialState) -> Field:
-    """Amplitude field at time 0: phi at the origin, site weight |amp|^2."""
-    return Field.at_origin(phi.vector(), _probability)
+    """Amplitude field at time 0: phi at the origin."""
+    return Field.at_origin(phi.vector())
 
 
 def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -240,7 +231,7 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
     left = np.fft.fft(left) / size
     right = np.fft.fft(right) / size
     dist = np.zeros(2 * n + 1)
-    dist[::2] = _probability(left) + _probability(right)
+    dist[::2] = np.abs(left) ** 2 + np.abs(right) ** 2
     return dist
 
 

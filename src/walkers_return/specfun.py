@@ -74,6 +74,12 @@ def _require_degree(n: int) -> int:
     return int(n)
 
 
+def _not_finite(n: int, x) -> OverflowError:
+    """The error for a polynomial value past the float range, where a sweep
+    reaches inf and then inf - inf = NaN, and stays there."""
+    return OverflowError(f"polynomial of degree {n} at x = {x} is not finite in float64")
+
+
 def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     """T_j = denom^j P_j(numer/denom) for j = 0..n: the one Legendre sweep.
 
@@ -92,17 +98,29 @@ def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     return values if n else values[:1]
 
 
+def _legendre_sweep(n: int, x: float) -> list[float]:
+    """P_0(x)..P_n(x), or OverflowError where P_n(x) is not finite: a
+    non-finite value stays non-finite, so P_n decides for the whole sweep."""
+    n = _require_degree(n)
+    x = _require_finite("x", x)
+    values = _scaled_legendre(n, x, 1.0)
+    if not math.isfinite(values[-1]):
+        raise _not_finite(n, x)
+    return values
+
+
 def legendre_eval(n: int, x: float) -> float:
     """Legendre polynomial P_n(x) by the three-term recurrence.
 
     P_0 = 1, P_1 = x, (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
+    Raises OverflowError where P_n(x) is not finite in float64.
     """
-    return _scaled_legendre(_require_degree(n), _require_finite("x", x), 1.0)[-1]
+    return _legendre_sweep(n, x)[-1]
 
 
 def legendre_range(n: int, x: float) -> np.ndarray:
     """All values P_0(x), ..., P_n(x) in one forward pass."""
-    return np.array(_scaled_legendre(_require_degree(n), _require_finite("x", x), 1.0))
+    return np.array(_legendre_sweep(n, x))
 
 
 def jacobi10_eval(n: int, x: float) -> float:
@@ -111,6 +129,7 @@ def jacobi10_eval(n: int, x: float) -> float:
     Specialization of the general Jacobi recurrence:
     P_0 = 1, P_1 = (3x+1)/2,
     (j+1)(2j-1) P_j = ((2j+1)(2j-1) x + 1) P_{j-1} - (j-1)(2j+1) P_{j-2}.
+    Raises OverflowError where the value is not finite in float64.
     """
     n = _require_degree(n)
     x = _require_finite("x", x)
@@ -121,6 +140,8 @@ def jacobi10_eval(n: int, x: float) -> float:
         p_prev, p = p, (
             ((2 * j + 1) * (2 * j - 1) * x + 1.0) * p - (j - 1) * (2 * j + 1) * p_prev
         ) / ((j + 1) * (2 * j - 1))
+    if not math.isfinite(p):
+        raise _not_finite(n, x)
     return p
 
 
@@ -275,7 +296,8 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
     """Jointly evaluate (denom^(n-1) P_{n-1}(numer/denom), denom^n P_n(numer/denom)).
 
     The last two values of the scaled sweep T_j = denom^j P_j(numer/denom),
-    which never overflows where the pair itself is finite.
+    which never overflows where the pair itself is finite; OverflowError
+    where it is not.
     """
     n = _require_degree(n)
     if n == 0:
@@ -283,4 +305,6 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
     numer = _require_finite("numer", numer)
     denom = _require_finite("denom", denom)
     t_prev, t = _scaled_legendre(n, numer, denom)[-2:]
+    if not math.isfinite(t):
+        raise _not_finite(n, f"{numer!r}/{denom!r}")
     return t_prev, t

@@ -89,17 +89,19 @@ def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
-    residuals = []
-    for m in np.linspace(0.1, 0.9, 9):
-        m = float(m)
+    moduli = np.linspace(0.1, 0.9, 9)
+    quadratures = []
+    for m in moduli.tolist():
         k_quad = genfunc.integrate(
             lambda t: 1.0 / np.sqrt(1.0 - (m * np.sin(t)) ** 2), 0.0, math.pi / 2.0, tol=1e-12
         )
         e_quad = genfunc.integrate(
             lambda t: np.sqrt(1.0 - (m * np.sin(t)) ** 2), 0.0, math.pi / 2.0, tol=1e-12
         )
-        residuals += [abs(specfun.ellipK(m) - k_quad), abs(specfun.ellipE(m) - e_quad)]
-    return _result("elliptic-agm-vs-quadrature", _worst(*residuals), 1e-10)
+        quadratures.append((k_quad, e_quad))
+    k_quad, e_quad = np.array(quadratures).T
+    residuals = np.abs([specfun.ellipK(moduli) - k_quad, specfun.ellipE(moduli) - e_quad])
+    return _result("elliptic-agm-vs-quadrature", _worst(residuals), 1e-10)
 
 
 def _check_landen(rng: np.random.Generator) -> CheckResult:
@@ -111,7 +113,8 @@ def _check_landen(rng: np.random.Generator) -> CheckResult:
 
 def _check_kernel_reduction(rng: np.random.Generator) -> CheckResult:
     # scriptK(0, w) collapses to K(w) through the Landen step.
-    worst = _worst(*(abs(specfun.script_K(0.0, w) - specfun.ellipK(w)) for w in (0.1, 0.25)))
+    w = np.array([0.1, 0.25])
+    worst = _worst(np.abs(specfun.script_K(0.0, w) - specfun.ellipK(w)))
     return _result("kernel-hadamard-reduction", worst, 1e-12)
 
 
@@ -381,34 +384,33 @@ def _legendre_product_series(x: float, z: float, nmax: int) -> tuple[float, floa
     return math.fsum(squares), math.fsum(products), math.fsum(weighted)
 
 
+# The (x, z) grid of the three Legendre product identities, x-major.
+_IDENTITY_X = (-0.6, 0.0, 0.6)
+_IDENTITY_Z = (0.2, 0.5, 0.8)
+_IDENTITY_GRID = np.meshgrid(_IDENTITY_X, _IDENTITY_Z, indexing="ij")
+
+
+def _identity_series(which: int) -> np.ndarray:
+    """Entry `which` of :func:`_legendre_product_series` over the identity grid."""
+    return np.array([[_legendre_product_series(x, z, 400)[which] for z in _IDENTITY_Z] for x in _IDENTITY_X])
+
+
 def _check_square_legendre_identity(rng: np.random.Generator) -> CheckResult:
-    residuals = []
-    for x in (-0.6, 0.0, 0.6):
-        for z in (0.2, 0.5, 0.8):
-            lhs, _, _ = _legendre_product_series(x, z, 400)
-            rhs = 2.0 / math.pi * specfun.script_K(x, z) - 1.0
-            residuals.append(abs(lhs - rhs))
-    return _result("squared-legendre-generating-function", _worst(*residuals), 1e-8)
+    x, z = _IDENTITY_GRID
+    rhs = 2.0 / math.pi * specfun.script_K(x, z) - 1.0
+    return _result("squared-legendre-generating-function", _worst(np.abs(_identity_series(0) - rhs)), 1e-8)
 
 
 def _check_product_integral_identity(rng: np.random.Generator) -> CheckResult:
-    residuals = []
-    for x in (-0.6, 0.0, 0.6):
-        for z in (0.2, 0.5, 0.8):
-            _, lhs, _ = _legendre_product_series(x, z, 400)
-            rhs = 2.0 * x / math.pi * genfunc.integral_E_term(x, z)
-            residuals.append(abs(lhs - rhs))
-    return _result("legendre-product-integral-identity", _worst(*residuals), 1e-8)
+    # One quadrature call per x serves its whole z grid.
+    rhs = np.array([2.0 * x / math.pi * genfunc.integral_E_term(x, np.array(_IDENTITY_Z)) for x in _IDENTITY_X])
+    return _result("legendre-product-integral-identity", _worst(np.abs(_identity_series(1) - rhs)), 1e-8)
 
 
 def _check_weighted_product_identity(rng: np.random.Generator) -> CheckResult:
-    residuals = []
-    for x in (-0.6, 0.0, 0.6):
-        for z in (0.2, 0.5, 0.8):
-            _, _, lhs = _legendre_product_series(x, z, 400)
-            rhs = 2.0 * x * specfun.script_E(x, z) / (math.pi * (1.0 - z))
-            residuals.append(abs(lhs - rhs))
-    return _result("weighted-legendre-product-identity", _worst(*residuals), 1e-8)
+    x, z = _IDENTITY_GRID
+    rhs = 2.0 * x * specfun.script_E(x, z) / (math.pi * (1.0 - z))
+    return _result("weighted-legendre-product-identity", _worst(np.abs(_identity_series(2) - rhs)), 1e-8)
 
 
 def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
@@ -426,11 +428,11 @@ def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
 
 def _check_polya2d(rng: np.random.Generator) -> CheckResult:
     series = genfunc.polya2d_series(400)
-    residuals = [0.0]
-    for z in (0.3, 0.6):
-        value, tail = genfunc.series_sum(series, z)
-        residuals.append(abs(genfunc.polya2d_gf(z) - value) - tail)
-    return _result("polya-2d-generating-function-vs-series", _worst(*residuals), 1e-9)
+    zgrid = np.array([0.3, 0.6])
+    values, tails = np.array([genfunc.series_sum(series, z) for z in zgrid.tolist()]).T
+    residuals = np.abs(genfunc.polya2d_gf(zgrid) - values) - tails
+    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
+    return _result("polya-2d-generating-function-vs-series", _worst(np.maximum(residuals, 0.0)), 1e-9)
 
 
 def _check_polya3d(rng: np.random.Generator) -> CheckResult:

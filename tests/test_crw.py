@@ -30,8 +30,8 @@ def test_transition_matrix_columns_are_stochastic():
     t = TransitionMatrix(a=0.7, b=0.2)
     assert t.a + t.c == 1.0
     assert t.b + t.d == 1.0
-    assert t.p == 0.7
-    assert t.q == 0.8
+    assert t.a == 0.7
+    assert t.d == 0.8
 
 
 def test_transition_matrix_cannot_be_changed_by_a_caller():
@@ -55,8 +55,8 @@ def test_transition_matrix_rejects_boundary_persistence():
 
 def test_from_persistence_recovers_parameters():
     t = TransitionMatrix.from_persistence(0.7, 0.4)
-    assert t.p == 0.7
-    assert t.q == pytest.approx(0.4)
+    assert t.a == 0.7
+    assert t.d == pytest.approx(0.4)
     assert t.b == pytest.approx(0.6)
 
 
@@ -84,18 +84,21 @@ def test_initial_state_rejects_non_finite_weights(bad):
 
 
 def test_symmetric_two_step_distribution():
-    field = evolve_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 2)
-    assert field.probability(-2) == pytest.approx(0.25, abs=1e-15)
-    assert field.probability(0) == pytest.approx(0.5, abs=1e-15)
-    assert field.probability(2) == pytest.approx(0.25, abs=1e-15)
-    assert field.probability(1) == 0.0
+    field = evolve_crw(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5), 2)
+    dist = field.position_distribution()  # x = -2..2
+    assert dist[0] == pytest.approx(0.25, abs=1e-15)
+    assert dist[2] == pytest.approx(0.5, abs=1e-15)
+    assert dist[4] == pytest.approx(0.25, abs=1e-15)
+    assert dist[3] == 0.0
 
 
 def test_single_persistent_step():
     t = TransitionMatrix.from_persistence(0.9, 0.9)
     field = evolve_crw(t, CRWInitialState(phi1_hat=1.0, phi2_hat=0.0), 1)
-    assert field.components[0, 0] == pytest.approx(0.9, abs=1e-15)  # x = -1, went left
-    assert field.components[1, 2] == pytest.approx(0.1, abs=1e-15)  # x = +1, went right
+    # At time 1 the stored sites are x = -1 (column 0) and x = 1 (column 1).
+    assert field.packed[0, 0] == pytest.approx(0.9, abs=1e-15)  # x = -1, went left
+    assert field.packed[1, 1] == pytest.approx(0.1, abs=1e-15)  # x = +1, went right
+    assert np.array_equal(field.position_distribution(), [field.packed[0, 0], 0.0, field.packed[1, 1]])
 
 
 def test_mass_conserved_over_five_hundred_steps():
@@ -114,7 +117,7 @@ def test_simulated_return_is_zero_at_odd_times():
 
 
 def test_symmetric_r2_is_half():
-    series = simulate_return_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 2)
+    series = simulate_return_crw(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5), 2)
     assert series[2] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -139,7 +142,7 @@ def test_general_r2_by_two_path_enumeration():
 
 
 def test_params_for_symmetric_walk():
-    params = closed_form_params(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5))
+    params = closed_form_params(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5))
     assert params.delta_plus == pytest.approx(0.5)
     assert params.delta_minus == 0.0
 
@@ -174,7 +177,7 @@ def test_closed_form_base_cases():
 
 
 def test_symmetric_walk_central_binomial_values():
-    t = TransitionMatrix.symmetric()
+    t = TransitionMatrix(a=0.5, b=0.5)
     state = CRWInitialState.from_phi1(0.5)
     assert return_closed_crw(t, state, 2) == pytest.approx(0.5, abs=1e-15)
     assert return_closed_crw(t, state, 4) == pytest.approx(6 / 16, abs=1e-15)
@@ -272,7 +275,7 @@ def test_sum_form_matches_series_at_long_horizons(a, b, n):
 
 def test_sum_form_rejects_zero_steps():
     with pytest.raises(ValueError):
-        return_sum_form_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 0)
+        return_sum_form_crw(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5), 0)
 
 
 @pytest.mark.parametrize("p, n", [(0.5, 10_000), (0.4, 10_000), (0.2, 1500)])

@@ -102,17 +102,6 @@ def test_gnuplot_matches_per_cell_lines(case):
     assert _emitted(emit_gnuplot, _table(*case)) == _reference_gnuplot(names, columns)
 
 
-@given(tables())
-@settings(max_examples=60, deadline=None)
-def test_table_from_rows_emits_like_table_from_columns(case):
-    names, columns, integer, meta = case
-    by_rows = Table(columns=names, rows=_rows(columns), meta=meta)
-    by_columns = _table(*case)
-    assert len(by_rows.rows) == len(by_columns.rows) == len(columns[0])
-    for emitter in (emit_csv, emit_json):
-        assert _emitted(emitter, by_rows) == _emitted(emitter, by_columns)
-
-
 def test_tables_longer_than_one_block_of_rows():
     rng = np.random.default_rng(3)
     nrows = 2 * 4096 + 3

@@ -17,7 +17,6 @@ from walkers_return.genfunc import (
     integral_E_term,
     integrate,
     polya2d_gf,
-    polya2d_return,
     polya2d_series,
     polya3d_constants,
     series_sum,
@@ -329,7 +328,7 @@ def test_gf_crw_at_zero_is_one():
 
 
 def test_gf_symmetric_rw_value():
-    t = TransitionMatrix.symmetric()
+    t = TransitionMatrix(a=0.5, b=0.5)
     state = CRWInitialState.from_phi1(0.5)
     assert gf_crw(t, state, 0.6) == pytest.approx(1.25, abs=1e-14)
     assert gf_rw(0.5, 0.6) == pytest.approx(1.25, abs=1e-14)
@@ -362,7 +361,7 @@ def test_gf_rw_biased_matches_its_series():
 
 
 def test_gf_crw_domain_error():
-    t = TransitionMatrix.symmetric()
+    t = TransitionMatrix(a=0.5, b=0.5)
     with pytest.raises(ValueError):
         gf_crw(t, CRWInitialState.from_phi1(0.5), 1.0)
 
@@ -371,11 +370,24 @@ def test_gf_crw_domain_error():
 # 2-D baseline
 
 
+def _polya2d_exact(n: int) -> float:
+    """r_n = (C(2j, j) / 4^j)^2 at n = 2j, 0 at odd n.
+
+    The int/int division rounds correctly; the square is a product, as in
+    the series (a float ``** 2`` goes through pow and rounds differently in
+    the last bit at n = 948 and 1448).
+    """
+    j, odd = divmod(n, 2)
+    ratio = math.comb(2 * j, j) / 4**j
+    return 0.0 if odd else ratio * ratio
+
+
 def test_polya2d_values():
-    assert polya2d_return(0) == 1.0
-    assert polya2d_return(2) == pytest.approx(0.25, abs=1e-15)
-    assert polya2d_return(3) == 0.0
-    assert polya2d_return(4) == pytest.approx((6 / 16) ** 2, abs=1e-15)
+    values = polya2d_series(4)
+    assert values[0] == 1.0
+    assert values[2] == pytest.approx(0.25, abs=1e-15)
+    assert values[3] == 0.0
+    assert values[4] == pytest.approx((6 / 16) ** 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1024, 2048, 10_000])
@@ -383,12 +395,12 @@ def test_polya2d_return_matches_lgamma_form_at_long_horizons(n):
     # 4.0**j overflowed here once j reached 512 (n >= 1024).
     j = n // 2
     log_central = math.lgamma(2 * j + 1) - 2 * math.lgamma(j + 1) - 2 * j * math.log(2.0)
-    assert polya2d_return(n) == pytest.approx(math.exp(2.0 * log_central), rel=1e-9)
+    assert polya2d_series(n)[n] == pytest.approx(math.exp(2.0 * log_central), rel=1e-9)
 
 
 def test_polya2d_series_equals_per_term_values():
     series = polya2d_series(4000)
-    per_term = np.array([polya2d_return(n) for n in range(4001)])
+    per_term = np.array([_polya2d_exact(n) for n in range(4001)])
     assert np.array_equal(series, per_term)
 
 
@@ -506,7 +518,7 @@ def test_series_sum_hadamard_vs_closed():
 
 
 def test_series_sum_symmetric_rw():
-    series = return_series_crw(TransitionMatrix.symmetric(), CRWInitialState.from_phi1(0.5), 200)
+    series = return_series_crw(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5), 200)
     value, tail = series_sum(series, 0.6)
     assert abs(value - 1.25) <= tail + 1e-12
 

@@ -127,15 +127,17 @@ def test_single_step_amplitudes_by_hand():
     phi = QWInitialState.canonical()
     field = step(initial_field(phi), coin)
     s = 1.0 / math.sqrt(2.0)
-    assert field.component(-1)[0] == pytest.approx(s * (phi.phi1 + phi.phi2), abs=1e-15)
-    assert field.component(-1)[1] == 0.0
-    assert field.component(1)[1] == pytest.approx(s * (phi.phi1 - phi.phi2), abs=1e-15)
-    assert field.component(1)[0] == 0.0
+    # At time 1 the stored sites are x = -1 (column 0) and x = 1 (column 1).
+    (left_at_minus_one, left_at_one), (right_at_minus_one, right_at_one) = field.packed
+    assert left_at_minus_one == pytest.approx(s * (phi.phi1 + phi.phi2), abs=1e-15)
+    assert right_at_minus_one == 0.0
+    assert right_at_one == pytest.approx(s * (phi.phi1 - phi.phi2), abs=1e-15)
+    assert left_at_one == 0.0
 
 
 def test_two_step_origin_probability_is_half():
     field = evolve(CoinMatrix.hadamard(), QWInitialState.canonical(), 2)
-    assert field.probability(0) == pytest.approx(0.5, abs=1e-14)
+    assert field.position_distribution()[2] == pytest.approx(0.5, abs=1e-14)  # x = 0
 
 
 def test_norm_preserved_over_hundred_steps():
@@ -161,8 +163,9 @@ def test_off_parity_positions_hold_exact_zeros():
 def test_two_step_distribution():
     field = evolve(CoinMatrix.hadamard(), QWInitialState.canonical(), 2)
     expected = {-2: 0.25, -1: 0.0, 0: 0.5, 1: 0.0, 2: 0.25}
+    dist = field.position_distribution()  # x = -2..2
     for x, prob in expected.items():
-        assert field.probability(x) == pytest.approx(prob, abs=1e-14)
+        assert dist[x + 2] == pytest.approx(prob, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,30 @@ def test_jacobi10_rejects_bad_arguments():
         jacobi10_eval(-2, 0.1)
 
 
+# P_n(1.5) grows like 2.618^n and leaves the float range near n = 737, where
+# the sweep reaches inf and then inf - inf = NaN.
+_OVERFLOWING = {
+    "legendre_eval": lambda: legendre_eval(740, 1.5),
+    "legendre_range": lambda: legendre_range(800, 1.5),
+    "jacobi10_eval": lambda: jacobi10_eval(740, 1.5),
+    "scaled_legendre_pair": lambda: scaled_legendre_pair(740, 1.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_evaluator_raises_where_its_value_is_not_finite(name):
+    with pytest.raises(OverflowError, match=r"degree (740|800) at x = 1\.5"):
+        _OVERFLOWING[name]()
+
+
+def test_evaluators_stay_finite_below_the_overflow():
+    values = legendre_range(700, 1.5)
+    assert np.isfinite(values).all()
+    assert legendre_eval(700, 1.5) == values[-1]
+    assert scaled_legendre_pair(700, 1.5, 1.0) == (values[-2], values[-1])
+    assert math.isfinite(jacobi10_eval(700, 1.5))
+
+
 # ---------------------------------------------------------------------------
 # alternating binomial sums
 
@@ -368,7 +392,8 @@ def test_scaled_pair_stays_bounded_far_outside_unit_interval():
     # Transition-matrix scalars a=0.6, b=0.6-1e-6: the Legendre argument is
     # ~4.8e5 and P_600 alone overflows, but the joint value stays tame.
     numer, denom = 0.48, 1e-6
-    assert not math.isfinite(legendre_eval(600, numer / denom))
+    with pytest.raises(OverflowError, match="degree 600"):
+        legendre_eval(600, numer / denom)
     lo, hi = scaled_legendre_pair(600, numer, denom)
     assert abs(lo) <= 1.0
     assert abs(hi) <= 1.0
