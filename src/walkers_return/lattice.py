@@ -10,6 +10,10 @@ amplitude, the value itself for a real mass.
 A walk started at the origin occupies at time t only the t + 1 sites
 x = -t + 2m (m = 0..t) of the parity of t; every other site holds exactly
 zero, so the field stores just those slots.
+
+Walkers that share one matrix can advance as one stack: a leading walker
+axis in front of the (pair, slot) axes, which every step broadcasts the
+matrix over.  A single walker is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ def _weight(values):
 
 
 class _Cone:
-    """The light cone of the origin up to time `horizon`, and the two flat
-    buffers the steps inside it alternate between: each step writes the one
-    its input field does not live in."""
+    """The light cone of the origin up to time `horizon`, and the two
+    buffers, one flat row per walker, that the steps inside it alternate
+    between: each step writes the one its input field does not live in."""
 
-    def __init__(self, horizon: int, dtype) -> None:
+    def __init__(self, horizon: int, walkers: tuple[int, ...], dtype) -> None:
         self.horizon = horizon
         size = 2 * (horizon // 2 + 1) + 3  # the widest window, horizon // 2 + 1 slots, as `shift` lays it out
-        self._buffers = [np.empty(size, dtype=dtype) for _ in range(2)]
+        self._buffers = [np.empty(walkers + (size,), dtype=dtype) for _ in range(2)]
         self._turn = 0
 
     def advance(self, t: int) -> tuple[int, int, np.ndarray]:
@@ -50,29 +54,32 @@ class _Cone:
         return lo, max(0, min(t, (t + reach) // 2) - lo + 1), self._buffers[self._turn]
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass's __init__ costs about 0.8 us more, and
+# every lattice step builds a Field.
+@dataclass
 class Field:
     """Walker state at one time step.
 
     Column j of `packed` holds the (L, R) pair at the occupied-parity site
-    x = -time + 2 (lo + j).  A field from `evolve` stores all time + 1 of
-    them (lo = 0).  Inside `return_values` a field keeps only the light
-    cone of the origin and carries the `_Cone` its steps advance in; such
-    fields never leave that loop.  `positions` and
-    `position_distribution()` read positions -time..time, with exact zeros
-    on every site not stored.
+    x = -time + 2 (lo + j); any axes in front of the pair axis index the
+    walkers of one stack, which share `time`, `lo` and the step matrix.  A
+    field from `evolve` stores all time + 1 of them (lo = 0).  Inside
+    `return_values` a field keeps only the light cone of the origin and
+    carries the `_Cone` its steps advance in; such fields never leave that
+    loop.  `positions` and `position_distribution()` read positions
+    -time..time, with exact zeros on every site not stored; they and
+    `total_probability()` read a single walker.
     """
 
     time: int
-    packed: np.ndarray  # shape (2, width), width <= time + 1
+    packed: np.ndarray  # shape (..., 2, width), width <= time + 1
     lo: int = 0
     cone: _Cone | None = None
 
     @classmethod
     def at_origin(cls, vector: np.ndarray) -> "Field":
-        packed = np.empty((2, 1), dtype=vector.dtype)
-        packed[:, 0] = vector
-        return cls(time=0, packed=packed)
+        """The time-0 field of the (L, R) pairs `vector`, shape (..., 2)."""
+        return cls(time=0, packed=vector[..., None].copy())
 
     @property
     def positions(self) -> np.ndarray:
@@ -97,28 +104,29 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     L-components come from the right neighbour, the R-components from the
     left one).  The product is written straight into place, and only a slot
     with no source (the last L, the first R of a growing field) is zeroed.
+    For a stack of walkers the one product broadcasts `matrix` over them.
     """
     old, lo, t = field.packed, field.lo, field.time
-    width = old.shape[1]
+    walkers, width = old.shape[:-2], old.shape[-1]
     cone = field.cone
     if cone is None:
         new_lo, new_width = 0, t + 2
-        flat = np.empty(2 * t + 7, dtype=old.dtype)
+        flat = np.empty(walkers + (2 * t + 7,), dtype=old.dtype)
     else:
         new_lo, new_width, flat = cone.advance(t + 1)
-    # The new field is flat[1 : 1 + 2 new_width] as a (2, new_width) array:
+    # Each walker's new field is its row flat[..., 1 : 1 + 2 new_width] as a (2, new_width) array:
     # L slot m at flat[1 + m - new_lo], R slot m at flat[1 + new_width + m - new_lo].
     # So (M old)[0, j] (L at m = lo + j) and (M old)[1, j] (R at m = lo + j + 1)
     # are two rows new_width + 1 apart from flat[start].  A window drops at
     # most its first slot per step, so start >= 0 and width <= new_width + 1.
     start = 1 + lo - new_lo
-    rows = flat[start : start + 2 * new_width + 2].reshape(2, new_width + 1)
-    np.matmul(matrix, old, out=rows[:, :width])
+    rows = flat[..., start : start + 2 * new_width + 2].reshape(walkers + (2, new_width + 1))
+    np.matmul(matrix, old, out=rows[..., :width])
     if new_lo + new_width > lo + width:  # the last L slot has no source
-        flat[new_width] = 0
+        flat[..., new_width] = 0
     if new_lo == lo:  # the first R slot has no source
-        flat[new_width + 1] = 0
-    new = flat[1 : 1 + 2 * new_width].reshape(2, new_width)
+        flat[..., new_width + 1] = 0
+    new = flat[..., 1 : 1 + 2 * new_width].reshape(walkers + (2, new_width))
     return Field(t + 1, new, new_lo, cone)
 
 
@@ -138,21 +146,26 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     |x| <= min(t, nmax - t), which is about a quarter of the dense field's
     site work over the walk.  The origin pair is read at every even time,
     the only times it can be occupied, and turned into weights at the end.
+    A stack of walkers gives one row of weights per walker, shape
+    (..., nmax + 1).
     """
     if nmax < 0:
         raise ValueError(f"nmax must be non-negative, got {nmax}")
     if field.time != 0:
         raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
-    field = replace(field, cone=_Cone(nmax, field.packed.dtype))
-    pairs = np.empty((2, nmax // 2 + 1), dtype=field.packed.dtype)
-    pairs[:, 0] = field.packed[:, 0]
+    walkers = field.packed.shape[:-2]
+    field = replace(field, cone=_Cone(nmax, walkers, field.packed.dtype))
+    pairs = np.empty((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
+    pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):
         field = step(field)
         if t % 2 == 0:
-            pairs[:, t // 2] = field.packed[:, t // 2 - field.lo]
-    # The weight is applied to scalars, as a per-step read would: numpy
-    # rounds a scalar |amp| ** 2 with pow and an array's with a product, and
-    # the two differ in the last bit of about one value in a thousand.
-    values = np.zeros(nmax + 1)
-    values[::2] = [_weight(left) + _weight(right) for left, right in zip(*pairs)]
+            pairs[..., t // 2] = field.packed[..., t // 2 - field.lo]
+    # |amp|^2 is rounded with pow, as numpy rounds a scalar |amp| ** 2 and
+    # a per-step read would; an array's ** 2 is a product, which differs in
+    # the last bit of about one value in a thousand.
+    if pairs.dtype.kind == "c":
+        pairs = np.float_power(np.abs(pairs), 2)
+    values = np.zeros((*walkers, nmax + 1))
+    values[..., ::2] = pairs[..., 0, :] + pairs[..., 1, :]
     return values

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -235,9 +236,20 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
     return dist
 
 
-def simulate_return(coin: CoinMatrix, phi: QWInitialState, nmax: int) -> np.ndarray:
-    """Return probabilities r_0..r_nmax by direct evolution."""
-    return lattice.return_values(initial_field(phi), nmax, lambda field: step(field, coin))
+def simulate_return(
+    coin: CoinMatrix, phi: QWInitialState | Sequence[QWInitialState], nmax: int
+) -> np.ndarray:
+    """Return probabilities r_0..r_nmax by direct evolution.
+
+    A sequence of states walks as one stack under the coin, which gives
+    the same values as walking each state alone, one row per state: shape
+    (len(phi), nmax + 1).
+    """
+    if isinstance(phi, QWInitialState):
+        field = initial_field(phi)
+    else:
+        field = Field.at_origin(np.array([state.vector() for state in phi], dtype=complex).reshape(-1, 2))
+    return lattice.return_values(field, nmax, lambda field: step(field, coin))
 
 
 def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:

@@ -51,23 +51,22 @@ def _worst(*values: float | np.ndarray) -> float:
 
 def _check_legendre_recurrence(rng: np.random.Generator) -> CheckResult:
     residuals = []
+    n = np.arange(1.0, 200.0)
     for x in np.linspace(-1.0, 1.0, 101):
         values = specfun.legendre_range(201, float(x))
-        for n in range(1, 200):
-            resid = abs((n + 1) * values[n + 1] - (2 * n + 1) * x * values[n] + n * values[n - 1])
-            residuals.append(resid / max(1.0, abs(values[n])))
+        resid = np.abs((n + 1) * values[2:-1] - (2 * n + 1) * x * values[1:-2] + n * values[:-3])
+        residuals.append(resid / np.maximum(1.0, np.abs(values[1:-2])))
     return _result("legendre-three-term-recurrence", _worst(*residuals), 1e-12)
 
 
 def _check_jacobi_difference_identity(rng: np.random.Generator) -> CheckResult:
     # P_n^(1,0)(k) (1 - k) = P_n(k) - P_{n+1}(k)
     residuals = []
-    for k in np.linspace(-0.95, 0.95, 39):
-        k = float(k)
-        for n in range(0, 51):
-            lhs = specfun.jacobi10_eval(n, k) * (1.0 - k)
-            rhs = specfun.legendre_eval(n, k) - specfun.legendre_eval(n + 1, k)
-            residuals.append(abs(lhs - rhs))
+    for k in np.linspace(-0.95, 0.95, 39).tolist():
+        # The Jacobi side stays one independent recurrence per n.
+        lhs = np.array([specfun.jacobi10_eval(n, k) for n in range(0, 51)]) * (1.0 - k)
+        legendre = specfun.legendre_range(51, k)
+        residuals.append(np.abs(lhs - (legendre[:-1] - legendre[1:])))
     return _result("jacobi-legendre-difference-identity", _worst(*residuals), 1e-11)
 
 
@@ -146,9 +145,8 @@ def _check_oracle_triangle_random(rng: np.random.Generator) -> CheckResult:
     for _ in range(25):
         coin = qw.CoinMatrix.random(rng)
         closed = qw.return_series_qw(coin.alpha_sq, 60)
-        for _ in range(10):
-            sim = qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
-            residuals.append(float(np.max(np.abs(sim - closed))))
+        sim = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(10)], 60)
+        residuals.append(np.abs(sim - closed))
     return _result("simulation-vs-closed-form-random-coins", _worst(*residuals), 1e-10)
 
 
@@ -156,12 +154,8 @@ def _check_state_independence(rng: np.random.Generator) -> CheckResult:
     residuals = []
     for _ in range(5):
         coin = qw.CoinMatrix.random(rng)
-        series = [
-            qw.simulate_return(coin, qw.QWInitialState.random(rng), 60)
-            for _ in range(20)
-        ]
-        stacked = np.stack(series)
-        residuals.append(float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
+        stacked = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(20)], 60)
+        residuals.append(stacked.max(axis=0) - stacked.min(axis=0))
     return _result("return-series-initial-state-independence", _worst(*residuals), 1e-10)
 
 
@@ -172,9 +166,10 @@ def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
         coin = qw.CoinMatrix.from_alpha_sq(alpha_sq, theta=rng.uniform(0.0, 2.0 * math.pi))
         phi = qw.QWInitialState.random(rng)
         sim = qw.simulate_return(coin, phi, 80)
+        series = qw.return_series_qw(alpha_sq, 80)
         for n in range(1, 41):
             lemma = qw.return_lemma1(coin, phi, n)
-            closed = qw.return_closed_qw(alpha_sq, 2 * n)
+            closed = series[2 * n]
             residuals += [abs(lemma - closed), abs(sim[2 * n] - closed), abs(sim[2 * n] - lemma)]
     return _result("oracle-triangle-simulation-lemma-closed", _worst(*residuals), 1e-10)
 
@@ -368,20 +363,17 @@ def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> CheckResult:
     return _result("qw-generating-function-hadamard-limit", worst, 1e-10)
 
 
-def _legendre_product_series(x: float, z: float, nmax: int) -> tuple[float, float, float]:
-    """(sum P_n^2 z^n, sum P_n P_{n-1} z^n, sum n z^{n-1} P_n P_{n-1}), n >= 1."""
+def _legendre_product_series(x: float, z: tuple[float, ...], nmax: int) -> np.ndarray:
+    """(sum P_n^2 z^n, sum P_n P_{n-1} z^n, sum n z^{n-1} P_n P_{n-1}), n >= 1,
+    as rows of shape (3, len(z)): each z's terms summed exactly by fsum."""
     values = specfun.legendre_range(nmax, x)
-    squares = []
-    products = []
-    weighted = []
-    power = 1.0
-    for n in range(1, nmax + 1):
-        prod = values[n] * values[n - 1]
-        weighted.append(n * power * prod)  # z^{n-1}
-        power *= z
-        squares.append(values[n] * values[n] * power)
-        products.append(power * prod)
-    return math.fsum(squares), math.fsum(products), math.fsum(weighted)
+    n = np.arange(1.0, nmax + 1)
+    prod = values[1:] * values[:-1]
+    # z^1..z^nmax as the running products z, z z, (z z) z, ...
+    powers = np.cumprod(np.repeat(np.array(z)[:, None], nmax, axis=1), axis=1)
+    previous = np.hstack([np.ones((len(z), 1)), powers[:, :-1]])  # z^{n-1}
+    terms = (values[1:] * values[1:] * powers, powers * prod, n * previous * prod)
+    return np.array([[math.fsum(row) for row in series] for series in terms])
 
 
 # The (x, z) grid of the three Legendre product identities, x-major.
@@ -392,7 +384,7 @@ _IDENTITY_GRID = np.meshgrid(_IDENTITY_X, _IDENTITY_Z, indexing="ij")
 
 def _identity_series(which: int) -> np.ndarray:
     """Entry `which` of :func:`_legendre_product_series` over the identity grid."""
-    return np.array([[_legendre_product_series(x, z, 400)[which] for z in _IDENTITY_Z] for x in _IDENTITY_X])
+    return np.array([_legendre_product_series(x, _IDENTITY_Z, 400)[which] for x in _IDENTITY_X])
 
 
 def _check_square_legendre_identity(rng: np.random.Generator) -> CheckResult:

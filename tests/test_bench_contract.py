@@ -1,11 +1,13 @@
 """The names and signatures the traced benchmark run relies on.
 
 `bench/tracing.py` wraps `qw.step` and `crw.crw_step` by name in the package
-namespaces and counts site steps from their `(field, ...)` arguments; the
-lattice loops must reach every step through those names at call time.  It
+namespaces and counts site steps from their `(field, ...)` arguments, 2t + 1
+per call even where the call advances a stack of walkers; the lattice loops
+must reach every step through those names at call time.  It
 counts the rows of each emitted table from `len(table.rows)`.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -62,12 +64,34 @@ def test_traced_emit_counts_every_row(tracer, tmp_path, argv, emitter, rows):
     assert tracer.calls[f"cli.{emitter}"] == 1
 
 
+# Site steps the tracer counts for each suite at the default seed: 2t + 1
+# once per step call, also for a call that advances a stack of walkers.
+TRACED_SUITE_STEPS = {"qw": 1203974, "crw": 344500}
+
+
 @pytest.mark.parametrize(
     "suite, work_key, site_steps",
     [("qw", "qw.step.site_steps", 2355974), ("crw", "crw.crw_step.site_steps", 344500)],
 )
 def test_traced_suite_walks_every_lattice_step(tracer, suite, work_key, site_steps):
     # The suites' lattice work is pinned, so no faster oracle may skip a step.
-    results = run_suite(suite, seed=DEFAULT_SEED)
+    # Every walker of a stack advances the step's 2t + 1 sites, which the
+    # wrapper below counts on top of the tracer's per-call count.
+    module_name, step, _ = work_key.split(".")
+    module = getattr(walkers_return, module_name)
+    traced = getattr(module, step)
+    walked = 0
+
+    def count_walkers(field, matrix_source):
+        nonlocal walked
+        walked += math.prod(field.packed.shape[:-2]) * (2 * field.time + 1)
+        return traced(field, matrix_source)
+
+    setattr(module, step, count_walkers)
+    try:
+        results = run_suite(suite, seed=DEFAULT_SEED)
+    finally:
+        setattr(module, step, traced)
     assert all(result.passed for result in results)
-    assert tracer.work[work_key] == site_steps
+    assert walked == site_steps
+    assert tracer.work[work_key] == TRACED_SUITE_STEPS[suite]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walkers_return import crw, lattice, qw
 
@@ -119,3 +121,57 @@ def test_return_values_rejects_a_field_after_time_zero():
     field = qw.evolve(qw.CoinMatrix.hadamard(), qw.QWInitialState.canonical(), 2)
     with pytest.raises(ValueError, match="time 0"):
         lattice.return_values(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard()))
+
+
+# ---------------------------------------------------------------------------
+# walker stacks
+
+
+_stacks = dict(seed=st.integers(0, 2**32 - 1), walkers=st.integers(1, 25), nmax=st.integers(0, 150))
+
+
+@given(**_stacks)
+@example(seed=0, walkers=1, nmax=0)
+@example(seed=1, walkers=25, nmax=1)
+@example(seed=2, walkers=7, nmax=77)
+@settings(max_examples=30, deadline=None)
+def test_stacked_return_equals_the_walks_one_state_at_a_time(seed, walkers, nmax):
+    rng = np.random.default_rng(seed)
+    coin = qw.CoinMatrix.random(rng)
+    states = [qw.QWInitialState.random(rng) for _ in range(walkers)]
+    stacked = qw.simulate_return(coin, states, nmax)
+    assert stacked.shape == (walkers, nmax + 1)
+    assert np.array_equal(stacked, [qw.simulate_return(coin, phi, nmax) for phi in states])
+
+
+@given(**_stacks)
+@example(seed=0, walkers=1, nmax=0)
+@example(seed=1, walkers=25, nmax=1)
+@example(seed=2, walkers=7, nmax=77)
+@settings(max_examples=30, deadline=None)
+def test_stacked_crw_return_equals_the_walks_one_state_at_a_time(seed, walkers, nmax):
+    rng = np.random.default_rng(seed)
+    transition = crw.TransitionMatrix.random(rng)
+    states = [crw.CRWInitialState.random(rng) for _ in range(walkers)]
+    field = lattice.Field.at_origin(np.array([phi_hat.vector() for phi_hat in states]))
+    stacked = lattice.return_values(field, nmax, lambda f: crw.crw_step(f, transition))
+    assert stacked.shape == (walkers, nmax + 1)
+    assert np.array_equal(stacked, [crw.simulate_return_crw(transition, phi_hat, nmax) for phi_hat in states])
+
+
+def test_an_empty_stack_returns_no_rows():
+    assert qw.simulate_return(qw.CoinMatrix.hadamard(), [], 6).shape == (0, 7)
+
+
+def test_return_weights_round_like_scalar_squares():
+    # At nmax = 0 the weights are those of the origin pairs themselves.  An
+    # array's |amp| ** 2 would differ from the scalar one on about one value
+    # in a thousand; spread the magnitudes so that many exponents are hit.
+    rng = np.random.default_rng(17)
+    pairs = rng.normal(size=(50_000, 2)) + 1j * rng.normal(size=(50_000, 2))
+    pairs *= 10.0 ** rng.uniform(-8, 8, size=(50_000, 1))
+    coin = qw.CoinMatrix.hadamard()
+    values = lattice.return_values(lattice.Field.at_origin(pairs), 0, lambda f: qw.step(f, coin))
+    # `left` and `right` are numpy scalars, so ** 2 is a scalar power.
+    scalar = [np.abs(left) ** 2 + np.abs(right) ** 2 for left, right in pairs]
+    assert np.array_equal(values[:, 0], scalar)

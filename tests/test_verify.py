@@ -16,6 +16,7 @@ def _nan(*args, **kwargs):
     "module, route, check",
     [
         (qw, "return_hadamard", verify._check_hadamard_three_routes),
+        (qw, "return_series_qw", verify._check_oracle_triangle_random),
         (crw, "return_sum_form_crw", verify._check_crw_sum_form),
         (genfunc, "gf_crw", verify._check_crw_gf_vs_series),
         (genfunc, "polya2d_gf", verify._check_polya2d),
@@ -26,6 +27,21 @@ def test_nan_from_a_route_fails_its_check(monkeypatch, module, route, check):
     assert check(rng).passed
     monkeypatch.setattr(module, route, _nan)
     result = check(np.random.default_rng(verify.DEFAULT_SEED))
+    assert math.isnan(result.residual)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("walker", [0, 7, 19])
+def test_one_nan_walker_in_a_stack_fails_state_independence(monkeypatch, walker):
+    walk = qw.simulate_return
+
+    def one_nan_walker(coin, phi, nmax):
+        values = walk(coin, phi, nmax)
+        values[walker, 10] = math.nan
+        return values
+
+    monkeypatch.setattr(qw, "simulate_return", one_nan_walker)
+    result = verify._check_state_independence(np.random.default_rng(verify.DEFAULT_SEED))
     assert math.isnan(result.residual)
     assert not result.passed
 
