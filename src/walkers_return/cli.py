@@ -2,12 +2,13 @@
 verification suites, and position distributions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or arithmetic
-error, or an output path that cannot be written.
+error, or output that cannot be written (an --out path or a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -101,7 +102,7 @@ def emit_gnuplot(table: Table, stream) -> None:
 
 
 def _write_output(table: Table, args) -> None:
-    if getattr(args, "gnuplot", False):
+    if args.gnuplot:
         emitter = emit_gnuplot
     elif args.format == "json":
         emitter = emit_json
@@ -407,7 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # stderr may be the closed pipe that raised: the exit code still says 2.
+        with contextlib.suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

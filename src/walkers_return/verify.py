@@ -2,20 +2,22 @@
 
 Each check computes a max residual and compares it to a fixed tolerance;
 the CLI `verify` command prints one line per check and fails the process
-if any residual exceeds its tolerance.  Random inputs are drawn from a
-seeded generator so reports are reproducible run to run.
+if any residual exceeds its tolerance.  Each check draws its random inputs
+from its own generator, seeded by the run's seed and the check's name, so
+a check's report is the same run alone, in its suite or in `all`.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import crw, genfunc, qw, specfun
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "CHECKS", "SUITE_NAMES", "run_check", "run_suite", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20230711
 
@@ -29,10 +31,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
-
-
-def _result(name: str, residual: float, tolerance: float) -> CheckResult:
-    return CheckResult(name=name, residual=float(residual), tolerance=tolerance)
 
 
 def _worst(*values: float | np.ndarray) -> float:
@@ -49,17 +47,17 @@ def _worst(*values: float | np.ndarray) -> float:
 # specfun checks
 
 
-def _check_legendre_recurrence(rng: np.random.Generator) -> CheckResult:
+def _check_legendre_recurrence(rng: np.random.Generator) -> float:
     residuals = []
     n = np.arange(1.0, 200.0)
     for x in np.linspace(-1.0, 1.0, 101):
         values = specfun.legendre_range(201, float(x))
         resid = np.abs((n + 1) * values[2:-1] - (2 * n + 1) * x * values[1:-2] + n * values[:-3])
         residuals.append(resid / np.maximum(1.0, np.abs(values[1:-2])))
-    return _result("legendre-three-term-recurrence", _worst(*residuals), 1e-12)
+    return _worst(*residuals)
 
 
-def _check_jacobi_difference_identity(rng: np.random.Generator) -> CheckResult:
+def _check_jacobi_difference_identity(rng: np.random.Generator) -> float:
     # P_n^(1,0)(k) (1 - k) = P_n(k) - P_{n+1}(k)
     residuals = []
     for k in np.linspace(-0.95, 0.95, 39).tolist():
@@ -67,10 +65,10 @@ def _check_jacobi_difference_identity(rng: np.random.Generator) -> CheckResult:
         lhs = np.array([specfun.jacobi10_eval(n, k) for n in range(0, 51)]) * (1.0 - k)
         legendre = specfun.legendre_range(51, k)
         residuals.append(np.abs(lhs - (legendre[:-1] - legendre[1:])))
-    return _result("jacobi-legendre-difference-identity", _worst(*residuals), 1e-11)
+    return _worst(*residuals)
 
 
-def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
+def _check_geometric_sum_identities(rng: np.random.Generator) -> float:
     # The path-sum lemma's exact alternating sums, which `qw._lemma_sums`
     # returns multiplied by |alpha|^{2n}, against the Jacobi / Legendre forms.
     residuals = []
@@ -84,10 +82,10 @@ def _check_geometric_sum_identities(rng: np.random.Generator) -> CheckResult:
             leg = -beta_sq * specfun.legendre_eval(n - 1, k)
             residuals.append(abs(weighted - jac) / max(abs(jac), 1e-300))
             residuals.append(abs(plain - leg) / max(abs(leg), 1e-300))
-    return _result("binomial-sum-vs-jacobi-legendre", _worst(*residuals), 1e-9)
+    return _worst(*residuals)
 
 
-def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
+def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> float:
     moduli = np.linspace(0.1, 0.9, 9)
     quadratures = []
     for m in moduli.tolist():
@@ -100,21 +98,20 @@ def _check_elliptic_vs_quadrature(rng: np.random.Generator) -> CheckResult:
         quadratures.append((k_quad, e_quad))
     k_quad, e_quad = np.array(quadratures).T
     residuals = np.abs([specfun.ellipK(moduli) - k_quad, specfun.ellipE(moduli) - e_quad])
-    return _result("elliptic-agm-vs-quadrature", _worst(residuals), 1e-10)
+    return _worst(residuals)
 
 
-def _check_landen(rng: np.random.Generator) -> CheckResult:
+def _check_landen(rng: np.random.Generator) -> float:
     t = np.linspace(0.02, 0.98, 49)
     lhs = (1.0 + t) * specfun.ellipK(t)
     rhs = specfun.ellipK(2.0 * np.sqrt(t) / (1.0 + t))
-    return _result("landen-transformation", _worst(np.abs(lhs - rhs)), 1e-12)
+    return _worst(np.abs(lhs - rhs))
 
 
-def _check_kernel_reduction(rng: np.random.Generator) -> CheckResult:
+def _check_kernel_reduction(rng: np.random.Generator) -> float:
     # scriptK(0, w) collapses to K(w) through the Landen step.
     w = np.array([0.1, 0.25])
-    worst = _worst(np.abs(specfun.script_K(0.0, w) - specfun.ellipK(w)))
-    return _result("kernel-hadamard-reduction", worst, 1e-12)
+    return _worst(np.abs(specfun.script_K(0.0, w) - specfun.ellipK(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def _check_kernel_reduction(rng: np.random.Generator) -> CheckResult:
 _HADAMARD_EXACT = {0: 1.0, 2: 0.5, 4: 0.125, 6: 0.125, 8: 9.0 / 128.0, 10: 9.0 / 128.0}
 
 
-def _check_hadamard_three_routes(rng: np.random.Generator) -> CheckResult:
+def _check_hadamard_three_routes(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.hadamard()
     phi = qw.QWInitialState.canonical()
     sim = qw.simulate_return(coin, phi, 10)
@@ -137,29 +134,29 @@ def _check_hadamard_three_routes(rng: np.random.Generator) -> CheckResult:
             qw.return_hadamard(n),
         )
         residuals += [abs(r - exact) for r in routes]
-    return _result("hadamard-return-three-routes", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_oracle_triangle_random(rng: np.random.Generator) -> CheckResult:
+def _check_oracle_triangle_random(rng: np.random.Generator) -> float:
     residuals = []
     for _ in range(25):
         coin = qw.CoinMatrix.random(rng)
         closed = qw.return_series_qw(coin.alpha_sq, 60)
         sim = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(10)], 60)
         residuals.append(np.abs(sim - closed))
-    return _result("simulation-vs-closed-form-random-coins", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_state_independence(rng: np.random.Generator) -> CheckResult:
+def _check_state_independence(rng: np.random.Generator) -> float:
     residuals = []
     for _ in range(5):
         coin = qw.CoinMatrix.random(rng)
         stacked = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(20)], 60)
         residuals.append(stacked.max(axis=0) - stacked.min(axis=0))
-    return _result("return-series-initial-state-independence", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
+def _check_oracle_triangle_grid(rng: np.random.Generator) -> float:
     # All three routes at once across the |alpha|^2 grid, n <= 40.
     residuals = []
     for alpha_sq in (0.1, 0.3, 0.5, 0.8, 0.95):
@@ -171,31 +168,30 @@ def _check_oracle_triangle_grid(rng: np.random.Generator) -> CheckResult:
             lemma = qw.return_lemma1(coin, phi, n)
             closed = series[2 * n]
             residuals += [abs(lemma - closed), abs(sim[2 * n] - closed), abs(sim[2 * n] - lemma)]
-    return _result("oracle-triangle-simulation-lemma-closed", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_lemma_vs_bruteforce(rng: np.random.Generator) -> CheckResult:
+def _check_lemma_vs_bruteforce(rng: np.random.Generator) -> float:
     residuals = []
     for _ in range(10):
         coin = qw.CoinMatrix.random(rng)
         for n in range(1, 7):
             diff = qw.xi_lemma1(coin, n) - qw.xi_bruteforce(coin, n, n)
             residuals.append(float(np.max(np.abs(diff))))
-    return _result("path-sum-lemma-vs-enumeration", _worst(*residuals), 1e-12)
+    return _worst(*residuals)
 
 
-def _check_three_step_listing(rng: np.random.Generator) -> CheckResult:
+def _check_three_step_listing(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.random(rng)
     p, q, _, _ = qw.decompose(coin)
     listing = q @ q @ p + q @ p @ q + p @ q @ q
-    worst = _worst(
+    return _worst(
         float(np.max(np.abs(qw.xi_bruteforce(coin, 0, 3) - q @ q @ q))),
         float(np.max(np.abs(qw.xi_bruteforce(coin, 1, 2) - listing))),
     )
-    return _result("three-step-word-listing", worst, 1e-14)
 
 
-def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
+def _check_phase_independence(rng: np.random.Generator) -> float:
     alpha_sq = rng.uniform(0.1, 0.9)
     phi = qw.QWInitialState.canonical()
     base = qw.simulate_return(qw.CoinMatrix.from_alpha_sq(alpha_sq), phi, 60)
@@ -209,17 +205,17 @@ def _check_phase_independence(rng: np.random.Generator) -> CheckResult:
         )
         other = qw.simulate_return(coin, phi, 60)
         residuals.append(float(np.max(np.abs(other - base))))
-    return _result("coin-phase-independence", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_unitarity_long_run(rng: np.random.Generator) -> CheckResult:
+def _check_unitarity_long_run(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.random(rng)
     field = qw.initial_field(qw.QWInitialState.random(rng))
     residuals = []
     for _ in range(1000):
         field = qw.step(field, coin)
         residuals.append(abs(field.total_probability() - 1.0))
-    return _result("unitarity-1000-steps", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
 def _offparity_weight(field, advance) -> float:
@@ -234,28 +230,27 @@ def _offparity_weight(field, advance) -> float:
     return _worst(*residuals)
 
 
-def _check_parity_support(rng: np.random.Generator) -> CheckResult:
+def _check_parity_support(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.random(rng)
     field = qw.initial_field(qw.QWInitialState.random(rng))
-    worst = _offparity_weight(field, lambda f: qw.step(f, coin))
-    return _result("support-parity-exact-zero", worst, 0.0)
+    return _offparity_weight(field, lambda f: qw.step(f, coin))
 
 
-def _check_dist_spectral_vs_lattice(rng: np.random.Generator) -> CheckResult:
+def _check_dist_spectral_vs_lattice(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.random(rng)
     phi = qw.QWInitialState.random(rng)
     residuals = []
     for n in (0, 1, 2, 37, 200):
         walked = qw.evolve(coin, phi, n).position_distribution()
         residuals.append(float(np.max(np.abs(qw.distribution(coin, phi, n) - walked))))
-    return _result("dist-spectral-vs-lattice", _worst(*residuals), 1e-13)
+    return _worst(*residuals)
 
 
 # ---------------------------------------------------------------------------
 # crw checks
 
 
-def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> CheckResult:
+def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> float:
     cases = [
         (crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng)) for _ in range(50)
     ]
@@ -270,10 +265,10 @@ def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> CheckResult:
         sim = crw.simulate_return_crw(transition, phi_hat, 80)
         closed = crw.return_series_crw(transition, phi_hat, 80)
         residuals.append(float(np.max(np.abs(sim - closed))))
-    return _result("crw-closed-form-vs-simulation", _worst(*residuals), 1e-12)
+    return _worst(*residuals)
 
 
-def _check_crw_state_independence(rng: np.random.Generator) -> CheckResult:
+def _check_crw_state_independence(rng: np.random.Generator) -> float:
     residuals = []
     for a in (0.2, 0.5, 0.9):
         transition = crw.TransitionMatrix.from_persistence(a, a)  # a = d
@@ -283,10 +278,10 @@ def _check_crw_state_independence(rng: np.random.Generator) -> CheckResult:
         ]
         stacked = np.stack(series)
         residuals.append(float(np.max(stacked.max(axis=0) - stacked.min(axis=0))))
-    return _result("crw-equal-persistence-state-independence", _worst(*residuals), 1e-12)
+    return _worst(*residuals)
 
 
-def _check_rw_reduction(rng: np.random.Generator) -> CheckResult:
+def _check_rw_reduction(rng: np.random.Generator) -> float:
     residuals = []
     for p in (0.2, 0.5, 0.7):
         transition = crw.TransitionMatrix.uncorrelated(p)
@@ -296,19 +291,19 @@ def _check_rw_reduction(rng: np.random.Generator) -> CheckResult:
         for j in range(31):
             exact = (p * (1.0 - p)) ** j * specfun.binom(2 * j, j)
             residuals += [abs(series[2 * j] - exact), abs(sim[2 * j] - exact)]
-    return _result("uncorrelated-reduction-to-random-walk", _worst(*residuals), 1e-12)
+    return _worst(*residuals)
 
 
-def _check_crw_range(rng: np.random.Generator) -> CheckResult:
+def _check_crw_range(rng: np.random.Generator) -> float:
     residuals = [0.0]
     for _ in range(20):
         transition = crw.TransitionMatrix.random(rng)
         values = crw.return_series_crw(transition, crw.CRWInitialState.random(rng), 200)
         residuals += [float(np.max(values - 1.0)), float(np.max(-values))]
-    return _result("crw-return-values-within-unit-interval", _worst(*residuals), 0.0)
+    return _worst(*residuals)
 
 
-def _check_crw_sum_form(rng: np.random.Generator) -> CheckResult:
+def _check_crw_sum_form(rng: np.random.Generator) -> float:
     residuals = []
     for _ in range(10):
         transition = crw.TransitionMatrix.random(rng)
@@ -317,10 +312,10 @@ def _check_crw_sum_form(rng: np.random.Generator) -> CheckResult:
             legendre_form = crw.return_closed_crw(transition, phi_hat, 2 * n)
             sum_form = crw.return_sum_form_crw(transition, phi_hat, n)
             residuals.append(abs(legendre_form - sum_form) / max(abs(legendre_form), 1e-300))
-    return _result("crw-binomial-sum-vs-legendre-form", _worst(*residuals), 1e-11)
+    return _worst(*residuals)
 
 
-def _check_crw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
+def _check_crw_gf_vs_series(rng: np.random.Generator) -> float:
     residuals = [0.0]
     for _ in range(20):
         transition = crw.TransitionMatrix.random(rng)
@@ -330,21 +325,20 @@ def _check_crw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
         nmax = genfunc.truncation_for(z, 1e-10)
         value, tail = genfunc.series_sum(crw.return_series_crw(transition, phi_hat, nmax), z)
         residuals.append(abs(closed - value) - tail)
-    return _result("crw-generating-function-vs-series", _worst(*residuals), 1e-10)
+    return _worst(*residuals)
 
 
-def _check_crw_parity_support(rng: np.random.Generator) -> CheckResult:
+def _check_crw_parity_support(rng: np.random.Generator) -> float:
     transition = crw.TransitionMatrix.random(rng)
     field = crw.initial_field_crw(crw.CRWInitialState.random(rng))
-    worst = _offparity_weight(field, lambda f: crw.crw_step(f, transition))
-    return _result("crw-support-parity-exact-zero", worst, 0.0)
+    return _offparity_weight(field, lambda f: crw.crw_step(f, transition))
 
 
 # ---------------------------------------------------------------------------
 # genfunc checks
 
 
-def _check_qw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
+def _check_qw_gf_vs_series(rng: np.random.Generator) -> float:
     residuals = [0.0]
     zgrid = (0.2, 0.5, 0.8)
     cuts = [genfunc.truncation_for(z, 1e-6) for z in zgrid]
@@ -354,13 +348,12 @@ def _check_qw_gf_vs_series(rng: np.random.Generator) -> CheckResult:
         for z, n, closed in zip(zgrid, cuts, genfunc.gf_qw(alpha_sq, np.array(zgrid)).tolist()):
             value, tail = genfunc.series_sum(values[: n + 1], z)
             residuals.append(abs(closed - value) - tail)
-    return _result("qw-generating-function-vs-series", _worst(*residuals), 1e-6)
+    return _worst(*residuals)
 
 
-def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> CheckResult:
+def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> float:
     zgrid = np.array([0.2, 0.3, 0.5, 0.6, 0.8])
-    worst = _worst(np.abs(genfunc.gf_qw(0.5, zgrid) - genfunc.gf_hadamard(zgrid)))
-    return _result("qw-generating-function-hadamard-limit", worst, 1e-10)
+    return _worst(np.abs(genfunc.gf_qw(0.5, zgrid) - genfunc.gf_hadamard(zgrid)))
 
 
 def _legendre_product_series(x: float, z: tuple[float, ...], nmax: int) -> np.ndarray:
@@ -387,25 +380,25 @@ def _identity_series(which: int) -> np.ndarray:
     return np.array([_legendre_product_series(x, _IDENTITY_Z, 400)[which] for x in _IDENTITY_X])
 
 
-def _check_square_legendre_identity(rng: np.random.Generator) -> CheckResult:
+def _check_square_legendre_identity(rng: np.random.Generator) -> float:
     x, z = _IDENTITY_GRID
     rhs = 2.0 / math.pi * specfun.script_K(x, z) - 1.0
-    return _result("squared-legendre-generating-function", _worst(np.abs(_identity_series(0) - rhs)), 1e-8)
+    return _worst(np.abs(_identity_series(0) - rhs))
 
 
-def _check_product_integral_identity(rng: np.random.Generator) -> CheckResult:
+def _check_product_integral_identity(rng: np.random.Generator) -> float:
     # One quadrature call per x serves its whole z grid.
     rhs = np.array([2.0 * x / math.pi * genfunc.integral_E_term(x, np.array(_IDENTITY_Z)) for x in _IDENTITY_X])
-    return _result("legendre-product-integral-identity", _worst(np.abs(_identity_series(1) - rhs)), 1e-8)
+    return _worst(np.abs(_identity_series(1) - rhs))
 
 
-def _check_weighted_product_identity(rng: np.random.Generator) -> CheckResult:
+def _check_weighted_product_identity(rng: np.random.Generator) -> float:
     x, z = _IDENTITY_GRID
     rhs = 2.0 * x * specfun.script_E(x, z) / (math.pi * (1.0 - z))
-    return _result("weighted-legendre-product-identity", _worst(np.abs(_identity_series(2) - rhs)), 1e-8)
+    return _worst(np.abs(_identity_series(2) - rhs))
 
 
-def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
+def _check_kernel_derivatives(rng: np.random.Generator) -> float:
     h = 1e-5
     x, z = np.meshgrid([-0.6, 0.3, 0.6], [0.2, 0.5, 0.8], indexing="ij")
     sk = specfun.script_K(x, z)
@@ -414,88 +407,80 @@ def _check_kernel_derivatives(rng: np.random.Generator) -> CheckResult:
     dz_num = (specfun.script_K(x, z + h) - specfun.script_K(x, z - h)) / (2.0 * h)
     dx_exact = x * (se - sk) / (x * x - 1.0)
     dx_num = (specfun.script_K(x + h, z) - specfun.script_K(x - h, z)) / (2.0 * h)
-    worst = _worst(np.abs(dz_num - dz_exact) / np.abs(dz_exact), np.abs(dx_num - dx_exact) / np.abs(dx_exact))
-    return _result("kernel-derivative-relations", worst, 1e-6)
+    return _worst(np.abs(dz_num - dz_exact) / np.abs(dz_exact), np.abs(dx_num - dx_exact) / np.abs(dx_exact))
 
 
-def _check_polya2d(rng: np.random.Generator) -> CheckResult:
+def _check_polya2d(rng: np.random.Generator) -> float:
     series = genfunc.polya2d_series(400)
     zgrid = np.array([0.3, 0.6])
     values, tails = np.array([genfunc.series_sum(series, z) for z in zgrid.tolist()]).T
     residuals = np.abs(genfunc.polya2d_gf(zgrid) - values) - tails
     # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
-    return _result("polya-2d-generating-function-vs-series", _worst(np.maximum(residuals, 0.0)), 1e-9)
+    return _worst(np.maximum(residuals, 0.0))
 
 
-def _check_polya3d(rng: np.random.Generator) -> CheckResult:
+def _check_polya3d(rng: np.random.Generator) -> float:
     g1, f1 = genfunc.polya3d_constants(tol=1e-8)
     g2, f2 = genfunc.polya3d_constants(tol=5e-9)
     # A recurrence probability outside (0, 1), NaN included, fails outright.
     in_range = all(0.0 < f < 1.0 for f in (f1, f2))
-    worst = _worst(abs(g1 - g2), 0.0 if in_range else 1.0)
-    return _result("polya-3d-constant-stability", worst, 1e-6)
+    return _worst(abs(g1 - g2), 0.0 if in_range else 1.0)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the check table: name -> (suite, residual of a generator, tolerance), in suite order
 
-_SUITES = {
-    "specfun": (
-        _check_legendre_recurrence,
-        _check_jacobi_difference_identity,
-        _check_geometric_sum_identities,
-        _check_elliptic_vs_quadrature,
-        _check_landen,
-        _check_kernel_reduction,
-    ),
-    "qw": (
-        _check_hadamard_three_routes,
-        _check_oracle_triangle_random,
-        _check_state_independence,
-        _check_oracle_triangle_grid,
-        _check_lemma_vs_bruteforce,
-        _check_three_step_listing,
-        _check_phase_independence,
-        _check_unitarity_long_run,
-        _check_parity_support,
-        _check_dist_spectral_vs_lattice,
-    ),
-    "crw": (
-        _check_crw_closed_vs_simulation,
-        _check_crw_state_independence,
-        _check_rw_reduction,
-        _check_crw_range,
-        _check_crw_sum_form,
-        _check_crw_gf_vs_series,
-        _check_crw_parity_support,
-    ),
-    "genfunc": (
-        _check_qw_gf_vs_series,
-        _check_qw_gf_hadamard_limit,
-        _check_square_legendre_identity,
-        _check_product_integral_identity,
-        _check_weighted_product_identity,
-        _check_kernel_derivatives,
-        _check_polya2d,
-        _check_polya3d,
-    ),
+CHECKS = {
+    "legendre-three-term-recurrence": ("specfun", _check_legendre_recurrence, 1e-12),
+    "jacobi-legendre-difference-identity": ("specfun", _check_jacobi_difference_identity, 1e-11),
+    "binomial-sum-vs-jacobi-legendre": ("specfun", _check_geometric_sum_identities, 1e-9),
+    "elliptic-agm-vs-quadrature": ("specfun", _check_elliptic_vs_quadrature, 1e-10),
+    "landen-transformation": ("specfun", _check_landen, 1e-12),
+    "kernel-hadamard-reduction": ("specfun", _check_kernel_reduction, 1e-12),
+    "hadamard-return-three-routes": ("qw", _check_hadamard_three_routes, 1e-10),
+    "simulation-vs-closed-form-random-coins": ("qw", _check_oracle_triangle_random, 1e-10),
+    "return-series-initial-state-independence": ("qw", _check_state_independence, 1e-10),
+    "oracle-triangle-simulation-lemma-closed": ("qw", _check_oracle_triangle_grid, 1e-10),
+    "path-sum-lemma-vs-enumeration": ("qw", _check_lemma_vs_bruteforce, 1e-12),
+    "three-step-word-listing": ("qw", _check_three_step_listing, 1e-14),
+    "coin-phase-independence": ("qw", _check_phase_independence, 1e-10),
+    "unitarity-1000-steps": ("qw", _check_unitarity_long_run, 1e-10),
+    "support-parity-exact-zero": ("qw", _check_parity_support, 0.0),
+    "dist-spectral-vs-lattice": ("qw", _check_dist_spectral_vs_lattice, 1e-13),
+    "crw-closed-form-vs-simulation": ("crw", _check_crw_closed_vs_simulation, 1e-12),
+    "crw-equal-persistence-state-independence": ("crw", _check_crw_state_independence, 1e-12),
+    "uncorrelated-reduction-to-random-walk": ("crw", _check_rw_reduction, 1e-12),
+    "crw-return-values-within-unit-interval": ("crw", _check_crw_range, 0.0),
+    "crw-binomial-sum-vs-legendre-form": ("crw", _check_crw_sum_form, 1e-11),
+    "crw-generating-function-vs-series": ("crw", _check_crw_gf_vs_series, 1e-10),
+    "crw-support-parity-exact-zero": ("crw", _check_crw_parity_support, 0.0),
+    "qw-generating-function-vs-series": ("genfunc", _check_qw_gf_vs_series, 1e-6),
+    "qw-generating-function-hadamard-limit": ("genfunc", _check_qw_gf_hadamard_limit, 1e-10),
+    "squared-legendre-generating-function": ("genfunc", _check_square_legendre_identity, 1e-8),
+    "legendre-product-integral-identity": ("genfunc", _check_product_integral_identity, 1e-8),
+    "weighted-legendre-product-identity": ("genfunc", _check_weighted_product_identity, 1e-8),
+    "kernel-derivative-relations": ("genfunc", _check_kernel_derivatives, 1e-6),
+    "polya-2d-generating-function-vs-series": ("genfunc", _check_polya2d, 1e-9),
+    "polya-3d-constant-stability": ("genfunc", _check_polya3d, 1e-6),
 }
 
-SUITE_NAMES = tuple(_SUITES) + ("all",)
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS.values())) + ("all",)
+
+
+def run_check(name: str, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Run one check on its own generator, seeded by `seed` and the check's name.
+
+    crc32 and not hash(): str hashes are salted per process.
+    """
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    _, residual, tolerance = CHECKS[name]
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    return CheckResult(name, residual(rng), tolerance)
 
 
 def run_suite(tag: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run one named suite (or 'all') and return its check results."""
-    if tag == "all":
-        return run_suites(seed=seed)
-    if tag not in _SUITES:
+    if tag not in SUITE_NAMES:
         raise ValueError(f"unknown suite {tag!r}; choose from {', '.join(SUITE_NAMES)}")
-    rng = np.random.default_rng(seed)
-    return [check(rng) for check in _SUITES[tag]]
-
-
-def run_suites(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    results = []
-    for tag in _SUITES:
-        results.extend(run_suite(tag, seed=seed))
-    return results
+    return [run_check(name, seed) for name, (suite, _, _) in CHECKS.items() if tag in (suite, "all")]

@@ -31,31 +31,24 @@ class _Timer:
         return False
 
 
-def _named(results, name):
-    found = [r for r in results if r.name == name]
-    assert len(found) == 1, f"expected one check named {name}, got {len(found)}"
-    return found[0]
-
-
 def test_criterion_1_hadamard_three_routes():
     # The check compares simulation, path-sum lemma, closed form and the
     # C(2m, m) formula with the exact values at n = 0, 2, ..., 10; each
     # route within 5e-11 of the exact value keeps any two within 1e-10.
     budget = 1.0
     with _Timer() as t:
-        result = _named(verify.run_suite("qw"), "hadamard-return-three-routes")
+        result = verify.run_check("hadamard-return-three-routes")
         assert result.residual <= 5e-11
     assert t.elapsed < budget
     _report(1, t.elapsed, budget, f"Hadamard return values n<=10, every route within {result.residual:.1e}")
 
 
 def test_criterion_2_oracle_triangle_random_coins():
-    # At seed 101 the check draws exactly this criterion's 25 coins x 10
-    # states.  No check measures the per-coin spread over those states, so
-    # it is measured here on the same draws.
+    # No check measures the per-coin spread over a coin's states, so it is
+    # measured here, on 25 coins x 10 states of its own at seed 101.
     budget = 10.0
     with _Timer() as t:
-        result = _named(verify.run_suite("qw", seed=101), "simulation-vs-closed-form-random-coins")
+        result = verify.run_check("simulation-vs-closed-form-random-coins", seed=101)
         assert result.tolerance == 1e-10
         assert result.residual < 1e-10
         rng = np.random.default_rng(101)
@@ -78,11 +71,10 @@ def test_criterion_3_lemma_exactness():
     # 10 random coins at n <= 6, then the listings Q^3 and Q^2 P + QPQ + PQ^2.
     budget = 5.0
     with _Timer() as t:
-        results = verify.run_suite("qw", seed=103)
-        lemma = _named(results, "path-sum-lemma-vs-enumeration")
+        lemma = verify.run_check("path-sum-lemma-vs-enumeration", seed=103)
         assert lemma.tolerance == 1e-12
         assert lemma.residual < 1e-12
-        assert _named(results, "three-step-word-listing").residual < 1e-14
+        assert verify.run_check("three-step-word-listing", seed=103).residual < 1e-14
     assert t.elapsed < budget
     _report(3, t.elapsed, budget, f"path-sum lemma vs enumeration, n<=6: max entry dev {lemma.residual:.1e}")
 
@@ -92,11 +84,10 @@ def test_criterion_4_qw_generating_function():
     # the Hadamard limit runs z in {0.2, 0.3, 0.5, 0.6, 0.8}.
     budget = 30.0
     with _Timer() as t:
-        results = verify.run_suite("genfunc")
-        series = _named(results, "qw-generating-function-vs-series")
+        series = verify.run_check("qw-generating-function-vs-series")
         assert series.tolerance == 1e-6
         assert series.residual <= 1e-6
-        hadamard = _named(results, "qw-generating-function-hadamard-limit")
+        hadamard = verify.run_check("qw-generating-function-hadamard-limit")
         assert hadamard.residual < 1e-10
     assert t.elapsed < budget
     _report(
@@ -117,7 +108,7 @@ def test_criterion_5_proof_identity_suite():
         "landen-transformation": 1e-12,
     }
     with _Timer() as t:
-        results = {r.name: r for r in verify.run_suites()}
+        results = {r.name: r for r in verify.run_suite("all")}
         for name, tol in names_and_tols.items():
             assert name in results, f"missing identity check {name}"
             result = results[name]
@@ -128,19 +119,18 @@ def test_criterion_5_proof_identity_suite():
 
 
 def test_criterion_6_crw():
-    # At seed 106 the closed-form check draws exactly this criterion's 50
-    # random walks, plus two with delta_minus = +-1e-10.
+    # The closed-form check draws 50 random walks, plus two with
+    # delta_minus = +-1e-10.
     budget = 15.0
     with _Timer() as t:
-        results = verify.run_suite("crw", seed=106)
-        sim = _named(results, "crw-closed-form-vs-simulation")
+        sim = verify.run_check("crw-closed-form-vs-simulation", seed=106)
         assert sim.residual < 1e-12
-        spread = _named(results, "crw-equal-persistence-state-independence")
+        spread = verify.run_check("crw-equal-persistence-state-independence", seed=106)
         assert spread.residual < 1e-12
-        rw = _named(results, "uncorrelated-reduction-to-random-walk")
+        rw = verify.run_check("uncorrelated-reduction-to-random-walk", seed=106)
         assert rw.residual < 1e-12
         # Closed-form generating function minus its series, beyond the tail bound.
-        gf = _named(results, "crw-generating-function-vs-series")
+        gf = verify.run_check("crw-generating-function-vs-series", seed=106)
         assert gf.tolerance == 1e-10
         assert gf.residual <= 1e-10
     assert t.elapsed < budget
@@ -161,12 +151,11 @@ def test_criterion_7_polya_baselines():
             assert series[2 * j] == pytest.approx(
                 specfun.binom(2 * j, j) ** 2 / 16.0**j, rel=1e-13
             )
-        results = verify.run_suite("genfunc")
         # The same 400-term series against (2/pi) K(z) at z = 0.3 and 0.6.
-        assert _named(results, "polya-2d-generating-function-vs-series").residual <= 1e-9
+        assert verify.run_check("polya-2d-generating-function-vs-series").residual <= 1e-9
         # G at tol 1e-8 and 5e-9; a recurrence probability outside (0, 1)
         # makes the residual 1.
-        polya3d = _named(results, "polya-3d-constant-stability")
+        polya3d = verify.run_check("polya-3d-constant-stability")
         assert polya3d.residual < 1e-6
     assert t.elapsed < budget
     _report(7, t.elapsed, budget, f"2-D gf ok; 3-D constant halving dev {polya3d.residual:.1e}")

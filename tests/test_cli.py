@@ -37,6 +37,14 @@ def csv_rows(out):
     return header, [tuple(map(_cell, row)) for row in body]
 
 
+def child_env():
+    """The environment for `python -m walkers_return`: a subprocess does not
+    inherit pytest's import path, so it is handed the package."""
+    package_root = str(Path(walkers_return.__file__).resolve().parents[1])
+    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 # ---------------------------------------------------------------------------
 # return command
 
@@ -438,6 +446,25 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["stderr-joined", "stderr-separate"])
+def test_closed_output_pipe_is_no_comparison_failure(tmp_path, joined):
+    """A reader that stops after one line closes the pipe under a ~1 MB table.
+    The run exits 2, also when the error line meets the same closed pipe."""
+    argv = ("return", "--model", "qw", "--alpha-sq", "0.5", "--nmax", "20000")
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err, subprocess.Popen(
+        [sys.executable, "-m", "walkers_return", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT if joined else err,
+        env=child_env(),
+    ) as child:
+        assert child.stdout.readline() == b"n,r_closed,r_simulated,abs_err\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 2
+    if not joined:
+        assert err_path.read_text().startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # tolerance handling
 
@@ -506,9 +533,7 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     # Usage text wraps at the terminal width: fix it for both sides.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("WALKERS_RETURN_TOL", raising=False)
-    package_root = str(Path(walkers_return.__file__).resolve().parents[1])
-    paths = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-    base_env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    base_env = child_env()
 
     def written(argv):
         if "--out" not in argv:

@@ -1,15 +1,26 @@
-"""Verification suites: a NaN residual must fail the check it feeds."""
+"""Verification checks: each runs alone on its own generator, and a NaN
+residual fails the check it feeds."""
 
 import math
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from walkers_return import crw, genfunc, qw, verify
 
+SEEDS = [verify.DEFAULT_SEED, 1, 2, 3, 12345]
 
-def _nan(*args, **kwargs):
-    return math.nan
+
+def _name(check):
+    """The table name of a `_check_*` residual function."""
+    return next(name for name, (_, residual, _) in verify.CHECKS.items() if residual is check)
+
+
+def _nan_from(route):
+    """`route` with every value it returns replaced by NaN, in the same shape."""
+    return lambda *args, **kwargs: route(*args, **kwargs) * math.nan
 
 
 @pytest.mark.parametrize(
@@ -17,16 +28,17 @@ def _nan(*args, **kwargs):
     [
         (qw, "return_hadamard", verify._check_hadamard_three_routes),
         (qw, "return_series_qw", verify._check_oracle_triangle_random),
+        (qw, "return_lemma1", verify._check_oracle_triangle_grid),
         (crw, "return_sum_form_crw", verify._check_crw_sum_form),
+        (crw, "simulate_return_crw", verify._check_crw_closed_vs_simulation),
         (genfunc, "gf_crw", verify._check_crw_gf_vs_series),
         (genfunc, "polya2d_gf", verify._check_polya2d),
     ],
 )
 def test_nan_from_a_route_fails_its_check(monkeypatch, module, route, check):
-    rng = np.random.default_rng(verify.DEFAULT_SEED)
-    assert check(rng).passed
-    monkeypatch.setattr(module, route, _nan)
-    result = check(np.random.default_rng(verify.DEFAULT_SEED))
+    assert verify.run_check(_name(check)).passed
+    monkeypatch.setattr(module, route, _nan_from(getattr(module, route)))
+    result = verify.run_check(_name(check))
     assert math.isnan(result.residual)
     assert not result.passed
 
@@ -41,7 +53,7 @@ def test_one_nan_walker_in_a_stack_fails_state_independence(monkeypatch, walker)
         return values
 
     monkeypatch.setattr(qw, "simulate_return", one_nan_walker)
-    result = verify._check_state_independence(np.random.default_rng(verify.DEFAULT_SEED))
+    result = verify.run_check("return-series-initial-state-independence")
     assert math.isnan(result.residual)
     assert not result.passed
 
@@ -52,12 +64,59 @@ def test_worst_propagates_nan_in_any_position():
         assert math.isnan(verify._worst(*values))
 
 
-@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 2, 3, 12345])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_dist_spectral_check_passes(seed):
-    result = verify._check_dist_spectral_vs_lattice(np.random.default_rng(seed))
+    result = verify.run_check("dist-spectral-vs-lattice", seed)
     assert result.name == "dist-spectral-vs-lattice"
     assert result.passed
 
 
 def test_suites_hold_thirty_one_checks():
-    assert sum(len(checks) for checks in verify._SUITES.values()) == 31
+    assert len(verify.CHECKS) == 31
+    assert verify.SUITE_NAMES == ("specfun", "qw", "crw", "genfunc", "all")
+
+
+def _bits(results):
+    return {r.name: (r.residual.hex(), r.tolerance) for r in results}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_check_run_alone_equals_its_suite_and_all_entries(seed):
+    """Bit for bit, whatever runs before it: the checks alone run last to
+    first, and the suites run in reverse order."""
+    alone = _bits(verify.run_check(name, seed) for name in reversed(verify.CHECKS))
+    suites = _bits(r for tag in reversed(verify.SUITE_NAMES[:-1]) for r in verify.run_suite(tag, seed))
+    everything = verify.run_suite("all", seed)
+    assert [r.name for r in everything] == list(verify.CHECKS)
+    assert alone == suites == _bits(everything)
+    assert all(r.passed for r in everything), [r for r in everything if not r.passed]
+
+
+def test_each_check_draws_its_own_stream(monkeypatch):
+    for name, (suite, _, tolerance) in verify.CHECKS.items():
+        monkeypatch.setitem(verify.CHECKS, name, (suite, lambda rng: rng.random(), tolerance))
+    assert len({r.residual for r in verify.run_suite("all")}) == 31
+
+
+def test_a_check_draws_the_same_in_every_process():
+    # A stream keyed by the salted str hash would differ from process to process.
+    name = "unitarity-1000-steps"
+    code = f"from walkers_return import verify; print(verify.run_check({name!r}).residual.hex())"
+    # The child imports the package from wherever this process does.
+    paths = os.pathsep.join(sys.path)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=paths, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for hash_seed in ("1", "2")
+    }
+    assert outputs == {verify.run_check(name).residual.hex()}
+
+
+def test_unknown_check_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
+        verify.run_check("no-such-check")
