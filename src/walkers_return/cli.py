@@ -13,7 +13,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -24,8 +23,6 @@ from . import __version__, crw, genfunc, qw, verify
 from .genfunc import ConvergenceError
 
 __all__ = ["main", "console_main", "Table", "emit_csv", "emit_json", "emit_gnuplot"]
-
-_ENV_TOL = "WALKERS_RETURN_TOL"
 
 
 class Table:
@@ -102,12 +99,8 @@ def emit_gnuplot(table: Table, stream) -> None:
 
 
 def _write_output(table: Table, args) -> None:
-    if args.gnuplot:
-        emitter = emit_gnuplot
-    elif args.format == "json":
-        emitter = emit_json
-    else:
-        emitter = emit_csv
+    # Built per call, so that a traced run calls the emitters it wrapped.
+    emitter = {"csv": emit_csv, "json": emit_json, "gnuplot": emit_gnuplot}[args.format]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             emitter(table, handle)
@@ -116,20 +109,12 @@ def _write_output(table: Table, args) -> None:
 
 
 def _resolve_tol(args, default: float) -> float:
-    if args.tol is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        env = os.environ.get(_ENV_TOL)
-        if env is None:
-            return default
-        try:
-            tol, source = float(env), _ENV_TOL
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_TOL} must be a number, got {env!r}") from exc
+    if args.tol is None:
+        return default
     # Written so that NaN fails the check as well.
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{source} must be a finite positive number, got {tol!r}")
-    return tol
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite positive number, got {args.tol!r}")
+    return args.tol
 
 
 @dataclass(frozen=True)
@@ -193,13 +178,9 @@ def _parse_hadamard(args) -> Walk:
 def _parse_crw(args) -> Walk:
     if args.a is None:
         raise ValueError("model crw requires --a (left-persistence probability)")
-    if args.d is None and args.b is None:
-        raise ValueError("model crw requires --d (right-persistence) or --b (= 1 - d)")
-    # Written so that a NaN --b or --d fails the check as well.
-    if args.d is not None and args.b is not None and not abs(args.b - (1.0 - args.d)) <= 1e-12:
-        raise ValueError(f"inconsistent --b {args.b} and --d {args.d}: b must equal 1 - d")
-    b = args.b if args.b is not None else 1.0 - args.d
-    transition = crw.TransitionMatrix(a=args.a, b=b)
+    if args.d is None:
+        raise ValueError("model crw requires --d (right-persistence probability)")
+    transition = crw.TransitionMatrix.from_persistence(args.a, args.d)
     phi_hat = crw.CRWInitialState.from_phi1(args.phi1)
     return _correlated(
         transition,
@@ -215,7 +196,8 @@ def _parse_rw(args) -> Walk:
     p = args.p
     return _correlated(
         crw.TransitionMatrix.uncorrelated(p),
-        crw.CRWInitialState.from_phi1(args.phi1),
+        # The walk does not depend on the last step, so --phi1 is crw's alone.
+        crw.CRWInitialState.from_phi1(0.5),
         {"p": p},
         lambda z: genfunc.gf_rw(p, z),
     )
@@ -342,19 +324,19 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="qw | hadamard | crw | rw | polya2d")
     parser.add_argument("--alpha-sq", type=float, help="|alpha|^2 of the qw coin, in (0, 1)")
     parser.add_argument("--a", type=float, help="crw left-persistence probability")
-    parser.add_argument("--b", type=float, help="crw switch-to-left probability (= 1 - d)")
     parser.add_argument("--d", type=float, help="crw right-persistence probability")
     parser.add_argument("--phi1", type=float, default=0.5, help="crw initial left weight (default 0.5)")
     parser.add_argument("--p", type=float, help="rw left-step probability")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", help="write the table to this path instead of stdout")
-    parser.add_argument("--tol", type=float, help="comparison tolerance override")
     parser.add_argument(
-        "--gnuplot", action="store_true", help="emit a two-column plain-text table"
+        "--format",
+        choices=("csv", "json", "gnuplot"),
+        default="csv",
+        help="csv (default), json with a meta header, or gnuplot: the first two columns as plain text",
     )
+    parser.add_argument("--out", help="write the table to this path instead of stdout")
 
 
 @functools.cache
@@ -362,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
     Every later call in the process returns the same object, so callers
-    must not mutate it.  Nothing in the tree depends on a request: every
-    text and default is fixed, and the environment (`WALKERS_RETURN_TOL`)
-    is read per request by the commands, not here.
+    must not mutate it.  Nothing in the tree depends on a request or on
+    the environment: every text and default is fixed.
     """
     parser = argparse.ArgumentParser(
         prog="walkers-return",
@@ -377,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_return = sub.add_parser("return", help="tabulate closed-form vs simulated return probabilities")
     _add_model_flags(p_return)
     p_return.add_argument("--nmax", type=int, default=20, help="largest time step (default 20)")
+    p_return.add_argument("--tol", type=float, help="comparison tolerance (default per model)")
     _add_output_flags(p_return)
     p_return.set_defaults(func=cmd_return)
 
@@ -385,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--z-start", type=float, default=0.1)
     p_gf.add_argument("--z-stop", type=float, default=0.9)
     p_gf.add_argument("--z-count", type=int, default=9)
+    p_gf.add_argument("--tol", type=float, help="comparison tolerance (default per model)")
     _add_output_flags(p_gf)
     p_gf.set_defaults(func=cmd_genfunc)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import Field
-from .specfun import _scaled_legendre
+from .specfun import _require_count, _scaled_legendre
 
 __all__ = [
     "TransitionMatrix",
@@ -174,7 +174,7 @@ def return_closed_crw(
     with y = delta_plus/delta_minus; odd times return 0, r_0 = 1.  The
     value is entry n of :func:`return_series_crw`.
     """
-    return return_series_crw(transition, phi_hat, n)[n]
+    return return_series_crw(transition, phi_hat, _require_count(n, "n"))[n]
 
 
 def return_series_crw(
@@ -187,8 +187,7 @@ def return_series_crw(
     delta_minus; at delta_minus = 0 (the uncorrelated walk) the recurrence
     gives T_j = delta_plus^j C(2j, j) / 2^j exactly.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
+    nmax = _require_count(nmax, "nmax")
     params = closed_form_params(transition, phi_hat)
     scaled = np.array(_scaled_legendre(nmax // 2, params.delta_plus, params.delta_minus))
     ad2 = params.k_plus - params.k_minus  # equals 2ad
@@ -217,6 +216,7 @@ def return_sum_form_crw(
     relative error of a few 1e-12 at n = 10^4.
     This is the independent verification twin of :func:`return_closed_crw`.
     """
+    n = _require_count(n, "n")
     if n < 1:
         raise ValueError("return_sum_form_crw needs n >= 1; r_0 = 1 by definition")
     a, b, c, d = transition.a, transition.b, transition.c, transition.d

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
-from .specfun import _plain, _require_in, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
+from .specfun import _plain, _require_count, _require_in, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
     "ConvergenceError",
@@ -55,6 +55,8 @@ _Z_MARGIN = 1e-6
 _MAX_SUBDIVISIONS = 4000
 # Relative disagreement of the coarse and fine values that counts as rounding.
 _ROUNDING = 4.0 * np.finfo(float).eps
+# Absolute tolerance of the quadrature term of the quantum-walk generating function.
+_E_TERM_TOL = 1e-10
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
 # weights (the rule is symmetric about 0).
@@ -155,31 +157,29 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-10):
     return _plain(totals.reshape(shape))
 
 
-def integral_E_term(k: float, z2, tol: float = 1e-10):
+def integral_E_term(k: float, z2):
     """The quadrature term of the quantum-walk generating function:
-    integral_0^{z2} scriptE(k, w) / (1 - w) dw, for a float or an array z2.
+    integral_0^{z2} scriptE(k, w) / (1 - w) dw, for a float or an array z2,
+    to the absolute tolerance 1e-10.
 
     Evaluated after the substitution w = 1 - e^{-s} (dw = (1 - w) ds) as
     integral_0^{-log1p(-z2)} scriptE(k, -expm1(-s)) ds, whose integrand has
     no 1/(1 - w) factor left and stays smooth as z2 -> 1.  One `integrate`
     call serves every z2.
     """
-    _check_tol(tol)
     if not -1.0 < k < 1.0:
         raise ValueError(f"k must lie in (-1, 1), got {k}")
     z2 = np.asarray(z2, dtype=float)
     _require_in(z2, (0.0 <= z2) & (z2 < 1.0 - _Z_MARGIN), f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {{}}")
-    return integrate(lambda s: script_E(k, -np.expm1(-s)), 0.0, -np.log1p(-z2), tol)
+    return integrate(lambda s: script_E(k, -np.expm1(-s)), 0.0, -np.log1p(-z2), _E_TERM_TOL)
 
 
-def gf_qw(alpha_sq: float, z, tol: float = 1e-10):
+def gf_qw(alpha_sq: float, z):
     """Generating function sum_n r_n z^n of the quantum walk, at a float or an array z.
 
     (1/(pi (k+1))) ((1+z^2) scriptK(k, z^2) - 2 k^2 I(k, z^2) - pi/2) + 1
-    with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature,
-    run to the absolute tolerance `tol`.
+    with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature.
     """
-    _check_tol(tol)
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
     z = _z_array(z, 1.0 - _Z_MARGIN)
@@ -187,7 +187,7 @@ def gf_qw(alpha_sq: float, z, tol: float = 1e-10):
     w = z * z
     bracket = (1.0 + w) * script_K(k, w) - math.pi / 2.0
     if k != 0.0:
-        bracket = bracket - 2.0 * k * k * integral_E_term(k, w, tol)
+        bracket = bracket - 2.0 * k * k * integral_E_term(k, w)
     return _plain(bracket / (math.pi * (k + 1.0)) + 1.0)
 
 
@@ -241,8 +241,7 @@ def polya2d_gf(z):
 
 def polya2d_series(nmax: int) -> np.ndarray:
     """The 2-D return series r_0..r_nmax, r_{2j} = (C(2j, j) / 4^j)^2, each ratio correctly rounded."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
+    nmax = _require_count(nmax, "nmax")
     values = np.zeros(nmax + 1)
     ratios = central_binomial_ratios(nmax // 2)
     values[::2] = ratios * ratios

@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .specfun import _require_count
+
 __all__ = ["Field", "shift", "evolve", "return_values"]
 
 
@@ -66,9 +68,9 @@ class Field:
     field from `evolve` stores all time + 1 of them (lo = 0).  Inside
     `return_values` a field keeps only the light cone of the origin and
     carries the `_Cone` its steps advance in; such fields never leave that
-    loop.  `positions` and `position_distribution()` read positions
-    -time..time, with exact zeros on every site not stored; they and
-    `total_probability()` read a single walker.
+    loop.  `position_distribution()` reads positions -time..time, with
+    exact zeros on every site not stored; it and `total_probability()`
+    read a single walker.
     """
 
     time: int
@@ -80,10 +82,6 @@ class Field:
     def at_origin(cls, vector: np.ndarray) -> "Field":
         """The time-0 field of the (L, R) pairs `vector`, shape (..., 2)."""
         return cls(time=0, packed=vector[..., None].copy())
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.time, self.time + 1)
 
     def total_probability(self) -> float:
         return float(np.sum(_weight(self.packed)))
@@ -132,9 +130,7 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
     """The field after n applications of `step`."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    for _ in range(n):
+    for _ in range(_require_count(n, "n")):
         field = step(field)
     return field
 
@@ -149,8 +145,7 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     A stack of walkers gives one row of weights per walker, shape
     (..., nmax + 1).
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
+    nmax = _require_count(nmax, "nmax")
     if field.time != 0:
         raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
     walkers = field.packed.shape[:-2]

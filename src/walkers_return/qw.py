@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import Field
-from .specfun import binom, legendre_range
+from .specfun import _require_count, binom, legendre_range
 
 __all__ = [
     "CoinMatrix",
@@ -214,8 +214,7 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
     eigendecomposition, so the mass drifts no more than on the lattice.
     Wrong-parity sites are never written and stay exactly 0.
     """
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    n = _require_count(n, "n")
     size = n + 1
     w = np.exp(2j * np.pi * np.arange(size) / size)
     # The stack of V(w) = [[a, b], [c w, d w]], one 2x2 matrix per sample,
@@ -262,8 +261,7 @@ def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:
     advance together, one batched 2x2 product per time step, and are summed
     at the end.  The enumeration caps at l+m <= 14 to stay at desk scale.
     """
-    if l < 0 or m < 0:
-        raise ValueError(f"step counts must be non-negative, got ({l}, {m})")
+    l, m = _require_count(l, "l"), _require_count(m, "m")
     nsteps = l + m
     if nsteps > _BRUTEFORCE_MAX_STEPS:
         raise ValueError(
@@ -325,6 +323,7 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> np.ndarray:
     (ad)^n splits into |alpha|^{2n}, which the exact sums absorb, and the
     unit phase (ad/|ad|)^n.
     """
+    n = _require_count(n, "n")
     if n < 1:
         raise ValueError("xi_lemma1 needs n >= 1; the 0-step path sum is the identity")
     p, q, r, s = decompose(coin)
@@ -338,7 +337,7 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> np.ndarray:
 
 def return_lemma1(coin: CoinMatrix, phi: QWInitialState, n: int) -> float:
     """Return probability at time 2n via the path-sum matrix."""
-    if n == 0:
+    if _require_count(n, "n") == 0:
         return 1.0
     v = xi_lemma1(coin, n) @ phi.vector()
     return float(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
@@ -356,15 +355,14 @@ def return_closed_qw(alpha_sq: float, n: int) -> float:
     with k = 2|alpha|^2 - 1; odd times return 0, r_0 = 1.  The value is
     entry n of :func:`return_series_qw`.
     """
-    return return_series_qw(alpha_sq, n)[n]
+    return return_series_qw(alpha_sq, _require_count(n, "n"))[n]
 
 
 def return_series_qw(alpha_sq: float, nmax: int) -> np.ndarray:
     """Closed-form return series r_0..r_nmax from one Legendre sweep."""
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
-    if nmax < 0:
-        raise ValueError(f"nmax must be non-negative, got {nmax}")
+    nmax = _require_count(nmax, "nmax")
     k = 2.0 * alpha_sq - 1.0
     legendre = legendre_range(nmax // 2, k)
     values = np.zeros(nmax + 1)
@@ -381,8 +379,7 @@ def return_hadamard(n: int) -> float:
 
     r_0 = 1, r_2 = 1/2, and r_{4m} = r_{4m+2} = C(2m, m)^2 / 2^{4m+1}.
     """
-    if n < 0:
-        raise ValueError(f"time must be non-negative, got {n}")
+    n = _require_count(n, "n")
     if n == 0:
         return 1.0
     if n % 2 == 1:

@@ -66,12 +66,13 @@ def _finite_array(name: str, value) -> np.ndarray:
     return values
 
 
-def _require_degree(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"degree must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    return int(n)
+def _require_count(value: int, name: str) -> int:
+    """A degree or step count as an int, or ValueError naming the parameter `name`."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return int(value)
 
 
 def _not_finite(n: int, x) -> OverflowError:
@@ -101,7 +102,7 @@ def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
 def _legendre_sweep(n: int, x: float) -> list[float]:
     """P_0(x)..P_n(x), or OverflowError where P_n(x) is not finite: a
     non-finite value stays non-finite, so P_n decides for the whole sweep."""
-    n = _require_degree(n)
+    n = _require_count(n, "n")
     x = _require_finite("x", x)
     values = _scaled_legendre(n, x, 1.0)
     if not math.isfinite(values[-1]):
@@ -131,7 +132,7 @@ def jacobi10_eval(n: int, x: float) -> float:
     (j+1)(2j-1) P_j = ((2j+1)(2j-1) x + 1) P_{j-1} - (j-1)(2j+1) P_{j-2}.
     Raises OverflowError where the value is not finite in float64.
     """
-    n = _require_degree(n)
+    n = _require_count(n, "n")
     x = _require_finite("x", x)
     if n == 0:
         return 1.0
@@ -168,7 +169,7 @@ def central_binomial_ratios(jmax: int) -> np.ndarray:
     rounds correctly and cannot overflow; every value equals
     ``binom(2 * j, j) / 4**j``.
     """
-    jmax = _require_degree(jmax)
+    jmax = _require_count(jmax, "jmax")
     ratios = np.empty(jmax + 1)
     ratios[0] = 1.0
     central = 1  # C(2j, j), exact
@@ -299,7 +300,7 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
     which never overflows where the pair itself is finite; OverflowError
     where it is not.
     """
-    n = _require_degree(n)
+    n = _require_count(n, "n")
     if n == 0:
         raise ValueError("scaled_legendre_pair needs n >= 1 (the pair ends at degree n)")
     numer = _require_finite("numer", numer)

@@ -1,5 +1,6 @@
 """Command-line interface: tables, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -74,31 +75,6 @@ def test_return_rw_table(capsys):
     assert rows[-1][1] == pytest.approx(0.375, abs=1e-14)
 
 
-def test_return_crw_accepts_b_or_d(capsys):
-    code_d, out_d, _ = run_cli(
-        capsys, "return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--phi1", "0.3", "--nmax", "6"
-    )
-    code_b, out_b, _ = run_cli(
-        capsys, "return", "--model", "crw", "--a", "0.7", "--b", "0.4", "--phi1", "0.3", "--nmax", "6"
-    )
-    assert code_d == 0 and code_b == 0
-    assert out_d == out_b
-
-
-def test_return_rejects_inconsistent_b_and_d(capsys):
-    # abs(b - (1 - d)) > 1e-12 is False for NaN: `--d nan` was once ignored.
-    for argv in [
-        ("return", "--model", "crw", "--a", "0.7", "--b", "0.5", "--d", "0.6"),
-        ("return", "--model", "crw", "--a", "0.5", "--b", "0.5", "--d", "nan", "--nmax", "4"),
-        ("return", "--model", "crw", "--a", "0.5", "--b", "nan", "--d", "0.5", "--nmax", "4"),
-        ("genfunc", "--model", "crw", "--a", "0.5", "--b", "0.5", "--d", "nan", "--z-count", "2"),
-    ]:
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert "b must equal 1 - d" in err
-
-
 def test_return_rejects_unknown_model(capsys):
     code, _, err = run_cli(capsys, "return", "--model", "polya3d")
     assert code == 2
@@ -123,6 +99,22 @@ def test_return_rejects_nan_initial_weight(capsys):
     assert code == 2
     assert out == ""
     assert "must sum to 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "crw", "--a", "0.5", "--d", "nan", "--nmax", "4"),
+        ("genfunc", "--model", "crw", "--a", "0.5", "--d", "nan", "--z-count", "2"),
+    ],
+    ids=["return", "genfunc"],
+)
+def test_nan_persistence_is_usage_error(capsys, argv):
+    # A NaN --d was once ignored beside a consistent --b.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must lie strictly inside (0, 1)" in err
 
 
 @pytest.mark.parametrize(
@@ -409,7 +401,7 @@ def test_gnuplot_output_two_columns(capsys):
     code, out, _ = run_cli(
         capsys,
         "genfunc", "--model", "rw", "--p", "0.5",
-        "--z-start", "0.2", "--z-stop", "0.4", "--z-count", "2", "--gnuplot",
+        "--z-start", "0.2", "--z-stop", "0.4", "--z-count", "2", "--format", "gnuplot",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -469,24 +461,6 @@ def test_closed_output_pipe_is_no_comparison_failure(tmp_path, joined):
 # tolerance handling
 
 
-def test_env_tolerance_override_can_fail_the_run(capsys, monkeypatch):
-    monkeypatch.setenv("WALKERS_RETURN_TOL", "1e-30")
-    code, out, _ = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "8")
-    assert code == 1
-
-
-def test_tol_flag_beats_environment(capsys, monkeypatch):
-    monkeypatch.setenv("WALKERS_RETURN_TOL", "1e-30")
-    code, _, _ = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "8", "--tol", "1e-8")
-    assert code == 0
-
-
-def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("WALKERS_RETURN_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "4")
-    assert code == 2
-
-
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_bad_tol_flag_is_usage_error(capsys, value):
     code, _, err = run_cli(capsys, "return", "--model", "hadamard", "--nmax", "4", "--tol", value)
@@ -494,12 +468,63 @@ def test_bad_tol_flag_is_usage_error(capsys, value):
     assert "--tol must be a finite positive number" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-def test_non_positive_env_tolerance_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("WALKERS_RETURN_TOL", value)
-    code, _, err = run_cli(capsys, "genfunc", "--model", "hadamard", "--z-count", "1")
-    assert code == 2
-    assert "WALKERS_RETURN_TOL must be a finite positive number" in err
+# ---------------------------------------------------------------------------
+# one spelling per value
+
+_MODEL_OPTIONS = ["--model", "--alpha-sq", "--a", "--d", "--phi1", "--p"]
+
+
+def _option_strings(command):
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return [option for action in commands.choices[command]._actions for option in action.option_strings]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("return", [*_MODEL_OPTIONS, "--nmax", "--tol", "--format", "--out"]),
+        ("genfunc", [*_MODEL_OPTIONS, "--z-start", "--z-stop", "--z-count", "--tol", "--format", "--out"]),
+        ("dist", [*_MODEL_OPTIONS, "--nmax", "--format", "--out"]),
+        ("verify", []),
+    ],
+)
+def test_each_command_has_one_option_per_value(command, options):
+    assert _option_strings(command) == ["-h", "--help", *options]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "crw", "--a", "0.7", "--b", "0.4", "--nmax", "6"),
+        ("genfunc", "--model", "hadamard", "--z-count", "2", "--gnuplot"),
+        ("dist", "--model", "hadamard", "--nmax", "4", "--tol", "1e-8"),
+    ],
+    ids=["b", "gnuplot", "dist-tol"],
+)
+def test_removed_spellings_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_environment_sets_no_tolerance(capsys, monkeypatch):
+    argv = ("return", "--model", "hadamard", "--nmax", "8", "--format", "json")
+    monkeypatch.delenv("WALKERS_RETURN_TOL", raising=False)
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    monkeypatch.setenv("WALKERS_RETURN_TOL", "1e-30")
+    assert run_cli(capsys, *argv) == plain
+
+
+@pytest.mark.parametrize("command", ["dist", "return"])
+def test_rw_ignores_the_crw_initial_weight(capsys, command):
+    # meta.params of an rw table is {"p": ...}: nothing else may move its bytes.
+    argv = (command, "--model", "rw", "--p", "0.3", "--nmax", "200", "--format", "json")
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--phi1", "0.1") == default
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +547,8 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
         ({}, ("genfunc", "--model", "qw", "--alpha-sq", "0.3", "--z-count", "3", "--format", "json")),
         ({"WALKERS_RETURN_TOL": "1e-30"}, hadamard),
         ({}, hadamard),
-        ({}, ("dist", "--model", "crw", "--a", "0.6", "--b", "0.3", "--nmax", "4", "--gnuplot", "--out", out)),
-        ({}, ("genfunc", "--model", "polya2d", "--z-count", "2", "--gnuplot")),
+        ({}, ("dist", "--model", "crw", "--a", "0.6", "--d", "0.7", "--nmax", "4", "--format", "gnuplot", "--out", out)),
+        ({}, ("genfunc", "--model", "polya2d", "--z-count", "2", "--format", "gnuplot")),
         ({}, ("verify", "specfun")),
         ({}, ("genfunc", "--model", "rw", "--p", "0.5", "--z-stop", "1.5")),
         ({}, ("dist", "--model", "qw", "--nmax", "many")),
@@ -557,7 +582,7 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
             monkeypatch.delenv(key)
 
     codes = [result[0] for result in in_process]
-    assert codes == [1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert codes == [1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
     for (env, argv), expected in zip(sequence, in_process):
         child = subprocess.run(
             [sys.executable, "-m", "walkers_return", *argv],

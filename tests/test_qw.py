@@ -156,7 +156,7 @@ def test_off_parity_positions_hold_exact_zeros():
     for _ in range(25):
         field = step(field, coin)
         dist = field.position_distribution()
-        bad = dist[(field.positions + field.time) % 2 == 1]
+        bad = dist[(np.arange(-field.time, field.time + 1) + field.time) % 2 == 1]
         assert np.all(bad == 0.0)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from walkers_return import crw, genfunc, qw, verify
+from walkers_return import crw, genfunc, lattice, qw, verify
 
 SEEDS = [verify.DEFAULT_SEED, 1, 2, 3, 12345]
 
@@ -64,6 +64,21 @@ def test_worst_propagates_nan_in_any_position():
         assert math.isnan(verify._worst(*values))
 
 
+def test_a_corrupted_step_fails_both_conservation_checks(monkeypatch):
+    # The parity checks these replaced read sites the field never stores,
+    # and passed with every stored value overwritten.
+    shift = lattice.shift
+
+    def corrupted(field, matrix):
+        new = shift(field, matrix)
+        new.packed[...] = 7.0
+        return new
+
+    monkeypatch.setattr(lattice, "shift", corrupted)
+    for name in ("norm-conservation-30-steps", "crw-mass-conservation-30-steps"):
+        assert not verify.run_check(name).passed, name
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dist_spectral_check_passes(seed):
     result = verify.run_check("dist-spectral-vs-lattice", seed)
@@ -90,6 +105,8 @@ def test_a_check_run_alone_equals_its_suite_and_all_entries(seed):
     assert [r.name for r in everything] == list(verify.CHECKS)
     assert alone == suites == _bits(everything)
     assert all(r.passed for r in everything), [r for r in everything if not r.passed]
+    # No report reads residual=-0.000e+00.
+    assert [r.name for r in everything if math.copysign(1.0, r.residual) < 0] == []
 
 
 def test_each_check_draws_its_own_stream(monkeypatch):
