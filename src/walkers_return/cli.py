@@ -136,6 +136,7 @@ class Model:
     """
 
     parse: Callable[[argparse.Namespace], Walk]  # reads and validates the model's flags
+    flags: tuple[str, ...]  # the model flags `parse` reads, by argparse dest
     genfunc_tol: float
     return_tol: float | None = None
 
@@ -181,7 +182,7 @@ def _parse_crw(args) -> Walk:
     if args.d is None:
         raise ValueError("model crw requires --d (right-persistence probability)")
     transition = crw.TransitionMatrix.from_persistence(args.a, args.d)
-    phi_hat = crw.CRWInitialState.from_phi1(args.phi1)
+    phi_hat = crw.CRWInitialState.from_phi1(0.5 if args.phi1 is None else args.phi1)
     return _correlated(
         transition,
         phi_hat,
@@ -208,11 +209,11 @@ def _parse_polya2d(args) -> Walk:
 
 
 MODELS = {
-    "qw": Model(_parse_qw, genfunc_tol=1e-6, return_tol=1e-10),
-    "hadamard": Model(_parse_hadamard, genfunc_tol=1e-8, return_tol=1e-10),
-    "crw": Model(_parse_crw, genfunc_tol=1e-10, return_tol=1e-12),
-    "rw": Model(_parse_rw, genfunc_tol=1e-10, return_tol=1e-12),
-    "polya2d": Model(_parse_polya2d, genfunc_tol=1e-9),
+    "qw": Model(_parse_qw, ("alpha_sq",), genfunc_tol=1e-6, return_tol=1e-10),
+    "hadamard": Model(_parse_hadamard, (), genfunc_tol=1e-8, return_tol=1e-10),
+    "crw": Model(_parse_crw, ("a", "d", "phi1"), genfunc_tol=1e-10, return_tol=1e-12),
+    "rw": Model(_parse_rw, ("p",), genfunc_tol=1e-10, return_tol=1e-12),
+    "polya2d": Model(_parse_polya2d, (), genfunc_tol=1e-9),
 }
 RETURN_MODELS = tuple(name for name, model in MODELS.items() if model.return_tol is not None)
 GENFUNC_MODELS = tuple(MODELS)
@@ -223,7 +224,16 @@ def _model(args, command: str, supported: tuple[str, ...]) -> Model:
         raise ValueError(
             f"model {args.model!r} not supported by `{command}`; choose from {', '.join(supported)}"
         )
-    return MODELS[args.model]
+    model = MODELS[args.model]
+    # A flag another model reads would otherwise be dropped without a word.
+    stray = [
+        "--" + flag.replace("_", "-")
+        for flag in dict.fromkeys(flag for other in MODELS.values() for flag in other.flags)
+        if flag not in model.flags and getattr(args, flag) is not None
+    ]
+    if stray:
+        raise ValueError(f"model {args.model!r} does not read {', '.join(stray)}")
+    return model
 
 
 def cmd_return(args) -> int:
@@ -325,7 +335,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-sq", type=float, help="|alpha|^2 of the qw coin, in (0, 1)")
     parser.add_argument("--a", type=float, help="crw left-persistence probability")
     parser.add_argument("--d", type=float, help="crw right-persistence probability")
-    parser.add_argument("--phi1", type=float, default=0.5, help="crw initial left weight (default 0.5)")
+    parser.add_argument("--phi1", type=float, help="crw initial left weight (default 0.5)")
     parser.add_argument("--p", type=float, help="rw left-step probability")
 
 

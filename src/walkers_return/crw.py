@@ -16,6 +16,7 @@ Routes to the return probability: exact mass evolution
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,9 +125,14 @@ def initial_field_crw(phi_hat: CRWInitialState) -> Field:
     return Field.at_origin(phi_hat.vector())
 
 
-def crw_step(field: Field, transition: TransitionMatrix) -> Field:
-    """One time step: L-mass flows one unit left, R-mass one unit right."""
-    return lattice.shift(field, transition.matrix())
+def crw_step(field: Field, transition: TransitionMatrix | np.ndarray) -> Field:
+    """One time step: L-mass flows one unit left, R-mass one unit right.
+
+    `transition` is one transition for every walker of the field, or a
+    stack of transition matrices, shape (walkers, 2, 2), one per walker.
+    """
+    matrix = transition.matrix() if isinstance(transition, TransitionMatrix) else transition
+    return lattice.shift(field, matrix)
 
 
 def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -> Field:
@@ -134,12 +140,19 @@ def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -
 
 
 def simulate_return_crw(
-    transition: TransitionMatrix, phi_hat: CRWInitialState, nmax: int
+    transition: TransitionMatrix | Sequence[TransitionMatrix],
+    phi_hat: CRWInitialState | Sequence[CRWInitialState],
+    nmax: int,
 ) -> np.ndarray:
-    """Return probabilities r_0..r_nmax by direct mass evolution."""
-    return lattice.return_values(
-        initial_field_crw(phi_hat), nmax, lambda field: crw_step(field, transition)
-    )
+    """Return probabilities r_0..r_nmax by direct mass evolution.
+
+    A sequence of states walks as one stack, under the one transition or
+    paired one-to-one with a sequence of transitions, and gives one row per
+    state, shape (len(phi_hat), nmax + 1): bit for bit the walks one state
+    at a time.
+    """
+    matrix, field = lattice.stack(transition, phi_hat)
+    return lattice.return_values(field, nmax, lambda field: crw_step(field, matrix))
 
 
 @dataclass(frozen=True)

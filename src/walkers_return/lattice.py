@@ -11,9 +11,10 @@ A walk started at the origin occupies at time t only the t + 1 sites
 x = -t + 2m (m = 0..t) of the parity of t; every other site holds exactly
 zero, so the field stores just those slots.
 
-Walkers that share one matrix can advance as one stack: a leading walker
-axis in front of the (pair, slot) axes, which every step broadcasts the
-matrix over.  A single walker is the stack with no leading axis.
+Walkers advance as one stack: a leading walker axis in front of the
+(pair, slot) axes, and one product per step, under one matrix that the
+product broadcasts over the walkers or under a stack of matrices, one per
+walker.  A single walker is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .specfun import _require_count
 
-__all__ = ["Field", "shift", "evolve", "return_values"]
+__all__ = ["Field", "stack", "shift", "evolve", "return_values"]
 
 
 def _weight(values):
@@ -93,6 +94,31 @@ class Field:
         return dist
 
 
+def stack(source, state) -> tuple[np.ndarray, Field]:
+    """The step matrix and the time-0 field of one walk or of a stack of walks.
+
+    `source` is a coin or transition (anything with `matrix()`) or a
+    sequence of them, `state` an initial state (anything with `vector()`)
+    or a sequence of them.  One state walks alone under one source.  A
+    sequence of states walks as one stack, shape (len(state), 2, 1), under
+    the one source or paired one-to-one with a sequence of sources, whose
+    matrices stack to shape (len(source), 2, 2).
+    """
+    if hasattr(source, "matrix"):
+        matrix = source.matrix()
+    else:
+        matrix = np.array([one.matrix() for one in source]).reshape(-1, 2, 2)
+    single = hasattr(state, "vector")
+    if single:
+        vectors = state.vector()
+    else:
+        vectors = np.array([one.vector() for one in state], dtype=matrix.dtype).reshape(-1, 2)
+    if matrix.ndim > 2 and (single or len(matrix) != len(vectors)):
+        states = "one state" if single else f"{len(vectors)} states"
+        raise ValueError(f"a stack pairs each state with one step matrix, got {len(matrix)} matrices and {states}")
+    return matrix, Field.at_origin(vectors)
+
+
 def shift(field: Field, matrix: np.ndarray) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1).
 
@@ -102,7 +128,8 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     L-components come from the right neighbour, the R-components from the
     left one).  The product is written straight into place, and only a slot
     with no source (the last L, the first R of a growing field) is zeroed.
-    For a stack of walkers the one product broadcasts `matrix` over them.
+    For a stack of walkers the one product broadcasts a 2x2 `matrix` over
+    them, or pairs a (walkers, 2, 2) stack of matrices with them.
     """
     old, lo, t = field.packed, field.lo, field.time
     walkers, width = old.shape[:-2], old.shape[-1]

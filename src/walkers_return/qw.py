@@ -190,9 +190,13 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return p, q, r, s
 
 
-def step(field: Field, coin: CoinMatrix) -> Field:
-    """One time step: new(x) = P old(x+1) + Q old(x-1)."""
-    return lattice.shift(field, coin.matrix())
+def step(field: Field, coin: CoinMatrix | np.ndarray) -> Field:
+    """One time step: new(x) = P old(x+1) + Q old(x-1).
+
+    `coin` is one coin for every walker of the field, or a stack of coin
+    matrices, shape (walkers, 2, 2), one per walker.
+    """
+    return lattice.shift(field, coin.matrix() if isinstance(coin, CoinMatrix) else coin)
 
 
 def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> Field:
@@ -236,19 +240,18 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
 
 
 def simulate_return(
-    coin: CoinMatrix, phi: QWInitialState | Sequence[QWInitialState], nmax: int
+    coin: CoinMatrix | Sequence[CoinMatrix],
+    phi: QWInitialState | Sequence[QWInitialState],
+    nmax: int,
 ) -> np.ndarray:
     """Return probabilities r_0..r_nmax by direct evolution.
 
-    A sequence of states walks as one stack under the coin, which gives
-    the same values as walking each state alone, one row per state: shape
-    (len(phi), nmax + 1).
+    A sequence of states walks as one stack, under the one coin or paired
+    one-to-one with a sequence of coins, and gives one row per state,
+    shape (len(phi), nmax + 1): bit for bit the walks one state at a time.
     """
-    if isinstance(phi, QWInitialState):
-        field = initial_field(phi)
-    else:
-        field = Field.at_origin(np.array([state.vector() for state in phi], dtype=complex).reshape(-1, 2))
-    return lattice.return_values(field, nmax, lambda field: step(field, coin))
+    matrix, field = lattice.stack(coin, phi)
+    return lattice.return_values(field, nmax, lambda field: step(field, matrix))
 
 
 def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:

@@ -44,6 +44,13 @@ def _worst(*values: float | np.ndarray) -> float:
     return float(np.max(values)) + 0.0
 
 
+def _pairs(draws) -> tuple[list, list]:
+    """(coins, states) of a stack from (coin, its states) draws: each coin
+    repeated once per state, paired one-to-one with the states in order."""
+    coins = [coin for coin, states in draws for _ in states]
+    return coins, [phi for _, states in draws for phi in states]
+
+
 # ---------------------------------------------------------------------------
 # specfun checks
 
@@ -139,31 +146,33 @@ def _check_hadamard_three_routes(rng: np.random.Generator) -> float:
 
 
 def _check_oracle_triangle_random(rng: np.random.Generator) -> float:
+    # 25 coins with 10 states each, five coins to a stack of 50 walkers.
+    draws = [(qw.CoinMatrix.random(rng), [qw.QWInitialState.random(rng) for _ in range(10)]) for _ in range(25)]
     residuals = []
-    for _ in range(25):
-        coin = qw.CoinMatrix.random(rng)
-        closed = qw.return_series_qw(coin.alpha_sq, 60)
-        sim = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(10)], 60)
-        residuals.append(np.abs(sim - closed))
+    for start in range(0, 25, 5):
+        group = draws[start : start + 5]
+        closed = np.repeat([qw.return_series_qw(coin.alpha_sq, 60) for coin, _ in group], 10, axis=0)
+        residuals.append(np.abs(qw.simulate_return(*_pairs(group), 60) - closed))
     return _worst(*residuals)
 
 
 def _check_state_independence(rng: np.random.Generator) -> float:
-    residuals = []
-    for _ in range(5):
-        coin = qw.CoinMatrix.random(rng)
-        stacked = qw.simulate_return(coin, [qw.QWInitialState.random(rng) for _ in range(20)], 60)
-        residuals.append(stacked.max(axis=0) - stacked.min(axis=0))
-    return _worst(*residuals)
+    # 5 coins with 20 states each, walked as one stack of 100.
+    draws = [(qw.CoinMatrix.random(rng), [qw.QWInitialState.random(rng) for _ in range(20)]) for _ in range(5)]
+    stacked = qw.simulate_return(*_pairs(draws), 60).reshape(5, 20, -1)
+    return _worst(stacked.max(axis=1) - stacked.min(axis=1))
 
 
 def _check_oracle_triangle_grid(rng: np.random.Generator) -> float:
     # All three routes at once across the |alpha|^2 grid, n <= 40.
+    grid = (0.1, 0.3, 0.5, 0.8, 0.95)
+    coins, states = [], []
+    for alpha_sq in grid:
+        coins.append(qw.CoinMatrix.from_alpha_sq(alpha_sq, theta=rng.uniform(0.0, 2.0 * math.pi)))
+        states.append(qw.QWInitialState.random(rng))
+    sims = qw.simulate_return(coins, states, 80)
     residuals = []
-    for alpha_sq in (0.1, 0.3, 0.5, 0.8, 0.95):
-        coin = qw.CoinMatrix.from_alpha_sq(alpha_sq, theta=rng.uniform(0.0, 2.0 * math.pi))
-        phi = qw.QWInitialState.random(rng)
-        sim = qw.simulate_return(coin, phi, 80)
+    for alpha_sq, coin, phi, sim in zip(grid, coins, states, sims):
         series = qw.return_series_qw(alpha_sq, 80)
         for n in range(1, 41):
             lemma = qw.return_lemma1(coin, phi, n)
@@ -193,20 +202,19 @@ def _check_three_step_listing(rng: np.random.Generator) -> float:
 
 
 def _check_phase_independence(rng: np.random.Generator) -> float:
+    # The phase-free coin and five phased ones, walked as one stack.
     alpha_sq = rng.uniform(0.1, 0.9)
-    phi = qw.QWInitialState.canonical()
-    base = qw.simulate_return(qw.CoinMatrix.from_alpha_sq(alpha_sq), phi, 60)
-    residuals = []
-    for _ in range(5):
-        coin = qw.CoinMatrix.from_alpha_sq(
+    coins = [qw.CoinMatrix.from_alpha_sq(alpha_sq)] + [
+        qw.CoinMatrix.from_alpha_sq(
             alpha_sq,
             theta=rng.uniform(0.0, 2.0 * math.pi),
             alpha_phase=rng.uniform(0.0, 2.0 * math.pi),
             beta_phase=rng.uniform(0.0, 2.0 * math.pi),
         )
-        other = qw.simulate_return(coin, phi, 60)
-        residuals.append(float(np.max(np.abs(other - base))))
-    return _worst(*residuals)
+        for _ in range(5)
+    ]
+    stacked = qw.simulate_return(coins, [qw.QWInitialState.canonical()] * len(coins), 60)
+    return _worst(np.abs(stacked[1:] - stacked[0]))
 
 
 def _norm_drift(field, advance, steps: int) -> float:
@@ -254,12 +262,9 @@ def _check_crw_closed_vs_simulation(rng: np.random.Generator) -> float:
         cases.append(
             (crw.TransitionMatrix(a=a, b=a - sign * 1e-10), crw.CRWInitialState.from_phi1(0.3))
         )
-    residuals = []
-    for transition, phi_hat in cases:
-        sim = crw.simulate_return_crw(transition, phi_hat, 80)
-        closed = crw.return_series_crw(transition, phi_hat, 80)
-        residuals.append(float(np.max(np.abs(sim - closed))))
-    return _worst(*residuals)
+    transitions, states = zip(*cases)
+    closed = [crw.return_series_crw(transition, phi_hat, 80) for transition, phi_hat in cases]
+    return _worst(np.abs(crw.simulate_return_crw(transitions, states, 80) - closed))
 
 
 def _check_crw_state_independence(rng: np.random.Generator) -> float:
@@ -276,12 +281,13 @@ def _check_crw_state_independence(rng: np.random.Generator) -> float:
 
 
 def _check_rw_reduction(rng: np.random.Generator) -> float:
+    grid = (0.2, 0.5, 0.7)
+    transitions = [crw.TransitionMatrix.uncorrelated(p) for p in grid]
+    states = [crw.CRWInitialState.random(rng) for _ in grid]
+    sims = crw.simulate_return_crw(transitions, states, 60)
     residuals = []
-    for p in (0.2, 0.5, 0.7):
-        transition = crw.TransitionMatrix.uncorrelated(p)
-        phi_hat = crw.CRWInitialState.random(rng)
+    for p, transition, phi_hat, sim in zip(grid, transitions, states, sims):
         series = crw.return_series_crw(transition, phi_hat, 60)
-        sim = crw.simulate_return_crw(transition, phi_hat, 60)
         for j in range(31):
             exact = (p * (1.0 - p)) ** j * specfun.binom(2 * j, j)
             residuals += [abs(series[2 * j] - exact), abs(sim[2 * j] - exact)]

@@ -1,10 +1,11 @@
 """The names and signatures the traced benchmark run relies on.
 
 `bench/tracing.py` wraps `qw.step` and `crw.crw_step` by name in the package
-namespaces and counts site steps from their `(field, ...)` arguments, 2t + 1
-per call even where the call advances a stack of walkers; the lattice loops
-must reach every step through those names at call time.  It
-counts the rows of each emitted table from `len(table.rows)`.
+namespaces and counts site steps from their `(field, coin or transition)`
+arguments, 2t + 1 per call even where the call advances a stack of walkers,
+whether they share one matrix or each has its own; the lattice loops must
+reach every step through those names at call time.  It counts the rows of
+each emitted table from `len(table.rows)`.
 """
 
 import math
@@ -65,8 +66,16 @@ def test_traced_emit_counts_every_row(tracer, tmp_path, argv, emitter, rows):
 
 
 # Site steps the tracer counts for each suite at the default seed: 2t + 1
-# once per step call, also for a call that advances a stack of walkers.
-TRACED_SUITE_STEPS = {"qw": 1203974, "crw": 344500}
+# once per step call, also for a call that advances a stack of walkers.  A
+# step sequence to time n counts the sum over t < n of 2t + 1 = n^2, once per
+# stack or single walk:
+#   qw  = 10^2 (hadamard) + 5 * 60^2 (random coins, 5 stacks of 50)
+#         + 60^2 (state independence) + 80^2 (oracle triangle)
+#         + 60^2 (coin phases) + 1000^2 (unitarity) + 30^2 (norm)
+#         + 0^2 + 1^2 + 2^2 + 37^2 + 200^2 (dist vs lattice) = 1073974
+#   crw = 80^2 (closed vs simulation) + 60^2 (random-walk reduction)
+#         + 30^2 (mass) = 10900
+TRACED_SUITE_STEPS = {"qw": 1073974, "crw": 10900}
 
 
 @pytest.mark.parametrize(

@@ -518,13 +518,42 @@ def test_environment_sets_no_tolerance(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == plain
 
 
+# ---------------------------------------------------------------------------
+# each model reads only its own flags
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (("dist", "--model", "hadamard", "--alpha-sq", "0.9", "--nmax", "2", "--format", "json"), "--alpha-sq"),
+        (("return", "--model", "qw", "--alpha-sq", "0.3", "--a", "0.2", "--d", "0.5", "--p", "0.9", "--nmax", "2"), "--a, --d, --p"),
+        (("genfunc", "--model", "crw", "--a", "0.7", "--d", "0.6", "--alpha-sq", "0.3", "--z-count", "2"), "--alpha-sq"),
+        (("genfunc", "--model", "polya2d", "--p", "0.5", "--z-count", "2"), "--p"),
+    ],
+    ids=["hadamard-alpha-sq", "qw-crw-and-rw-flags", "crw-alpha-sq", "polya2d-p"],
+)
+def test_a_flag_the_model_does_not_read_is_usage_error(capsys, argv, stray):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"model {argv[2]!r} does not read {stray}" in err
+
+
 @pytest.mark.parametrize("command", ["dist", "return"])
-def test_rw_ignores_the_crw_initial_weight(capsys, command):
-    # meta.params of an rw table is {"p": ...}: nothing else may move its bytes.
+def test_rw_rejects_the_crw_initial_weight(capsys, command):
+    # An rw walk does not depend on the last step: --phi1 would change nothing.
     argv = (command, "--model", "rw", "--p", "0.3", "--nmax", "200", "--format", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--phi1", "0.1")
+    assert (code, out) == (2, "")
+    assert "model 'rw' does not read --phi1" in err
+
+
+def test_crw_initial_weight_defaults_to_one_half(capsys):
+    argv = ("return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "8", "--format", "json")
     default = run_cli(capsys, *argv)
     assert default[0] == 0
-    assert run_cli(capsys, *argv, "--phi1", "0.1") == default
+    assert json.loads(default[1])["meta"]["params"]["phi1_hat"] == 0.5
+    assert run_cli(capsys, *argv, "--phi1", "0.5") == default
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walkers_return import crw, lattice, qw
@@ -152,14 +152,61 @@ def test_stacked_crw_return_equals_the_walks_one_state_at_a_time(seed, walkers, 
     rng = np.random.default_rng(seed)
     transition = crw.TransitionMatrix.random(rng)
     states = [crw.CRWInitialState.random(rng) for _ in range(walkers)]
-    field = lattice.Field.at_origin(np.array([phi_hat.vector() for phi_hat in states]))
-    stacked = lattice.return_values(field, nmax, lambda f: crw.crw_step(f, transition))
+    stacked = crw.simulate_return_crw(transition, states, nmax)
     assert stacked.shape == (walkers, nmax + 1)
     assert np.array_equal(stacked, [crw.simulate_return_crw(transition, phi_hat, nmax) for phi_hat in states])
 
 
-def test_an_empty_stack_returns_no_rows():
-    assert qw.simulate_return(qw.CoinMatrix.hadamard(), [], 6).shape == (0, 7)
+# Each walk's return route, with how it draws a random coin (transition)
+# and a random initial state.
+_PER_WALKER = [
+    (qw.simulate_return, qw.CoinMatrix.random, qw.QWInitialState.random),
+    (crw.simulate_return_crw, crw.TransitionMatrix.random, crw.CRWInitialState.random),
+]
+
+
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+@given(**_stacks)
+@example(seed=0, walkers=1, nmax=0)
+@example(seed=1, walkers=25, nmax=1)
+@example(seed=2, walkers=7, nmax=77)
+@example(seed=3, walkers=25, nmax=150)
+@settings(max_examples=30, deadline=None)
+def test_a_stack_with_a_coin_per_walker_equals_each_walk_alone(walk, seed, walkers, nmax):
+    simulate, random_source, random_state = _PER_WALKER[walk]
+    rng = np.random.default_rng(seed)
+    sources = [random_source(rng) for _ in range(walkers)]
+    states = [random_state(rng) for _ in range(walkers)]
+    stacked = simulate(sources, states, nmax)
+    assert stacked.shape == (walkers, nmax + 1)
+    assert np.array_equal(stacked, [simulate(source, phi, nmax) for source, phi in zip(sources, states)])
+
+
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+@given(seed=st.integers(0, 2**32 - 1), sources=st.integers(1, 25), states=st.integers(0, 25), nmax=st.integers(0, 150))
+@example(seed=0, sources=1, states=0, nmax=0)
+@example(seed=1, sources=25, states=24, nmax=150)
+@settings(max_examples=20, deadline=None)
+def test_a_coin_per_walker_needs_a_state_per_walker(walk, seed, sources, states, nmax):
+    simulate, random_source, random_state = _PER_WALKER[walk]
+    rng = np.random.default_rng(seed)
+    assume(states != sources)
+    source_list = [random_source(rng) for _ in range(sources)]
+    state_list = [random_state(rng) for _ in range(states)]
+    with pytest.raises(ValueError, match=rf"got {sources} matrices and {states} states"):
+        simulate(source_list, state_list, nmax)
+    with pytest.raises(ValueError, match=rf"got {sources} matrices and one state"):
+        simulate(source_list, random_state(rng), nmax)
+
+
+@given(seed=st.integers(0, 2**32 - 1), nmax=st.integers(0, 150))
+@example(seed=0, nmax=6)
+@settings(max_examples=20, deadline=None)
+def test_an_empty_stack_returns_no_rows(seed, nmax):
+    rng = np.random.default_rng(seed)
+    for simulate, random_source, _ in _PER_WALKER:
+        assert simulate(random_source(rng), [], nmax).shape == (0, nmax + 1)
+        assert simulate([], [], nmax).shape == (0, nmax + 1)
 
 
 def test_return_weights_round_like_scalar_squares():
