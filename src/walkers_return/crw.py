@@ -29,7 +29,6 @@ from .specfun import _require_count, _scaled_legendre
 __all__ = [
     "TransitionMatrix",
     "CRWInitialState",
-    "initial_field_crw",
     "CRWClosedFormParams",
     "crw_step",
     "evolve_crw",
@@ -120,23 +119,18 @@ class CRWInitialState:
         return cls.from_phi1(rng.uniform(0.0, 1.0))
 
 
-def initial_field_crw(phi_hat: CRWInitialState) -> Field:
-    """Mass field at time 0: masses (last step Left, last step Right) at the origin."""
-    return Field.at_origin(phi_hat.vector())
-
-
-def crw_step(field: Field, transition: TransitionMatrix | np.ndarray) -> Field:
-    """One time step: L-mass flows one unit left, R-mass one unit right.
-
-    `transition` is one transition for every walker of the field, or a
-    stack of transition matrices, shape (walkers, 2, 2), one per walker.
-    """
-    matrix = transition.matrix() if isinstance(transition, TransitionMatrix) else transition
+def crw_step(field: Field, matrix: np.ndarray) -> Field:
+    """One time step, L-mass one unit left and R-mass one unit right, under
+    the 2x2 or (walkers, 2, 2) step `matrix` that :func:`lattice.stack` returns."""
     return lattice.shift(field, matrix)
 
 
-def evolve_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, n: int) -> Field:
-    return lattice.evolve(initial_field_crw(phi_hat), n, lambda field: crw_step(field, transition))
+def evolve_crw(
+    transition: TransitionMatrix | Sequence[TransitionMatrix], phi_hat: CRWInitialState | Sequence[CRWInitialState], n: int
+) -> Field:
+    """Masses after n steps from the origin: one walk, or a stack as in :func:`simulate_return_crw`."""
+    matrix, field = lattice.stack(transition, phi_hat)
+    return lattice.evolve(field, n, lambda field: crw_step(field, matrix))
 
 
 def simulate_return_crw(

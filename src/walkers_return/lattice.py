@@ -14,7 +14,8 @@ zero, so the field stores just those slots.
 Walkers advance as one stack: a leading walker axis in front of the
 (pair, slot) axes, and one product per step, under one matrix that the
 product broadcasts over the walkers or under a stack of matrices, one per
-walker.  A single walker is the stack with no leading axis.
+walker.  A single walker is the stack with no leading axis.  Every walk is
+set up by `stack`: its step matrix and its time-0 field.
 """
 
 from __future__ import annotations
@@ -35,26 +36,13 @@ def _weight(values):
     return np.abs(values) ** 2 if values.dtype.kind == "c" else values
 
 
-class _Cone:
-    """The light cone of the origin up to time `horizon`, and the two
-    buffers, one flat row per walker, that the steps inside it alternate
-    between: each step writes the one its input field does not live in."""
-
-    def __init__(self, horizon: int, walkers: tuple[int, ...], dtype) -> None:
-        self.horizon = horizon
-        size = 2 * (horizon // 2 + 1) + 3  # the widest window, horizon // 2 + 1 slots, as `shift` lays it out
-        self._buffers = [np.empty(walkers + (size,), dtype=dtype) for _ in range(2)]
-        self._turn = 0
-
-    def advance(self, t: int) -> tuple[int, int, np.ndarray]:
-        """First slot and width of the window at time t, and the buffer to
-        write it into.  The window holds the slots m whose site can still
-        reach the origin by `horizon` (|x| <= horizon - t); it is empty only
-        at an odd last step."""
-        reach = self.horizon - t
-        lo = max(0, (t - reach + 1) // 2)
-        self._turn ^= 1
-        return lo, max(0, min(t, (t + reach) // 2) - lo + 1), self._buffers[self._turn]
+def _window(horizon: int, t: int) -> tuple[int, int]:
+    """First slot and width of the light-cone window at time t: the slots m
+    whose site can still reach the origin by `horizon` (|x| <= horizon - t).
+    It is empty only at an odd last step."""
+    reach = horizon - t
+    lo = max(0, (t - reach + 1) // 2)
+    return lo, max(0, min(t, (t + reach) // 2) - lo + 1)
 
 
 # Not frozen: a frozen dataclass's __init__ costs about 0.8 us more, and
@@ -68,29 +56,32 @@ class Field:
     walkers of one stack, which share `time`, `lo` and the step matrix.  A
     field from `evolve` stores all time + 1 of them (lo = 0).  Inside
     `return_values` a field keeps only the light cone of the origin and
-    carries the `_Cone` its steps advance in; such fields never leave that
-    loop.  `position_distribution()` reads positions -time..time, with
-    exact zeros on every site not stored; it and `total_probability()`
-    read a single walker.
+    carries `cone`, the horizon and the two buffers its steps write into;
+    such fields never leave that loop.  The reads work per walker:
+    `position_distribution()` gives positions -time..time, one row per
+    walker, with exact zeros on every site not stored, and
+    `total_probability()` a float for one walker and an array for a stack.
     """
 
     time: int
     packed: np.ndarray  # shape (..., 2, width), width <= time + 1
     lo: int = 0
-    cone: _Cone | None = None
+    cone: tuple[int, np.ndarray] | None = None  # (horizon, buffers of shape (2, ..., size))
 
     @classmethod
     def at_origin(cls, vector: np.ndarray) -> "Field":
         """The time-0 field of the (L, R) pairs `vector`, shape (..., 2)."""
         return cls(time=0, packed=vector[..., None].copy())
 
-    def total_probability(self) -> float:
-        return float(np.sum(_weight(self.packed)))
+    def total_probability(self) -> float | np.ndarray:
+        weights = _weight(self.packed)
+        total = np.sum(weights.reshape(weights.shape[:-2] + (-1,)), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def position_distribution(self) -> np.ndarray:
-        weights = _weight(self.packed[0]) + _weight(self.packed[1])
-        dist = np.zeros(2 * self.time + 1, dtype=weights.dtype)
-        dist[2 * self.lo : 2 * (self.lo + weights.size) : 2] = weights
+        weights = _weight(self.packed[..., 0, :]) + _weight(self.packed[..., 1, :])
+        dist = np.zeros(weights.shape[:-1] + (2 * self.time + 1,), dtype=weights.dtype)
+        dist[..., 2 * self.lo : 2 * (self.lo + weights.shape[-1]) : 2] = weights
         return dist
 
 
@@ -134,11 +125,13 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     old, lo, t = field.packed, field.lo, field.time
     walkers, width = old.shape[:-2], old.shape[-1]
     cone = field.cone
-    if cone is None:
+    if cone is None:  # a fresh array, so a field `evolve` returns is never overwritten
         new_lo, new_width = 0, t + 2
         flat = np.empty(walkers + (2 * t + 7,), dtype=old.dtype)
-    else:
-        new_lo, new_width, flat = cone.advance(t + 1)
+    else:  # the buffer the input field does not live in
+        horizon, buffers = cone
+        new_lo, new_width = _window(horizon, t + 1)
+        flat = buffers[(t + 1) % 2]
     # Each walker's new field is its row flat[..., 1 : 1 + 2 new_width] as a (2, new_width) array:
     # L slot m at flat[1 + m - new_lo], R slot m at flat[1 + new_width + m - new_lo].
     # So (M old)[0, j] (L at m = lo + j) and (M old)[1, j] (R at m = lo + j + 1)
@@ -176,7 +169,8 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     if field.time != 0:
         raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
     walkers = field.packed.shape[:-2]
-    field = replace(field, cone=_Cone(nmax, walkers, field.packed.dtype))
+    size = 2 * (nmax // 2 + 1) + 3  # the widest window, nmax // 2 + 1 slots, as `shift` lays it out
+    field = replace(field, cone=(nmax, np.empty((2, *walkers, size), dtype=field.packed.dtype)))
     pairs = np.empty((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):

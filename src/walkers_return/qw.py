@@ -33,7 +33,6 @@ from .specfun import _require_count, binom, legendre_range
 __all__ = [
     "CoinMatrix",
     "QWInitialState",
-    "initial_field",
     "decompose",
     "step",
     "evolve",
@@ -160,20 +159,15 @@ class QWInitialState:
 
     @classmethod
     def canonical(cls) -> "QWInitialState":
-        """The balanced state (1/sqrt2, i/sqrt2)."""
-        s = 1.0 / math.sqrt(2.0)
-        return cls(phi1=s, phi2=1j * s)
+        """The balanced state (1/sqrt2, i/sqrt2), 1/sqrt2 rounded up in one
+        component and down in the other, so that the norm is exactly 1."""
+        return cls(phi1=math.sqrt(0.5), phi2=1j / math.sqrt(2.0))
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "QWInitialState":
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         return cls(phi1=complex(v[0]), phi2=complex(v[1]))
-
-
-def initial_field(phi: QWInitialState) -> Field:
-    """Amplitude field at time 0: phi at the origin."""
-    return Field.at_origin(phi.vector())
 
 
 def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -190,18 +184,16 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return p, q, r, s
 
 
-def step(field: Field, coin: CoinMatrix | np.ndarray) -> Field:
-    """One time step: new(x) = P old(x+1) + Q old(x-1).
-
-    `coin` is one coin for every walker of the field, or a stack of coin
-    matrices, shape (walkers, 2, 2), one per walker.
-    """
-    return lattice.shift(field, coin.matrix() if isinstance(coin, CoinMatrix) else coin)
+def step(field: Field, matrix: np.ndarray) -> Field:
+    """One time step, new(x) = P old(x+1) + Q old(x-1), under the 2x2 or
+    (walkers, 2, 2) step `matrix` that :func:`lattice.stack` returns."""
+    return lattice.shift(field, matrix)
 
 
-def evolve(coin: CoinMatrix, phi: QWInitialState, n: int) -> Field:
-    """State after n steps from the origin."""
-    return lattice.evolve(initial_field(phi), n, lambda field: step(field, coin))
+def evolve(coin: CoinMatrix | Sequence[CoinMatrix], phi: QWInitialState | Sequence[QWInitialState], n: int) -> Field:
+    """State after n steps from the origin: one walk, or a stack as in :func:`simulate_return`."""
+    matrix, field = lattice.stack(coin, phi)
+    return lattice.evolve(field, n, lambda field: step(field, matrix))
 
 
 def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:

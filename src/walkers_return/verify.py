@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crw, genfunc, qw, specfun
+from . import crw, genfunc, lattice, qw, specfun
 
 __all__ = ["CheckResult", "CHECKS", "SUITE_NAMES", "run_check", "run_suite", "DEFAULT_SEED"]
 
@@ -217,25 +217,22 @@ def _check_phase_independence(rng: np.random.Generator) -> float:
     return _worst(np.abs(stacked[1:] - stacked[0]))
 
 
-def _norm_drift(field, advance, steps: int) -> float:
-    """Largest |total weight - 1| over `steps` applications of `advance`."""
+def _norm_drift(source, state, step, steps: int) -> float:
+    """Largest |total weight - 1| over `steps` steps of the walk of `state` under `source`."""
+    matrix, field = lattice.stack(source, state)
     residuals = []
     for _ in range(steps):
-        field = advance(field)
+        field = step(field, matrix)
         residuals.append(abs(field.total_probability() - 1.0))
     return _worst(*residuals)
 
 
 def _check_unitarity_long_run(rng: np.random.Generator) -> float:
-    coin = qw.CoinMatrix.random(rng)
-    field = qw.initial_field(qw.QWInitialState.random(rng))
-    return _norm_drift(field, lambda f: qw.step(f, coin), 1000)
+    return _norm_drift(qw.CoinMatrix.random(rng), qw.QWInitialState.random(rng), qw.step, 1000)
 
 
 def _check_norm_conservation(rng: np.random.Generator) -> float:
-    coin = qw.CoinMatrix.random(rng)
-    field = qw.initial_field(qw.QWInitialState.random(rng))
-    return _norm_drift(field, lambda f: qw.step(f, coin), 30)
+    return _norm_drift(qw.CoinMatrix.random(rng), qw.QWInitialState.random(rng), qw.step, 30)
 
 
 def _check_dist_spectral_vs_lattice(rng: np.random.Generator) -> float:
@@ -329,9 +326,7 @@ def _check_crw_gf_vs_series(rng: np.random.Generator) -> float:
 
 
 def _check_crw_mass_conservation(rng: np.random.Generator) -> float:
-    transition = crw.TransitionMatrix.random(rng)
-    field = crw.initial_field_crw(crw.CRWInitialState.random(rng))
-    return _norm_drift(field, lambda f: crw.crw_step(f, transition), 30)
+    return _norm_drift(crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng), crw.crw_step, 30)
 
 
 # ---------------------------------------------------------------------------

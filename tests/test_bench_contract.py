@@ -1,11 +1,12 @@
 """The names and signatures the traced benchmark run relies on.
 
 `bench/tracing.py` wraps `qw.step` and `crw.crw_step` by name in the package
-namespaces and counts site steps from their `(field, coin or transition)`
-arguments, 2t + 1 per call even where the call advances a stack of walkers,
-whether they share one matrix or each has its own; the lattice loops must
-reach every step through those names at call time.  It counts the rows of
-each emitted table from `len(table.rows)`.
+namespaces and counts site steps from their `(field, step matrix)` arguments,
+2t + 1 per call even where the call advances a stack of walkers, whether they
+share one 2x2 matrix or each has its own in a (walkers, 2, 2) stack; the
+lattice loops, `evolve` and `return_values` alike, must reach every step
+through those names at call time.  It counts the rows of each emitted table
+from `len(table.rows)`.
 """
 
 import math
@@ -47,6 +48,13 @@ def test_traced_return_counts_every_site_step(tracer, tmp_path, model_argv, work
     argv = ["return", *model_argv, "--nmax", "40", "--out", str(tmp_path / "table.csv")]
     assert walkers_return.cli.main(argv) == 0
     assert tracer.work[work_key] == SITE_STEPS_40
+
+
+def test_traced_dist_counts_every_site_step(tracer, tmp_path):
+    # `dist --model crw` walks the dense field through `crw.evolve_crw`.
+    argv = ["dist", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "40", "--out", str(tmp_path / "table.csv")]
+    assert walkers_return.cli.main(argv) == 0
+    assert tracer.work["crw.crw_step.site_steps"] == SITE_STEPS_40
 
 
 @pytest.mark.parametrize(

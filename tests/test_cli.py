@@ -68,6 +68,12 @@ def test_return_qw_two_steps(capsys):
     assert rows[-1][1] == pytest.approx(0.2, abs=1e-13)
 
 
+def test_return_qw_starts_from_a_unit_norm_state(capsys):
+    code, out, _ = run_cli(capsys, "return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "0,1,1,0"
+
+
 def test_return_rw_table(capsys):
     code, out, _ = run_cli(capsys, "return", "--model", "rw", "--p", "0.5", "--nmax", "4")
     assert code == 0

@@ -13,12 +13,12 @@ from walkers_return.crw import (
     closed_form_params,
     crw_step,
     evolve_crw,
-    initial_field_crw,
     return_closed_crw,
     return_series_crw,
     return_sum_form_crw,
     simulate_return_crw,
 )
+from walkers_return.lattice import stack
 from walkers_return.specfun import binom
 
 
@@ -103,10 +103,9 @@ def test_single_persistent_step():
 
 def test_mass_conserved_over_five_hundred_steps():
     rng = np.random.default_rng(41)
-    t = TransitionMatrix.random(rng)
-    field = initial_field_crw(CRWInitialState.random(rng))
+    matrix, field = stack(TransitionMatrix.random(rng), CRWInitialState.random(rng))
     for _ in range(500):
-        field = crw_step(field, t)
+        field = crw_step(field, matrix)
     assert abs(field.total_probability() - 1.0) < 1e-12
 
 

@@ -12,7 +12,7 @@ RETURN_HORIZONS = (0, 1, 2, 3, 7, 40, 301)
 
 def _walks(seed):
     """(simulate_return, initial field, step, step matrix) for a qw walk with a
-    real-entry coin and for a crw walk.
+    real-entry coin and for a crw walk, set up by `lattice.stack`.
 
     BLAS rounds a product with a complex coin differently in the last columns
     of a block than in the others, so a field laid out over other columns can
@@ -23,18 +23,20 @@ def _walks(seed):
     phi = qw.QWInitialState.random(rng)
     transition = crw.TransitionMatrix.random(rng)
     phi_hat = crw.CRWInitialState.random(rng)
+    qw_matrix, qw_field = lattice.stack(coin, phi)
+    crw_matrix, crw_field = lattice.stack(transition, phi_hat)
     return [
         (
             lambda nmax: qw.simulate_return(coin, phi, nmax),
-            qw.initial_field(phi),
-            lambda field: qw.step(field, coin),
-            coin.matrix(),
+            qw_field,
+            lambda field: qw.step(field, qw_matrix),
+            qw_matrix,
         ),
         (
             lambda nmax: crw.simulate_return_crw(transition, phi_hat, nmax),
-            crw.initial_field_crw(phi_hat),
-            lambda field: crw.crw_step(field, transition),
-            transition.matrix(),
+            crw_field,
+            lambda field: crw.crw_step(field, crw_matrix),
+            crw_matrix,
         ),
     ]
 
@@ -71,9 +73,8 @@ def test_light_cone_return_equals_the_dense_walk(nmax, walk):
 
 def test_light_cone_return_with_a_complex_coin_matches_to_rounding():
     rng = np.random.default_rng(5)
-    coin = qw.CoinMatrix.random(rng)
-    field = qw.initial_field(qw.QWInitialState.random(rng))
-    advance = lambda f: qw.step(f, coin)  # noqa: E731
+    matrix, field = lattice.stack(qw.CoinMatrix.random(rng), qw.QWInitialState.random(rng))
+    advance = lambda f: qw.step(f, matrix)  # noqa: E731
     expected = _dense_origin_weights(field, advance, 301)
     values = lattice.return_values(field, 301, advance)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-15)
@@ -111,7 +112,7 @@ def test_a_returned_field_is_never_overwritten():
     coin = qw.CoinMatrix.random(rng)
     first = qw.evolve(coin, qw.QWInitialState.random(rng), 5)
     kept = first.packed.copy()
-    later = lattice.evolve(first, 20, lambda field: qw.step(field, coin))
+    later = lattice.evolve(first, 20, lambda field: qw.step(field, coin.matrix()))
     assert later.time == 25
     assert np.array_equal(first.packed, kept)
 
@@ -119,7 +120,7 @@ def test_a_returned_field_is_never_overwritten():
 def test_return_values_rejects_a_field_after_time_zero():
     field = qw.evolve(qw.CoinMatrix.hadamard(), qw.QWInitialState.canonical(), 2)
     with pytest.raises(ValueError, match="time 0"):
-        lattice.return_values(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard()))
+        lattice.return_values(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard().matrix()))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,39 @@ def test_stacked_crw_return_equals_the_walks_one_state_at_a_time(seed, walkers, 
     stacked = crw.simulate_return_crw(transition, states, nmax)
     assert stacked.shape == (walkers, nmax + 1)
     assert np.array_equal(stacked, [crw.simulate_return_crw(transition, phi_hat, nmax) for phi_hat in states])
+
+
+# Each walk's dense route, with how it draws a random coin (transition) and
+# a random initial state.
+_EVOLVE = [
+    (qw.evolve, qw.CoinMatrix.random, qw.QWInitialState.random),
+    (crw.evolve_crw, crw.TransitionMatrix.random, crw.CRWInitialState.random),
+]
+
+
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per-walker"])
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.integers(1, 12), n=st.integers(0, 60))
+@example(seed=0, walkers=1, n=0)
+@example(seed=1, walkers=12, n=60)
+@settings(max_examples=25, deadline=None)
+def test_evolve_reads_a_stack_row_by_row(walk, per_walker, seed, walkers, n):
+    evolve, random_source, random_state = _EVOLVE[walk]
+    rng = np.random.default_rng(seed)
+    sources = [random_source(rng) for _ in range(walkers)] if per_walker else random_source(rng)
+    states = [random_state(rng) for _ in range(walkers)]
+    stacked = evolve(sources, states, n)
+    alone = [
+        evolve(source, phi, n)
+        for source, phi in zip(sources if per_walker else [sources] * walkers, states)
+    ]
+    distribution = stacked.position_distribution()
+    assert distribution.shape == (walkers, 2 * n + 1)
+    assert np.array_equal(distribution, [field.position_distribution() for field in alone])
+    total = stacked.total_probability()
+    assert total.shape == (walkers,)
+    assert np.array_equal(total, [field.total_probability() for field in alone])
+    assert all(isinstance(field.total_probability(), float) for field in alone)
 
 
 # Each walk's return route, with how it draws a random coin (transition)
@@ -217,7 +251,7 @@ def test_return_weights_round_like_scalar_squares():
     pairs = rng.normal(size=(50_000, 2)) + 1j * rng.normal(size=(50_000, 2))
     pairs *= 10.0 ** rng.uniform(-8, 8, size=(50_000, 1))
     coin = qw.CoinMatrix.hadamard()
-    values = lattice.return_values(lattice.Field.at_origin(pairs), 0, lambda f: qw.step(f, coin))
+    values = lattice.return_values(lattice.Field.at_origin(pairs), 0, lambda f: qw.step(f, coin.matrix()))
     # `left` and `right` are numpy scalars, so ** 2 is a scalar power.
     scalar = [np.abs(left) ** 2 + np.abs(right) ** 2 for left, right in pairs]
     assert np.array_equal(values[:, 0], scalar)

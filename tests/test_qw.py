@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkers_return.lattice import stack
 from walkers_return.qw import (
     CoinMatrix,
     QWInitialState,
@@ -16,7 +17,6 @@ from walkers_return.qw import (
     decompose,
     distribution,
     evolve,
-    initial_field,
     return_closed_qw,
     return_hadamard,
     return_lemma1,
@@ -94,7 +94,7 @@ def test_initial_state_requires_unit_norm():
     with pytest.raises(ValueError):
         QWInitialState(phi1=1.0, phi2=1.0)
     canonical = QWInitialState.canonical()
-    assert abs(canonical.phi1) ** 2 + abs(canonical.phi2) ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert abs(canonical.phi1) ** 2 + abs(canonical.phi2) ** 2 == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,8 @@ def test_decompose_hadamard_left_piece():
 def test_single_step_amplitudes_by_hand():
     coin = CoinMatrix.hadamard()
     phi = QWInitialState.canonical()
-    field = step(initial_field(phi), coin)
+    matrix, field = stack(coin, phi)
+    field = step(field, matrix)
     s = 1.0 / math.sqrt(2.0)
     # At time 1 the stored sites are x = -1 (column 0) and x = 1 (column 1).
     (left_at_minus_one, left_at_one), (right_at_minus_one, right_at_one) = field.packed
@@ -142,19 +143,19 @@ def test_two_step_origin_probability_is_half():
 
 def test_norm_preserved_over_hundred_steps():
     rng = np.random.default_rng(11)
-    field = initial_field(QWInitialState.random(rng))
-    coin = CoinMatrix.random(rng)
+    phi = QWInitialState.random(rng)
+    matrix, field = stack(CoinMatrix.random(rng), phi)
     for _ in range(100):
-        field = step(field, coin)
+        field = step(field, matrix)
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 
 def test_off_parity_positions_hold_exact_zeros():
     rng = np.random.default_rng(13)
-    field = initial_field(QWInitialState.random(rng))
-    coin = CoinMatrix.random(rng)
+    phi = QWInitialState.random(rng)
+    matrix, field = stack(CoinMatrix.random(rng), phi)
     for _ in range(25):
-        field = step(field, coin)
+        field = step(field, matrix)
         dist = field.position_distribution()
         bad = dist[(np.arange(-field.time, field.time + 1) + field.time) % 2 == 1]
         assert np.all(bad == 0.0)
@@ -366,10 +367,9 @@ def test_return_series_independent_of_coin_phases():
 
 def test_unitarity_over_thousand_steps():
     rng = np.random.default_rng(31)
-    coin = CoinMatrix.random(rng)
-    field = initial_field(QWInitialState.random(rng))
+    matrix, field = stack(CoinMatrix.random(rng), QWInitialState.random(rng))
     for _ in range(1000):
-        field = step(field, coin)
+        field = step(field, matrix)
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 
