@@ -129,14 +129,28 @@ class Walk:
 
 
 @dataclass(frozen=True)
+class Flag:
+    """One model flag: its argparse dest, its help text and its default (None: required)."""
+
+    dest: str
+    help: str
+    default: float | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+@dataclass(frozen=True)
 class Model:
-    """One row of the model table: flag parsing plus default tolerances.
+    """One row of the model table, the one place a model's facts are stated:
+    its flags, the binding of their values to a walk, and default tolerances.
 
     A model without a lattice route (return_tol None) serves `genfunc` only.
     """
 
-    parse: Callable[[argparse.Namespace], Walk]  # reads and validates the model's flags
-    flags: tuple[str, ...]  # the model flags `parse` reads, by argparse dest
+    flags: tuple[Flag, ...]
+    bind: Callable[..., Walk]  # the flag values, as keywords by dest, to the walk
     genfunc_tol: float
     return_tol: float | None = None
 
@@ -164,105 +178,94 @@ def _correlated(transition: crw.TransitionMatrix, phi_hat: crw.CRWInitialState, 
     )
 
 
-def _parse_qw(args) -> Walk:
-    if args.alpha_sq is None:
-        raise ValueError("model qw requires --alpha-sq")
-    alpha_sq = args.alpha_sq
-    return _quantum(qw.CoinMatrix.from_alpha_sq(alpha_sq), alpha_sq, lambda z: genfunc.gf_qw(alpha_sq, z))
-
-
-def _parse_hadamard(args) -> Walk:
-    # The Legendre form at k = 0; the C(2m, m) formula is checked in `verify`.
-    return _quantum(qw.CoinMatrix.hadamard(), 0.5, genfunc.gf_hadamard)
-
-
-def _parse_crw(args) -> Walk:
-    if args.a is None:
-        raise ValueError("model crw requires --a (left-persistence probability)")
-    if args.d is None:
-        raise ValueError("model crw requires --d (right-persistence probability)")
-    transition = crw.TransitionMatrix.from_persistence(args.a, args.d)
-    phi_hat = crw.CRWInitialState.from_phi1(0.5 if args.phi1 is None else args.phi1)
-    return _correlated(
-        transition,
-        phi_hat,
-        {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat},
-        lambda z: genfunc.gf_crw(transition, phi_hat, z),
-    )
-
-
-def _parse_rw(args) -> Walk:
-    if args.p is None:
-        raise ValueError("model rw requires --p")
-    p = args.p
-    return _correlated(
-        crw.TransitionMatrix.uncorrelated(p),
-        # The walk does not depend on the last step, so --phi1 is crw's alone.
-        crw.CRWInitialState.from_phi1(0.5),
-        {"p": p},
-        lambda z: genfunc.gf_rw(p, z),
-    )
-
-
-def _parse_polya2d(args) -> Walk:
-    return Walk({}, genfunc.polya2d_series, genfunc.polya2d_gf)
+def _bind_crw(a: float, d: float, phi1: float) -> Walk:
+    transition = crw.TransitionMatrix.from_persistence(a, d)
+    phi_hat = crw.CRWInitialState.from_phi1(phi1)
+    params = {"a": transition.a, "b": transition.b, "phi1_hat": phi_hat.phi1_hat}
+    return _correlated(transition, phi_hat, params, lambda z: genfunc.gf_crw(transition, phi_hat, z))
 
 
 MODELS = {
-    "qw": Model(_parse_qw, ("alpha_sq",), genfunc_tol=1e-6, return_tol=1e-10),
-    "hadamard": Model(_parse_hadamard, (), genfunc_tol=1e-8, return_tol=1e-10),
-    "crw": Model(_parse_crw, ("a", "d", "phi1"), genfunc_tol=1e-10, return_tol=1e-12),
-    "rw": Model(_parse_rw, ("p",), genfunc_tol=1e-10, return_tol=1e-12),
-    "polya2d": Model(_parse_polya2d, (), genfunc_tol=1e-9),
+    "qw": Model(
+        (Flag("alpha_sq", "|alpha|^2 of the qw coin, in (0, 1)"),),
+        lambda alpha_sq: _quantum(
+            qw.CoinMatrix.from_alpha_sq(alpha_sq), alpha_sq, lambda z: genfunc.gf_qw(alpha_sq, z)
+        ),
+        genfunc_tol=1e-6, return_tol=1e-10,
+    ),
+    # The Legendre form at k = 0; the C(2m, m) formula is checked in `verify`.
+    "hadamard": Model(
+        (), lambda: _quantum(qw.CoinMatrix.hadamard(), 0.5, genfunc.gf_hadamard), genfunc_tol=1e-8, return_tol=1e-10
+    ),
+    "crw": Model(
+        (
+            Flag("a", "crw left-persistence probability"),
+            Flag("d", "crw right-persistence probability"),
+            Flag("phi1", "crw initial left weight", default=0.5),
+        ),
+        _bind_crw,
+        genfunc_tol=1e-10, return_tol=1e-12,
+    ),
+    # The walk does not depend on the last step, so --phi1 is crw's alone.
+    "rw": Model(
+        (Flag("p", "rw left-step probability"),),
+        lambda p: _correlated(
+            crw.TransitionMatrix.uncorrelated(p),
+            crw.CRWInitialState.from_phi1(0.5),
+            {"p": p},
+            lambda z: genfunc.gf_rw(p, z),
+        ),
+        genfunc_tol=1e-10, return_tol=1e-12,
+    ),
+    "polya2d": Model((), lambda: Walk({}, genfunc.polya2d_series, genfunc.polya2d_gf), genfunc_tol=1e-9),
 }
 RETURN_MODELS = tuple(name for name, model in MODELS.items() if model.return_tol is not None)
-GENFUNC_MODELS = tuple(MODELS)
+# Every model flag once, in table order: the parser's flags and the stray check's.
+_MODEL_FLAGS = tuple({flag.dest: flag for model in MODELS.values() for flag in model.flags}.values())
 
 
-def _model(args, command: str, supported: tuple[str, ...]) -> Model:
+def _model(args, command: str, supported: tuple[str, ...]) -> tuple[Model, Walk]:
+    """The requested model and its walk, bound to the flag values `args` holds."""
     if args.model not in supported:
         raise ValueError(
             f"model {args.model!r} not supported by `{command}`; choose from {', '.join(supported)}"
         )
     model = MODELS[args.model]
+    given = {flag: getattr(args, flag.dest) for flag in _MODEL_FLAGS}
     # A flag another model reads would otherwise be dropped without a word.
-    stray = [
-        "--" + flag.replace("_", "-")
-        for flag in dict.fromkeys(flag for other in MODELS.values() for flag in other.flags)
-        if flag not in model.flags and getattr(args, flag) is not None
-    ]
+    stray = [flag.option for flag, value in given.items() if flag not in model.flags and value is not None]
     if stray:
         raise ValueError(f"model {args.model!r} does not read {', '.join(stray)}")
-    return model
+    # `is None`, not `or`: a given 0 is a value.
+    values = {flag.dest: flag.default if given[flag] is None else given[flag] for flag in model.flags}
+    missing = [f"{flag.option} ({flag.help})" for flag in model.flags if values[flag.dest] is None]
+    if missing:
+        raise ValueError(f"model {args.model!r} requires {', '.join(missing)}")
+    return model, model.bind(**values)
+
+
+def _write_table(args, walk: Walk, columns: list[str], data, **meta) -> None:
+    """Writes a command's table under a meta block: the request, the command's own keys, the version."""
+    meta = {"command": args.command, "model": args.model, "params": walk.params, **meta, "version": __version__}
+    _write_output(Table(columns, data, meta), args)
 
 
 def cmd_return(args) -> int:
-    model = _model(args, "return", RETURN_MODELS)
+    model, walk = _model(args, "return", RETURN_MODELS)
     if args.nmax < 0:
         raise ValueError(f"--nmax must be non-negative, got {args.nmax}")
     tol = _resolve_tol(args, model.return_tol)
-    walk = model.parse(args)
     closed = walk.closed(args.nmax)
     simulated = walk.simulate(args.nmax)
     errors = np.abs(closed - simulated)
-    table = Table(
-        columns=["n", "r_closed", "r_simulated", "abs_err"],
-        data=[np.arange(args.nmax + 1), closed, simulated, errors],
-        meta={
-            "command": "return",
-            "model": args.model,
-            "params": walk.params,
-            "tolerance": tol,
-            "version": __version__,
-        },
-    )
-    _write_output(table, args)
+    columns = ["n", "r_closed", "r_simulated", "abs_err"]
+    _write_table(args, walk, columns, [np.arange(args.nmax + 1), closed, simulated, errors], tolerance=tol)
     # np.max propagates a NaN residual, which then fails the comparison.
     return 0 if np.max(errors) <= tol else 1
 
 
 def cmd_genfunc(args) -> int:
-    model = _model(args, "genfunc", GENFUNC_MODELS)
+    model, walk = _model(args, "genfunc", tuple(MODELS))
     tol = _resolve_tol(args, model.genfunc_tol)
     if args.z_count < 1:
         raise ValueError(f"--z-count must be at least 1, got {args.z_count}")
@@ -270,7 +273,6 @@ def cmd_genfunc(args) -> int:
     # Written so that a NaN grid point fails the check as well.
     if not np.all(np.abs(zgrid) < 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
-    walk = model.parse(args)
     closed = walk.gf(zgrid)
     points = zgrid.tolist()
     cuts = [genfunc.truncation_for(z, tol) for z in points]
@@ -280,18 +282,8 @@ def cmd_genfunc(args) -> int:
     # Called through the module, so that a traced run counts every sum.
     series, tails = np.array([genfunc.series_sum(values[: n + 1], z) for z, n in zip(points, cuts)]).T
     errors = np.abs(closed - series)
-    table = Table(
-        columns=["z", "gf_closed", "gf_series", "abs_err", "tail_bound"],
-        data=[zgrid, closed, series, errors, tails],
-        meta={
-            "command": "genfunc",
-            "model": args.model,
-            "params": walk.params,
-            "tolerance": tol,
-            "version": __version__,
-        },
-    )
-    _write_output(table, args)
+    columns = ["z", "gf_closed", "gf_series", "abs_err", "tail_bound"]
+    _write_table(args, walk, columns, [zgrid, closed, series, errors, tails], tolerance=tol)
     # A NaN error fails the comparison.
     return 0 if np.all(errors <= tol + tails) else 1
 
@@ -309,34 +301,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    model = _model(args, "dist", RETURN_MODELS)
+    _, walk = _model(args, "dist", RETURN_MODELS)
     if not 0 <= args.nmax <= 10**5:
         raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
-    walk = model.parse(args)
     dist = walk.dist(args.nmax)
-    table = Table(
-        columns=["x", "probability"],
-        data=[np.arange(-args.nmax, args.nmax + 1), dist],
-        meta={
-            "command": "dist",
-            "model": args.model,
-            "params": walk.params,
-            "time": args.nmax,
-            "total": float(dist.sum()),
-            "version": __version__,
-        },
-    )
-    _write_output(table, args)
+    x = np.arange(-args.nmax, args.nmax + 1)
+    _write_table(args, walk, ["x", "probability"], [x, dist], time=args.nmax, total=float(dist.sum()))
     return 0
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="qw | hadamard | crw | rw | polya2d")
-    parser.add_argument("--alpha-sq", type=float, help="|alpha|^2 of the qw coin, in (0, 1)")
-    parser.add_argument("--a", type=float, help="crw left-persistence probability")
-    parser.add_argument("--d", type=float, help="crw right-persistence probability")
-    parser.add_argument("--phi1", type=float, help="crw initial left weight (default 0.5)")
-    parser.add_argument("--p", type=float, help="rw left-step probability")
+    parser.add_argument("--model", required=True, help=" | ".join(MODELS))
+    # No argparse default: `_model` fills them, after it rejects a stray flag.
+    for flag in _MODEL_FLAGS:
+        default = "" if flag.default is None else f" (default {flag.default})"
+        parser.add_argument(flag.option, type=float, help=flag.help + default)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

@@ -20,7 +20,9 @@ module and in the walks' closed forms, comes from one scaled sweep
 T_j = denom^j P_j(numer/denom) (plain P_j at denom = 1).  Arguments with
 |x| > 1 are legal (the correlated-walk closed form needs them); when such
 values would overflow they must be evaluated jointly with their decaying
-prefactor, as :func:`scaled_legendre_pair` does.
+prefactor, which is what that sweep does: ``crw.return_series_crw`` takes
+its whole column from ``_scaled_legendre``, and
+:func:`scaled_legendre_pair` returns the sweep's last two values.
 """
 
 from __future__ import annotations

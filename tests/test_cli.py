@@ -87,10 +87,19 @@ def test_return_rejects_unknown_model(capsys):
     assert "not supported" in err
 
 
-def test_return_rejects_missing_parameter(capsys):
-    code, _, err = run_cli(capsys, "return", "--model", "qw")
-    assert code == 2
-    assert "--alpha-sq" in err
+# Each model's required flags with a value for each, listed by hand.
+_REQUIRED_FLAGS = {"qw": {"--alpha-sq": "0.3"}, "crw": {"--a": "0.7", "--d": "0.6"}, "rw": {"--p": "0.4"}}
+
+
+@pytest.mark.parametrize("command", ["return", "genfunc", "dist"])
+@pytest.mark.parametrize(
+    "model, missing", [(model, flag) for model, flags in _REQUIRED_FLAGS.items() for flag in flags]
+)
+def test_return_rejects_missing_parameter(capsys, command, model, missing):
+    given = [word for flag, value in _REQUIRED_FLAGS[model].items() if flag != missing for word in (flag, value)]
+    code, out, err = run_cli(capsys, command, "--model", model, *given)
+    assert (code, out) == (2, "")
+    assert f"model {model!r} requires {missing} (" in err
 
 
 def test_return_rejects_invalid_alpha(capsys):
@@ -480,10 +489,13 @@ def test_bad_tol_flag_is_usage_error(capsys, value):
 _MODEL_OPTIONS = ["--model", "--alpha-sq", "--a", "--d", "--phi1", "--p"]
 
 
-def _option_strings(command):
+def _commands():
     parser = cli.build_parser()
-    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    return [option for action in commands.choices[command]._actions for option in action.option_strings]
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _option_strings(command):
+    return [option for action in _commands()[command]._actions for option in action.option_strings]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +525,19 @@ def test_removed_spellings_are_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_help_text_renders():
+    # argparse %-formats each help text, so a bad one fails only on --help.
+    cli.build_parser().format_help()
+    for command, parser in _commands().items():
+        text = " ".join(parser.format_help().split())
+        if command == "verify":
+            continue
+        (model,) = [action for action in parser._actions if action.option_strings == ["--model"]]
+        assert model.help.split(" | ") == ["qw", "hadamard", "crw", "rw", "polya2d"]
+        for flag in {flag for row in cli.MODELS.values() for flag in row.flags}:
+            assert f"{flag.option} {flag.dest.upper()} {flag.help}" in text
 
 
 def test_environment_sets_no_tolerance(capsys, monkeypatch):
@@ -560,6 +585,11 @@ def test_crw_initial_weight_defaults_to_one_half(capsys):
     assert default[0] == 0
     assert json.loads(default[1])["meta"]["params"]["phi1_hat"] == 0.5
     assert run_cli(capsys, *argv, "--phi1", "0.5") == default
+    # A given 0 is a value, not a flag left out.
+    for phi1 in ("0", "1"):
+        code, out, _ = run_cli(capsys, *argv, "--phi1", phi1)
+        assert code == 0
+        assert json.loads(out)["meta"]["params"]["phi1_hat"] == float(phi1)
 
 
 # ---------------------------------------------------------------------------
