@@ -112,9 +112,10 @@ class CoinMatrix:
 
     @classmethod
     def hadamard(cls) -> "CoinMatrix":
-        """The Hadamard coin (1/sqrt2) [[1, 1], [1, -1]]."""
-        s = -1j / math.sqrt(2.0)
-        return cls(theta=math.pi / 2.0, alpha=s, beta=s)
+        """The Hadamard coin (1/sqrt2) [[1, 1], [1, -1]], 1/sqrt2 rounded up in
+        alpha and down in beta, so that |alpha|^2 + |beta|^2 is exactly 1
+        (rounded down in both, it is 0.9999999999999998)."""
+        return cls(theta=math.pi / 2.0, alpha=-1j * math.sqrt(0.5), beta=-1j / math.sqrt(2.0))
 
     @classmethod
     def from_alpha_sq(

@@ -40,6 +40,9 @@ def test_hadamard_coin_entries():
     s = 1.0 / math.sqrt(2.0)
     expected = np.array([[s, s], [s, -s]], dtype=complex)
     assert np.max(np.abs(h - expected)) < 1e-12
+    # Unitary to rounding: a walk under it keeps its mass.
+    coin = CoinMatrix.hadamard()
+    assert abs(coin.alpha) ** 2 + abs(coin.beta) ** 2 == 1.0
 
 
 def test_coin_is_unitary():
