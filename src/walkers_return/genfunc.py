@@ -57,6 +57,8 @@ _MAX_SUBDIVISIONS = 4000
 _ROUNDING = 4.0 * np.finfo(float).eps
 # Absolute tolerance of the quadrature term of the quantum-walk generating function.
 _E_TERM_TOL = 1e-10
+# The smallest tolerance `polya3d_constants` can meet.
+_POLYA3D_TOL_FLOOR = 1e-12
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
 # weights (the rule is symmetric about 0).
@@ -271,9 +273,12 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     The integrand is even with an integrable logarithmic singularity at
     t = 0 (modulus -> 1), so the half-range integral is accumulated over
     dyadic segments [pi/2^{j+1}, pi/2^j] that never touch the endpoint,
-    until the analytic head bound drops below the tolerance `tol`.
+    until the analytic head bound drops below the tolerance `tol`, which
+    must be at least 1e-12.
     """
     _check_tol(tol)
+    if tol < _POLYA3D_TOL_FLOOR:
+        raise ValueError(f"polya3d_constants needs a tolerance of at least {_POLYA3D_TOL_FLOOR}, got {tol}")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         # 3 K(1/(1+s)) / (2 (1+s)) with s = sin^2(t/2); going through the
@@ -287,12 +292,11 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     # segment whose lower end leaves a head bound below 0.4*tol.
     his = [math.pi]
     while _polya3d_head_bound(0.5 * his[-1]) >= 0.4 * tol:
-        if len(his) == 200:  # pragma: no cover
-            raise ConvergenceError("dyadic refinement stalled", estimate=_polya3d_head_bound(0.5 * his[-1]))
         his.append(0.5 * his[-1])
-    # The head bound reaches 0.4*tol within ~64 halvings for any tol
-    # >= 1e-12, so a uniform per-segment budget of tol/128 keeps the sum
-    # of segment errors below tol/2 while staying above rounding noise.
+    # The head bound reaches 0.4*tol within 49 halvings for any tol >=
+    # 1e-12, so a uniform per-segment budget of tol/128, floored at 1e-14
+    # above rounding noise, keeps the sum of segment errors below tol/2
+    # (49 * 1e-14 at the floor).  Below the floor that sum would not fit.
     seg_tol = max(tol / 128.0, 1e-14)
     his = np.array(his)
     total = 0.0
@@ -321,15 +325,21 @@ def truncation_for(z: float, target: float) -> int:
     return max(0, math.ceil(n))
 
 
-def series_sum(series: np.ndarray, z: float) -> tuple[float, float]:
+def series_sum(series, z: float) -> tuple[float, float]:
     """Truncated power series sum_{n<=N} r_n z^n of `series` = r_0..r_N and its tail bound.
 
     The bound |z|^{N+1}/(1-|z|) is rigorous because every r_n lies in [0, 1].
+    Only the nonzero r_n are summed (every model's r_n vanishes at odd n):
+    fsum rounds the exact sum correctly, so exact zeros cannot change it,
+    while a NaN or inf term is kept and comes back in the sum.
     """
     az = abs(z)
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
-    powers = np.power(z, np.arange(len(series)))
-    value = float(math.fsum(series * powers))
+    series = np.asarray(series, dtype=float)
+    live = (series != 0.0).nonzero()[0]
+    # fsum reads Python floats from a memoryview faster than numpy scalars
+    # from the array, and needs no list of them.
+    value = math.fsum(memoryview(series[live] * np.power(z, live)))
     tail = az ** len(series) / (1.0 - az)
     return value, tail

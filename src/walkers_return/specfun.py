@@ -23,6 +23,15 @@ values would overflow they must be evaluated jointly with their decaying
 prefactor, which is what that sweep does: ``crw.return_series_crw`` takes
 its whole column from ``_scaled_legendre``, and
 :func:`scaled_legendre_pair` returns the sweep's last two values.
+
+Both sweeps, the scaled Legendre one and :func:`jacobi10_eval`'s, read
+their integer coefficients as floats from tables (the first 512 steps
+made at import, later steps a block at a time).  Each entry is one
+correctly rounded product of exact integers, the float that Python's
+``int * float`` converts the integer to, so a sweep keeps every bit of
+the plain loop while doing float arithmetic only.
+:func:`central_binomial_ratios` converts its exact C(2j, j) with
+``float()`` and an exact power-of-two scaling instead of a long division.
 """
 
 from __future__ import annotations
@@ -83,6 +92,39 @@ def _not_finite(n: int, x) -> OverflowError:
     return OverflowError(f"polynomial of degree {n} at x = {x} is not finite in float64")
 
 
+def _legendre_columns(j: np.ndarray) -> tuple[list[float], ...]:
+    """The Legendre sweep's coefficients 2j+1, j and j+1 as floats, per degree j."""
+    return (2.0 * j + 1.0).tolist(), j.tolist(), (j + 1.0).tolist()
+
+
+def _jacobi_columns(j: np.ndarray) -> tuple[list[float], ...]:
+    """The Jacobi(1,0) sweep's (2j+1)(2j-1), (j-1)(2j+1) and (j+1)(2j-1) as floats."""
+    odd, odd_below = 2.0 * j + 1.0, 2.0 * j - 1.0
+    return (odd * odd_below).tolist(), ((j - 1.0) * odd).tolist(), ((j + 1.0) * odd_below).tolist()
+
+
+# The coefficients of the first _BLOCK steps of each sweep, made once at
+# import: a constant table, which every process builds alike.
+_BLOCK = 512
+_LEGENDRE_HEAD = _legendre_columns(np.arange(1.0, 1.0 + _BLOCK))
+_JACOBI_HEAD = _jacobi_columns(np.arange(2.0, 2.0 + _BLOCK))
+
+
+def _coefficients(head, columns, first: int, stop: int):
+    """Per-step coefficient tuples of degrees j = first..stop-1, a block at a time.
+
+    The first block is the import-time table `head`, cut to length; each
+    later one is made by `columns` on demand, so memory stays bounded at
+    any degree.  Each coefficient is the integer product rounded once to a
+    float, as Python's int * float rounds it, so the sweeps keep the bits
+    of loops that form the integers themselves.
+    """
+    for start in range(first, stop, _BLOCK):
+        count = min(_BLOCK, stop - start)
+        block = head if start == first else columns(np.arange(start, start + count, dtype=float))
+        yield zip(*[column[:count] for column in block])
+
+
 def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     """T_j = denom^j P_j(numer/denom) for j = 0..n: the one Legendre sweep.
 
@@ -95,9 +137,10 @@ def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     t_prev, t = 1.0, numer
     values = [t_prev, t]
     d2 = denom * denom
-    for j in range(1, n):
-        t_prev, t = t, ((2 * j + 1) * numer * t - j * d2 * t_prev) / (j + 1)
-        values.append(t)
+    for block in _coefficients(_LEGENDRE_HEAD, _legendre_columns, 1, n):
+        for odd, j, j1 in block:
+            t_prev, t = t, (odd * numer * t - j * d2 * t_prev) / j1
+            values.append(t)
     return values if n else values[:1]
 
 
@@ -139,10 +182,9 @@ def jacobi10_eval(n: int, x: float) -> float:
     if n == 0:
         return 1.0
     p_prev, p = 1.0, (3.0 * x + 1.0) / 2.0
-    for j in range(2, n + 1):
-        p_prev, p = p, (
-            ((2 * j + 1) * (2 * j - 1) * x + 1.0) * p - (j - 1) * (2 * j + 1) * p_prev
-        ) / ((j + 1) * (2 * j - 1))
+    for block in _coefficients(_JACOBI_HEAD, _jacobi_columns, 2, n + 1):
+        for grow, back, scale in block:
+            p_prev, p = p, ((grow * x + 1.0) * p - back * p_prev) / scale
     if not math.isfinite(p):
         raise _not_finite(n, x)
     return p
@@ -166,19 +208,26 @@ def binom(n: int, k: int) -> int:
 def central_binomial_ratios(jmax: int) -> np.ndarray:
     """C(2j, j) / 4^j for j = 0..jmax, each correctly rounded.
 
-    C(2j, j) is carried exactly from term to term and 4^j is a shift, so
-    each term costs one bignum update and one int/int true division, which
-    rounds correctly and cannot overflow; every value equals
-    ``binom(2 * j, j) / 4**j``.
+    C(2j, j) is carried exactly from term to term, and every value equals
+    ``binom(2 * j, j) / 4**j``.  ``float(C)`` rounds correctly and the
+    scaling by 2^-2j is exact, since the ratio is a normal float.  C(2j, j)
+    < 4^j stays below 2^1022 up to j = 511; from j = 512 on, C is first cut
+    to its top 64 bits with a sticky 1 in the last, which rounds to the same
+    53 bits.  The bits cut are never all zero: by Kummer's theorem C(2j, j)
+    has as many trailing zero bits as j has one bits, far fewer than the
+    more than 900 bits cut, so the sticky bit is always 1.
     """
     jmax = _require_count(jmax, "jmax")
-    ratios = np.empty(jmax + 1)
-    ratios[0] = 1.0
+    ratios = [1.0]
     central = 1  # C(2j, j), exact
-    for j in range(1, jmax + 1):
-        central = central * 2 * (2 * j - 1) // j
-        ratios[j] = central / (1 << 2 * j)
-    return ratios
+    for j in range(1, min(jmax, 511) + 1):
+        central = central * (4 * j - 2) // j
+        ratios.append(math.ldexp(float(central), -2 * j))
+    for j in range(512, jmax + 1):
+        central = central * (4 * j - 2) // j
+        shift = central.bit_length() - 64
+        ratios.append(math.ldexp(float(central >> shift | 1), shift - 2 * j))
+    return np.array(ratios)
 
 
 def _plain(values: np.ndarray) -> float | np.ndarray:

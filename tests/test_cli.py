@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -278,6 +279,30 @@ def test_genfunc_with_a_subnormal_tolerance_is_no_domain_error(capsys, tol):
     _, rows = csv_rows(out)
     assert [row[0] for row in rows] == pytest.approx([0.1, 0.9])
     assert all(row[1] == pytest.approx(row[2], abs=1e-14) and row[4] == 0.0 for row in rows)
+
+
+# The sha256 of each model's `genfunc` stdout, recorded before the series
+# route's sweeps and sums were restructured for speed (x86-64, Python 3.11,
+# numpy 2.4), so a speed-up cannot move one byte unseen.
+_GENFUNC_DIGESTS = {
+    ("qw", "--alpha-sq", "0.3", "--z-start", "-0.85", "--z-stop", "0.98"):
+        "e47ebdcb50c70de4bf2c521a3b9b6e1cc38ba35be6a8e18c5c18bf29d853b680",
+    ("crw", "--a", "0.4", "--d", "0.3", "--phi1", "0.7", "--z-start", "0.15", "--z-stop", "0.98"):
+        "b21956148b5ccf78d15804ae42dd834644ce0db9225d21df72b1b6debd7bd98d",
+    ("hadamard", "--z-start", "0.35", "--z-stop", "0.97"):
+        "55f410676eed9f26fa3582d7730e30ae1695c5bffdc56752529ef22a3e41ef07",
+    ("rw", "--p", "0.35", "--z-start", "0.55", "--z-stop", "0.97"):
+        "813428da9c547b3f5e76fee099d1142b20f4be86594ad62c7c0399094dcf15e7",
+    ("polya2d", "--z-start", "0.75", "--z-stop", "0.97"):
+        "9fdfa703af3c81830720c55893897a1f25b6102810b1a178f7cfe970a25ccdb9",
+}
+
+
+@pytest.mark.parametrize("request_argv", list(_GENFUNC_DIGESTS), ids=lambda argv: argv[0])
+def test_genfunc_output_bytes_are_pinned(capsys, request_argv):
+    code, out, err = run_cli(capsys, "genfunc", "--model", *request_argv, "--z-count", "5")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _GENFUNC_DIGESTS[request_argv]
 
 
 # ---------------------------------------------------------------------------

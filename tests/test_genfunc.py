@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkers_return.crw import CRWInitialState, TransitionMatrix, return_series_crw
@@ -125,21 +125,39 @@ def test_integrate_rejects_bad_array_bounds_before_evaluating(a, b):
 
 
 # Every public function that takes a quadrature tolerance, called where it
-# returns early without integrating as well as where it integrates.
+# returns early without integrating as well as where it integrates, with the
+# smallest tolerance it can meet.
 _TOL_TAKERS = {
-    "integrate": lambda tol: integrate(lambda x: x, 0.0, 1.0, tol),
-    "integrate empty interval": lambda tol: integrate(lambda x: x, 2.0, 2.0, tol),
-    "polya3d_constants": lambda tol: polya3d_constants(tol),
+    "integrate": (lambda tol: integrate(lambda x: x, 0.0, 1.0, tol), 0.0),
+    "integrate empty interval": (lambda tol: integrate(lambda x: x, 2.0, 2.0, tol), 0.0),
+    "polya3d_constants": (lambda tol: polya3d_constants(tol), 1e-12),
 }
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_quadrature_tolerance_rejects_non_finite_or_non_positive(tol):
     # tol = nan once passed and ran out the subdivision budget instead.
-    for name, call in _TOL_TAKERS.items():
+    for name, (call, _) in _TOL_TAKERS.items():
         with pytest.raises(ValueError, match="tolerance"):
             call(tol)
             pytest.fail(f"{name} accepted tol={tol}")
+
+
+def test_quadrature_tolerance_rejects_values_below_the_floor():
+    # polya3d_constants once returned at 1e-13 as if it met it, and raised
+    # "dyadic refinement stalled" at 1e-57 and below.
+    for name, (call, floor) in _TOL_TAKERS.items():
+        for tol in (0.9 * floor, 1e-13, 1e-57, 5e-324):
+            if tol >= floor:
+                continue
+            with pytest.raises(ValueError, match=f"tolerance of at least {floor}"):
+                call(tol)
+                pytest.fail(f"{name} accepted tol={tol}")
+
+
+def test_polya3d_constants_meets_its_floor():
+    g, _ = polya3d_constants(1e-12)
+    assert abs(g - polya3d_constants()[0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +540,62 @@ def test_series_sum_symmetric_rw():
 def test_series_sum_rejects_large_z():
     with pytest.raises(ValueError):
         series_sum(np.array([1.0]), 1.0)
+
+
+def _series_sum_dense(series, z):
+    """series_sum as it summed every term, zeros included."""
+    powers = np.power(z, np.arange(len(series)))
+    value = float(math.fsum(series * powers))
+    return value, abs(z) ** len(series) / (1.0 - abs(z))
+
+
+def _bits(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+_TERMS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@given(st.lists(_TERMS, min_size=1, max_size=400), st.floats(-0.999, 0.999))
+@example([1.0, 0.0, 0.25, 0.0, 0.0], 0.0)
+@example([0.0, 0.0, 0.0], -0.5)
+@example([1.0] + [0.0, 5e-324] * 40, -0.999)
+@settings(max_examples=100, deadline=None)
+def test_series_sum_of_the_nonzero_terms_keeps_the_bits_of_the_dense_sum(terms, z):
+    series = np.array(terms)
+    assert _bits(series_sum(series, z)) == _bits(_series_sum_dense(series, z))
+
+
+@pytest.mark.parametrize("model", ["qw", "crw", "polya2d"])
+def test_series_sum_of_a_model_series_keeps_its_bits(model):
+    series = {
+        "qw": lambda: return_series_qw(0.3, 1500),
+        "crw": lambda: return_series_crw(TransitionMatrix(a=0.4, b=0.6), CRWInitialState.from_phi1(0.2), 1500),
+        "polya2d": lambda: polya2d_series(1500),
+    }[model]()
+    for z in (-0.98, -0.3, 0.0, 0.5, 0.98):
+        assert _bits(series_sum(series, z)) == _bits(_series_sum_dense(series, z))
+
+
+def test_series_sum_takes_any_one_dimensional_sequence():
+    expected = series_sum(np.array([1.0, 0.0, 0.5]), 0.3)
+    assert series_sum([1.0, 0.0, 0.5], 0.3) == expected
+    assert series_sum((1.0, 0.0, 0.5), 0.3) == expected
+    assert series_sum([1, 0, 0], -0.3) == (1.0, 0.3**3 / 0.7)
+
+
+@pytest.mark.parametrize("z", [-0.7, 0.0, 0.4])
+def test_series_sum_keeps_a_non_finite_term(z):
+    # A NaN is nonzero, so it is summed and never filtered out.
+    assert math.isnan(series_sum([1.0, 0.0, math.nan, 0.0], z)[0])
+    series = np.array([1.0, 0.0, math.inf])
+    with np.errstate(invalid="ignore"):  # inf * 0 at z = 0
+        assert _bits(series_sum(series, z)) == _bits(_series_sum_dense(series, z))
+        value, _ = series_sum(series, z)
+    if z == 0.0:
+        assert math.isnan(value)
+    else:
+        assert value == math.inf
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])

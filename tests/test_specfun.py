@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walkers_return import specfun
 from walkers_return.specfun import (
     binom,
     central_binomial_ratios,
@@ -148,6 +149,77 @@ def test_evaluators_stay_finite_below_the_overflow():
 
 
 # ---------------------------------------------------------------------------
+# the sweeps against the scalar loops they replaced, bit for bit
+
+
+def _scaled_legendre_scalar(n, numer, denom):
+    """The Legendre sweep with every coefficient formed from the integer j in the loop."""
+    t_prev, t = 1.0, numer
+    values = [t_prev, t]
+    d2 = denom * denom
+    for j in range(1, n):
+        t_prev, t = t, ((2 * j + 1) * numer * t - j * d2 * t_prev) / (j + 1)
+        values.append(t)
+    return values if n else values[:1]
+
+
+def _jacobi10_scalar(n, x):
+    """The Jacobi(1,0) sweep with every coefficient formed from the integer j in the loop."""
+    if n == 0:
+        return 1.0
+    p_prev, p = 1.0, (3.0 * x + 1.0) / 2.0
+    for j in range(2, n + 1):
+        p_prev, p = p, (
+            ((2 * j + 1) * (2 * j - 1) * x + 1.0) * p - (j - 1) * (2 * j + 1) * p_prev
+        ) / ((j + 1) * (2 * j - 1))
+    return p
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_BLOCK_EDGES = [0, 1, 2, 3, 511, 512, 513, 514, 1024, 1025, 2000]
+_SWEEP_ARGUMENTS = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@given(st.integers(0, 2000), _SWEEP_ARGUMENTS, st.one_of(st.just(0.0), _SWEEP_ARGUMENTS))
+@example(513, 0.7, 0.0)  # denom = 0: T_j = numer^j C(2j, j) / 2^j
+@example(1025, -1.7, 0.4)  # |numer/denom| > 1
+@example(2000, -0.3, -1.0)
+@settings(max_examples=80, deadline=None)
+def test_scaled_legendre_keeps_the_bits_of_the_scalar_loop(n, numer, denom):
+    # Past the float range both sweeps reach the same inf or NaN.
+    assert _bits(specfun._scaled_legendre(n, numer, denom)) == _bits(_scaled_legendre_scalar(n, numer, denom))
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_legendre_sweep_keeps_its_bits_across_coefficient_blocks(n):
+    assert _bits(legendre_range(n, -0.61)) == _bits(_scaled_legendre_scalar(n, -0.61, 1.0))
+    assert _bits(specfun._scaled_legendre(n, 0.9, 0.35)) == _bits(_scaled_legendre_scalar(n, 0.9, 0.35))
+
+
+@given(st.integers(0, 2000), _SWEEP_ARGUMENTS)
+@example(513, -0.999)
+@example(740, 1.5)
+@example(2000, -1.0)
+@settings(max_examples=80, deadline=None)
+def test_jacobi10_keeps_the_bits_of_the_scalar_loop(n, x):
+    expected = _jacobi10_scalar(n, x)
+    if math.isfinite(expected):
+        assert jacobi10_eval(n, x).hex() == expected.hex()
+    else:
+        with pytest.raises(OverflowError):
+            jacobi10_eval(n, x)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_jacobi10_keeps_its_bits_across_coefficient_blocks(n):
+    for x in (-0.83, 0.29, 1.0):
+        assert jacobi10_eval(n, x).hex() == _jacobi10_scalar(n, x).hex()
+
+
+# ---------------------------------------------------------------------------
 # alternating binomial sums
 
 
@@ -206,8 +278,11 @@ def test_binom_rejects_bad_arguments():
 
 
 def test_central_binomial_ratios_equal_per_term_division():
-    ratios = central_binomial_ratios(1500)
-    assert ratios.tolist() == [binom(2 * j, j) / 4**j for j in range(1501)]
+    # float(C(2j, j)) overflows from j = 515 on; the ratios may not notice.
+    ratios = central_binomial_ratios(3000)
+    assert ratios.tolist() == [binom(2 * j, j) / 4**j for j in range(3001)]
+    for jmax in (0, 1, 511, 512, 513):
+        assert central_binomial_ratios(jmax).tolist() == ratios[: jmax + 1].tolist()
     with pytest.raises(ValueError):
         central_binomial_ratios(-1)
 
