@@ -250,10 +250,16 @@ def _write_table(args, walk: Walk, columns: list[str], data, **meta) -> None:
     _write_output(Table(columns, data, meta), args)
 
 
+def _require_nmax(args) -> None:
+    """The one bound on --nmax of `return` and `dist`: their lattice walks
+    cost about nmax^2 / 4 site steps or more, about a minute at 1e5."""
+    if not 0 <= args.nmax <= 10**5:
+        raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
+
+
 def cmd_return(args) -> int:
     model, walk = _model(args, "return", RETURN_MODELS)
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be non-negative, got {args.nmax}")
+    _require_nmax(args)
     tol = _resolve_tol(args, model.return_tol)
     closed = walk.closed(args.nmax)
     simulated = walk.simulate(args.nmax)
@@ -302,8 +308,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dist(args) -> int:
     _, walk = _model(args, "dist", RETURN_MODELS)
-    if not 0 <= args.nmax <= 10**5:
-        raise ValueError(f"--nmax must lie in [0, 1e5], got {args.nmax}")
+    _require_nmax(args)
     dist = walk.dist(args.nmax)
     x = np.arange(-args.nmax, args.nmax + 1)
     _write_table(args, walk, ["x", "probability"], [x, dist], time=args.nmax, total=float(dist.sum()))

@@ -16,6 +16,14 @@ Walkers advance as one stack: a leading walker axis in front of the
 product broadcasts over the walkers or under a stack of matrices, one per
 walker.  A single walker is the stack with no leading axis.  Every walk is
 set up by `stack`: its step matrix and its time-0 field.
+
+`evolve` and `return_values` set up one plan per walk: the window of slots
+kept at every time, computed at once, and two buffers that the steps fill
+in turn, slot m at fixed columns, so a step is one product, at most two
+zeroed slots and a few slices.  A real matrix multiplies a complex field
+as (re, im) float pairs: half the flops of the complex product and, with
+the OpenBLAS numpy ships, the same bits, except one slot wide, where numpy
+takes a matrix-vector routine that rounds differently.
 """
 
 from __future__ import annotations
@@ -36,13 +44,22 @@ def _weight(values):
     return np.abs(values) ** 2 if values.dtype.kind == "c" else values
 
 
-def _window(horizon: int, t: int) -> tuple[int, int]:
-    """First slot and width of the light-cone window at time t: the slots m
-    whose site can still reach the origin by `horizon` (|x| <= horizon - t).
-    It is empty only at an odd last step."""
-    reach = horizon - t
-    lo = max(0, (t - reach + 1) // 2)
-    return lo, max(0, min(t, (t + reach) // 2) - lo + 1)
+def _buffer(walkers: tuple, slots: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A step buffer of 2 S + 2 entries per walker, as a read view (..., 2, S)
+    with L and R of slot m in column m, and a write view (..., 2, S + 1)
+    whose R row starts one slot later, so a product written at the old
+    slots puts R into the next slot."""
+    buffer = np.empty(walkers + (2 * slots + 2,), dtype=dtype)
+    return buffer[..., : 2 * slots].reshape(walkers + (2, slots)), buffer.reshape(walkers + (2, slots + 1))
+
+
+def _plan(walkers: tuple, dtype, lows: np.ndarray, widths: np.ndarray) -> tuple:
+    """A walk's first slot and width at every time, as memoryviews (a list
+    would hold an int object per time), and the read, write and float-pair
+    write views of its two buffers; the step to time t writes buffer t % 2."""
+    buffers = [_buffer(walkers, int(np.max(lows + widths)), dtype) for _ in range(2)]
+    views = [(read, write, write.view(write.real.dtype)) for read, write in buffers]
+    return memoryview(lows), memoryview(widths), views
 
 
 # Not frozen: a frozen dataclass's __init__ costs about 0.8 us more, and
@@ -54,10 +71,12 @@ class Field:
     Column j of `packed` holds the (L, R) pair at the occupied-parity site
     x = -time + 2 (lo + j); any axes in front of the pair axis index the
     walkers of one stack, which share `time`, `lo` and the step matrix.  A
-    field from `evolve` stores all time + 1 of them (lo = 0).  Inside
-    `return_values` a field keeps only the light cone of the origin and
-    carries `cone`, the horizon and the two buffers its steps write into;
-    such fields never leave that loop.  The reads work per walker:
+    field that `evolve` returns stores all time + 1 of them (lo = 0); a
+    step without a plan keeps lo and one slot more.  Inside `evolve` and
+    `return_values` a field carries `plan`: it then lives in one of the
+    plan's two buffers, which the next step but one overwrites, and inside
+    `return_values` it keeps only the light cone of the origin.  Such fields
+    never leave those loops.  The reads work per walker:
     `position_distribution()` gives positions -time..time, one row per
     walker, with exact zeros on every site not stored, and
     `total_probability()` a float for one walker and an array for a stack.
@@ -66,7 +85,7 @@ class Field:
     time: int
     packed: np.ndarray  # shape (..., 2, width), width <= time + 1
     lo: int = 0
-    cone: tuple[int, np.ndarray] | None = None  # (horizon, buffers of shape (2, ..., size))
+    plan: tuple | None = None  # see `_plan`
 
     @classmethod
     def at_origin(cls, vector: np.ndarray) -> "Field":
@@ -93,7 +112,9 @@ def stack(source, state) -> tuple[np.ndarray, Field]:
     or a sequence of them.  One state walks alone under one source.  A
     sequence of states walks as one stack, shape (len(state), 2, 1), under
     the one source or paired one-to-one with a sequence of sources, whose
-    matrices stack to shape (len(source), 2, 2).
+    matrices stack to shape (len(source), 2, 2).  A complex matrix whose
+    entries all have a zero imaginary part is handed out as its real part;
+    the states keep the complex dtype.
     """
     if hasattr(source, "matrix"):
         matrix = source.matrix()
@@ -107,7 +128,26 @@ def stack(source, state) -> tuple[np.ndarray, Field]:
     if matrix.ndim > 2 and (single or len(matrix) != len(vectors)):
         states = "one state" if single else f"{len(vectors)} states"
         raise ValueError(f"a stack pairs each state with one step matrix, got {len(matrix)} matrices and {states}")
+    if matrix.dtype.kind == "c" and not matrix.imag.any():
+        matrix = np.ascontiguousarray(matrix.real)
     return matrix, Field.at_origin(vectors)
+
+
+def _product(matrix, old, lo, read, write, pairs, new_lo, new_width) -> np.ndarray:
+    """Writes the step's product of `old`, the field at slots lo.., through
+    the `write` view, zeroes the slots of the new window that have no
+    source, and returns the new window of the `read` view."""
+    width = old.shape[-1]
+    if width > 1 and matrix.dtype != old.dtype:  # a real matrix on amplitudes, as float pairs
+        pairs = write.view(matrix.dtype) if pairs is None else pairs
+        np.matmul(matrix, old.view(matrix.dtype), out=pairs[..., 2 * lo : 2 * (lo + width)])
+    else:
+        np.matmul(matrix, old, out=write[..., lo : lo + width])
+    if new_lo + new_width > lo + width:  # the last L slot has no source
+        read[..., 0, new_lo + new_width - 1] = 0
+    if new_lo == lo:  # the first R slot has no source
+        read[..., 1, lo] = 0
+    return read[..., new_lo : new_lo + new_width]
 
 
 def shift(field: Field, matrix: np.ndarray) -> Field:
@@ -120,39 +160,28 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     left one).  The product is written straight into place, and only a slot
     with no source (the last L, the first R of a growing field) is zeroed.
     For a stack of walkers the one product broadcasts a 2x2 `matrix` over
-    them, or pairs a (walkers, 2, 2) stack of matrices with them.
+    them, or pairs a (walkers, 2, 2) stack of matrices with them.  A field
+    with a plan steps into its plan's buffer and window; one without, into
+    a new buffer, keeping every slot its slots reach.
     """
-    old, lo, t = field.packed, field.lo, field.time
-    walkers, width = old.shape[:-2], old.shape[-1]
-    cone = field.cone
-    if cone is None:  # a fresh array, so a field `evolve` returns is never overwritten
-        new_lo, new_width = 0, t + 2
-        flat = np.empty(walkers + (2 * t + 7,), dtype=old.dtype)
-    else:  # the buffer the input field does not live in
-        horizon, buffers = cone
-        new_lo, new_width = _window(horizon, t + 1)
-        flat = buffers[(t + 1) % 2]
-    # Each walker's new field is its row flat[..., 1 : 1 + 2 new_width] as a (2, new_width) array:
-    # L slot m at flat[1 + m - new_lo], R slot m at flat[1 + new_width + m - new_lo].
-    # So (M old)[0, j] (L at m = lo + j) and (M old)[1, j] (R at m = lo + j + 1)
-    # are two rows new_width + 1 apart from flat[start].  A window drops at
-    # most its first slot per step, so start >= 0 and width <= new_width + 1.
-    start = 1 + lo - new_lo
-    rows = flat[..., start : start + 2 * new_width + 2].reshape(walkers + (2, new_width + 1))
-    np.matmul(matrix, old, out=rows[..., :width])
-    if new_lo + new_width > lo + width:  # the last L slot has no source
-        flat[..., new_width] = 0
-    if new_lo == lo:  # the first R slot has no source
-        flat[..., new_width + 1] = 0
-    new = flat[..., 1 : 1 + 2 * new_width].reshape(walkers + (2, new_width))
-    return Field(t + 1, new, new_lo, cone)
+    old, t, lo, plan = field.packed, field.time + 1, field.lo, field.plan
+    if plan is None:  # a fresh buffer, so a field `evolve` returns is never overwritten
+        new_lo, new_width, pairs = lo, old.shape[-1] + 1, None
+        read, write = _buffer(old.shape[:-2], lo + new_width, old.dtype)
+    else:
+        new_lo, new_width, (read, write, pairs) = plan[0][t], plan[1][t], plan[2][t % 2]
+    return Field(t, _product(matrix, old, lo, read, write, pairs, new_lo, new_width), new_lo, plan)
 
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
-    """The field after n applications of `step`."""
-    for _ in range(_require_count(n, "n")):
+    """The field after n applications of `step`, dense: the window at time t
+    is slots 0..t."""
+    widths = np.arange(1, field.time + _require_count(n, "n") + 2)
+    plan = _plan(field.packed.shape[:-2], field.packed.dtype, np.zeros_like(widths), widths)
+    field = replace(field, plan=plan)
+    for _ in range(n):
         field = step(field)
-    return field
+    return replace(field, plan=None)
 
 
 def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np.ndarray:
@@ -160,17 +189,19 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
 
     Only the light cone of the origin is advanced: at time t the sites with
     |x| <= min(t, nmax - t), which is about a quarter of the dense field's
-    site work over the walk.  The origin pair is read at every even time,
-    the only times it can be occupied, and turned into weights at the end.
-    A stack of walkers gives one row of weights per walker, shape
-    (..., nmax + 1).
+    site work over the walk; the window is empty only at an odd last step.
+    The origin pair is read at every even time, the only times it can be
+    occupied, and turned into weights at the end.  A stack of walkers gives
+    one row of weights per walker, shape (..., nmax + 1).
     """
     nmax = _require_count(nmax, "nmax")
     if field.time != 0:
         raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
     walkers = field.packed.shape[:-2]
-    size = 2 * (nmax // 2 + 1) + 3  # the widest window, nmax // 2 + 1 slots, as `shift` lays it out
-    field = replace(field, cone=(nmax, np.empty((2, *walkers, size), dtype=field.packed.dtype)))
+    t = np.arange(nmax + 1)
+    lows = np.maximum(0, (2 * t - nmax + 1) // 2)
+    widths = np.maximum(0, np.minimum(t, nmax // 2) - lows + 1)
+    field = replace(field, plan=_plan(walkers, field.packed.dtype, lows, widths))
     pairs = np.empty((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):

@@ -305,6 +305,35 @@ def test_genfunc_output_bytes_are_pinned(capsys, request_argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _GENFUNC_DIGESTS[request_argv]
 
 
+# sha256 of the stdout of each lattice request, recorded before the lattice
+# step moved onto per-walk buffers and real products: the qw coin steps
+# with its real part, the Hadamard coin with the complex product.
+_CRW = ("--model", "crw", "--a", "0.7", "--d", "0.6", "--phi1", "0.3", "--nmax", "600")
+_LATTICE_DIGESTS = {
+    ("return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "600"):
+        "34b8c629b7ec2041a8d5aaeb768906239af3f1d451d1cac372ab7100b2727319",
+    ("return", "--model", "hadamard", "--nmax", "600"):
+        "baf68ce17b51ec20bb1403c71e26a12c0687386ad90c728b324a7deb1d2d4863",
+    ("return", *_CRW):
+        "8d67e017043b9308a3b87455d24b735e96dd90f876ea760deec78c72dc408d6f",
+    ("return", "--model", "rw", "--p", "0.4", "--nmax", "600"):
+        "72fbb838e28bd1c2fb535e66d61c830e6fd7519f35396e062c8e1c4959386b44",
+    ("dist", *_CRW):
+        "66dfc142ca428d62bcd15e788d4d714584503092bd9e5a75b5b8e43660a6d08c",
+    ("dist", *_CRW, "--format", "json"):
+        "f056551c1676c916f5f8c5cd8822f5a268ff0511963e92048f3ea41f2be43698",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(_LATTICE_DIGESTS), ids=lambda argv: "-".join((argv[0], argv[2], argv[-1]))
+)
+def test_lattice_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _LATTICE_DIGESTS[argv]
+
+
 # ---------------------------------------------------------------------------
 # a NaN from any route fails the comparison gate
 
@@ -384,6 +413,43 @@ def test_dist_qw_wrong_parity_rows_are_exact_zeros(capsys):
 def test_dist_rejects_oversized_time(capsys):
     code, _, err = run_cli(capsys, "dist", "--model", "hadamard", "--nmax", "100001")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "100001"),
+        ("return", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "-1"),
+        ("dist", "--model", "crw", "--a", "0.7", "--d", "0.6", "--nmax", "100001"),
+        ("dist", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "-2"),
+    ],
+    ids=["return-long", "return-negative", "dist-long", "dist-negative"],
+)
+def test_lattice_commands_bound_nmax_before_any_walk(capsys, monkeypatch, argv):
+    # `return` and `dist` share the bound 0 <= nmax <= 1e5: past it the
+    # lattice walk would run for minutes without a word.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk started before --nmax was checked")
+
+    for module, name in [
+        (qw, "simulate_return"), (qw, "return_series_qw"), (qw, "distribution"),
+        (crw, "simulate_return_crw"), (crw, "return_series_crw"), (crw, "evolve_crw"),
+    ]:
+        monkeypatch.setattr(module, name, no_walk)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"--nmax must lie in [0, 1e5], got {argv[-1]}" in err
+
+
+def test_return_accepts_the_largest_and_smallest_nmax(capsys, monkeypatch):
+    # The bound is inclusive: --nmax 100000 reaches the walk (stubbed here).
+    seen = []
+    monkeypatch.setattr(qw, "return_series_qw", lambda alpha_sq, nmax: seen.append(nmax) or np.zeros(nmax + 1))
+    monkeypatch.setattr(qw, "simulate_return", lambda coin, phi, nmax: np.zeros(nmax + 1))
+    for nmax in ("100000", "0"):
+        code, _, _ = run_cli(capsys, "return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", nmax)
+        assert code == 0
+    assert seen == [100000, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,26 @@ def test_light_cone_return_equals_the_dense_walk(nmax, walk):
         assert np.array_equal(simulate(nmax), _dense_origin_weights(field, advance, nmax))
 
 
+@pytest.mark.parametrize("nmax", [*range(12), 40, 301])
+def test_light_cone_windows_hold_exactly_the_sites_that_can_return(nmax):
+    # The window at time t is every slot m whose site x = -t + 2m has
+    # |x| <= min(t, nmax - t), and no other.
+    matrix, field = lattice.stack(qw.CoinMatrix.from_alpha_sq(0.3), qw.QWInitialState.canonical())
+    windows = []
+
+    def advance(field):
+        field = qw.step(field, matrix)
+        windows.append((field.time, field.lo, field.packed.shape[-1]))
+        return field
+
+    lattice.return_values(field, nmax, advance)
+    assert [t for t, _, _ in windows] == list(range(1, nmax + 1))
+    for t, lo, width in windows:
+        slots = [m for m in range(t + 1) if abs(2 * m - t) <= min(t, nmax - t)]
+        assert width == len(slots)
+        assert not slots or lo == slots[0]
+
+
 def test_light_cone_return_with_a_complex_coin_matches_to_rounding():
     rng = np.random.default_rng(5)
     matrix, field = lattice.stack(qw.CoinMatrix.random(rng), qw.QWInitialState.random(rng))
@@ -255,3 +275,150 @@ def test_return_weights_round_like_scalar_squares():
     # `left` and `right` are numpy scalars, so ** 2 is a scalar power.
     scalar = [np.abs(left) ** 2 + np.abs(right) ** 2 for left, right in pairs]
     assert np.array_equal(values[:, 0], scalar)
+
+
+# ---------------------------------------------------------------------------
+# real coins: the float-pair product against the complex one
+
+
+def _complex_states(rng, shape):
+    """Random complex (L, R) pairs of shape `shape` + (2,), magnitudes spread down to 1e-300."""
+    pairs = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    return pairs * 10.0 ** rng.uniform(-300, 0, size=shape + (1,))
+
+
+def _origin_weights(field):
+    """r_t of every walker, rounded as `return_values` rounds it."""
+    if field.time % 2:
+        return np.zeros(field.packed.shape[:-2])
+    pair = field.packed[..., field.time // 2 - field.lo]
+    weights = np.float_power(np.abs(pair), 2)
+    return weights[..., 0] + weights[..., 1]
+
+
+def _real_coins(rng, layout, walkers):
+    """The step matrix `lattice.stack` hands out for coins with real entries,
+    their complex matrix and the walker axes, for one walker or a stack."""
+    draw = lambda: qw.CoinMatrix.from_alpha_sq(float(rng.uniform(0.05, 0.95)))  # noqa: E731
+    if layout == "single":
+        coin = draw()
+        matrix, _ = lattice.stack(coin, qw.QWInitialState.canonical())
+        return matrix, coin.matrix(), ()
+    coins = draw() if layout == "shared" else [draw() for _ in range(walkers)]
+    matrix, _ = lattice.stack(coins, [qw.QWInitialState.canonical()] * walkers)
+    complex_matrix = coins.matrix() if layout == "shared" else np.array([coin.matrix() for coin in coins])
+    return matrix, complex_matrix, (walkers,)
+
+
+@pytest.mark.parametrize("layout", ["single", "shared", "per-walker"])
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.integers(1, 6), nmax=st.integers(0, 300))
+@example(seed=0, walkers=1, nmax=0)
+@example(seed=1, walkers=3, nmax=1)
+@example(seed=2, walkers=2, nmax=2)
+@example(seed=3, walkers=6, nmax=3)
+@example(seed=4, walkers=5, nmax=300)
+@settings(max_examples=25, deadline=None)
+def test_a_real_coin_steps_bit_for_bit_as_its_complex_matrix(layout, seed, walkers, nmax):
+    rng = np.random.default_rng(seed)
+    matrix, complex_matrix, shape = _real_coins(rng, layout, walkers)
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, complex_matrix.real) and not complex_matrix.imag.any()
+    start = lattice.Field.at_origin(_complex_states(rng, shape))
+    advance = lambda field: qw.step(field, matrix)  # noqa: E731
+    # The reference steps with the complex matrix, without a plan; the real
+    # matrix's plan-less step must give the same fields at every time.
+    reference, real, expected = start, start, [_origin_weights(start)]
+    for _ in range(nmax):
+        reference, real = lattice.shift(reference, complex_matrix), advance(real)
+        assert np.array_equal(real.packed, reference.packed)
+        expected.append(_origin_weights(reference))
+    walked = lattice.evolve(start, nmax, advance)
+    assert walked.packed.dtype == np.complex128
+    assert np.array_equal(walked.packed, reference.packed)
+    values = lattice.return_values(start, nmax, advance)
+    assert values.shape == shape + (nmax + 1,)
+    assert np.array_equal(values, np.moveaxis(np.array(expected), 0, -1))
+
+
+def test_complex_coins_keep_the_complex_product():
+    rng = np.random.default_rng(23)
+    real, phased = qw.CoinMatrix.from_alpha_sq(0.3), qw.CoinMatrix.from_alpha_sq(0.3, beta_phase=1.0)
+    states = [qw.QWInitialState.random(rng) for _ in range(3)]
+    mixed, field = lattice.stack([real, phased, real], states)
+    assert mixed.dtype == np.complex128 and mixed.imag.any()
+    # The Hadamard matrix keeps an imaginary residue of 6e-17 from e^{i pi/2}.
+    hadamard, _ = lattice.stack(qw.CoinMatrix.hadamard(), states[0])
+    assert hadamard.dtype == np.complex128 and hadamard.imag.any()
+    # States keep their imaginary parts, also under a real matrix.
+    vectors = np.array([phi.vector() for phi in states])
+    assert np.array_equal(field.packed[..., 0], vectors)
+    shared, field = lattice.stack(real, states)
+    assert shared.dtype == np.float64
+    assert field.packed.dtype == np.complex128 and np.array_equal(field.packed[..., 0], vectors)
+    _, alone = lattice.stack(real, states[1])
+    assert np.array_equal(alone.packed[:, 0], vectors[1])
+
+
+# ---------------------------------------------------------------------------
+# step buffers: a field handed out is never written again
+
+
+def test_an_evolved_field_survives_later_walks_on_the_same_coin():
+    rng = np.random.default_rng(29)
+    for coin in (qw.CoinMatrix.from_alpha_sq(0.4), qw.CoinMatrix.random(rng)):
+        phi = qw.QWInitialState.random(rng)
+        matrix, start = lattice.stack(coin, phi)
+        first = qw.evolve(coin, phi, 40)
+        kept = first.packed.copy()
+        assert first.plan is None and first.lo == 0 and first.packed.shape == (2, 41)
+        again = qw.evolve(coin, phi, 40)
+        longer = lattice.evolve(first, 15, lambda field: qw.step(field, matrix))
+        qw.simulate_return(coin, phi, 90)
+        stepped = qw.step(first, matrix)
+        assert np.array_equal(first.packed, kept)
+        assert np.array_equal(again.packed, kept)
+        assert (longer.time, stepped.time) == (55, 41)
+        assert np.array_equal(stepped.packed, lattice.evolve(start, 41, lambda f: qw.step(f, matrix)).packed)
+
+
+@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
+def test_a_step_without_a_plan_keeps_a_window_and_one_slot_more(walk):
+    # A field that stores slots lo..lo + w - 1 steps to lo..lo + w, the
+    # slots of the zero-padded dense field that can be nonzero.
+    _, field, advance, _ = _walks(13)[walk]
+    for _ in range(6):
+        field = advance(field)
+    for lo, width in [(0, 7), (2, 3), (6, 1), (1, 5)]:
+        window = lattice.Field(6, field.packed[:, lo : lo + width].copy(), lo)
+        padded = np.zeros_like(field.packed)
+        padded[:, lo : lo + width] = window.packed
+        stepped, dense = advance(window), advance(lattice.Field(6, padded))
+        assert (stepped.time, stepped.lo, stepped.packed.shape) == (7, lo, (2, width + 1))
+        assert np.array_equal(stepped.packed, dense.packed[:, lo : lo + width + 1])
+        assert np.array_equal(stepped.position_distribution(), dense.position_distribution())
+
+
+def test_evolve_for_no_steps_gives_the_time_zero_field():
+    phi = qw.QWInitialState.canonical()
+    for coin in (qw.CoinMatrix.hadamard(), qw.CoinMatrix.from_alpha_sq(0.7)):
+        field = qw.evolve(coin, phi, 0)
+        assert (field.time, field.lo, field.plan) == (0, 0, None)
+        assert np.array_equal(field.packed, phi.vector()[:, None])
+        assert np.array_equal(field.position_distribution(), [1.0])
+    masses = crw.evolve_crw(crw.TransitionMatrix(a=0.3, b=0.6), crw.CRWInitialState.from_phi1(0.2), 0)
+    assert np.array_equal(masses.packed, [[0.2], [0.8]])
+
+
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_short_and_empty_walks_keep_their_shapes(nmax):
+    rng = np.random.default_rng(31)
+    phi = qw.QWInitialState.random(rng)
+    for coin in (qw.CoinMatrix.hadamard(), qw.CoinMatrix.from_alpha_sq(0.2)):
+        alone = qw.simulate_return(coin, phi, nmax)
+        assert alone.shape == (nmax + 1,) and alone[0] == pytest.approx(1.0)
+        assert qw.simulate_return(coin, [phi, phi], nmax).shape == (2, nmax + 1)
+        assert qw.simulate_return(coin, [], nmax).shape == (0, nmax + 1)
+        assert qw.evolve(coin, [], nmax).packed.shape == (0, 2, nmax + 1)
+    transition = crw.TransitionMatrix.random(rng)
+    assert crw.simulate_return_crw(transition, crw.CRWInitialState.random(rng), nmax).shape == (nmax + 1,)
+    assert crw.simulate_return_crw([], [], nmax).shape == (0, nmax + 1)
