@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -39,21 +40,19 @@ class Table:
         return range(len(self.data[0]) if self.data else 0)
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """A column as text: integers exact, floats to 17 significant digits,
-    which round-trip any float64."""
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return list(map("%.17g".__mod__, column.tolist()))
+def _conversions(data: list[np.ndarray], floats: str) -> list[str]:
+    """One `%` conversion per column: integers exact, floats by `floats`."""
+    return ["%d" if column.dtype.kind in "iu" else floats for column in data]
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    """A column as the JSON encoder writes it: float.__repr__, NaN, Infinity."""
+def _json_cells(column: np.ndarray) -> list:
+    """A column's cells for a JSON row template: integers as they are,
+    floats as the JSON encoder writes them, float.__repr__, NaN, Infinity."""
     if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
+        return column.tolist()
     cells = list(map(float.__repr__, column.tolist()))
     if not np.isfinite(column).all():
         cells = [_JSON_NON_FINITE.get(cell, cell) for cell in cells]
@@ -64,29 +63,40 @@ def _json_cells(column: np.ndarray) -> list[str]:
 _BLOCK_ROWS = 4096
 
 
-def _blocks(data: list[np.ndarray], cells: Callable[[np.ndarray], list[str]]):
-    """Row tuples of formatted cells, one list of them per block of rows."""
-    for start in range(0, len(data[0]) if data else 0, _BLOCK_ROWS):
-        yield list(zip(*(cells(column[start : start + _BLOCK_ROWS]) for column in data)))
+def _blocks(
+    data: list[np.ndarray], row: str, cells: Callable[[np.ndarray], list] = np.ndarray.tolist, separator: str = ""
+):
+    """The rows of `data` as text, one string per block of up to _BLOCK_ROWS
+    rows, each made by one `%`: the template `row`, one conversion per
+    column, repeated once per row with `separator` between, filled row by
+    row with the columns' `cells`.  Rows stop at the shortest column."""
+    nrows = min(map(len, data), default=0)
+    for start in range(0, nrows, _BLOCK_ROWS):
+        count = min(_BLOCK_ROWS, nrows - start)
+        columns = [cells(column[start : start + count]) for column in data]
+        yield separator.join([row] * count) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def emit_csv(table: Table, stream) -> None:
     csv.writer(stream, lineterminator="\n").writerow(table.columns)
-    # Number cells hold no comma, quote or line break, so none needs quoting.
-    for rows in _blocks(table.data, _cells):
-        stream.write("\n".join(map(",".join, rows)) + "\n")
+    # Number cells hold no comma, quote or line break, so none needs quoting;
+    # %.17g round-trips any float64.
+    for block in _blocks(table.data, ",".join(_conversions(table.data, "%.17g")) + "\n"):
+        stream.write(block)
 
 
 def emit_json(table: Table, stream) -> None:
     """The bytes of json.dump({"meta": ..., "rows": [records]}, indent=2),
-    with each record filled into one template instead of encoded cell by cell."""
+    with each block of records filled into one template instead of encoded
+    cell by cell."""
     meta = json.dumps(table.meta, indent=2).replace("\n", "\n  ")
     keys = [json.dumps(name).replace("%", "%%") for name in table.columns]
-    record = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    fields = zip(keys, _conversions(table.data, "%s"))
+    record = "    {\n" + ",\n".join(f"      {key}: {conversion}" for key, conversion in fields) + "\n    }"
     stream.write(f'{{\n  "meta": {meta},\n  "rows": ')
     opening = "[\n"
-    for rows in _blocks(table.data, _json_cells):
-        stream.write(opening + ",\n".join(map(record.__mod__, rows)))
+    for block in _blocks(table.data, record, _json_cells, ",\n"):
+        stream.write(opening + block)
         opening = ",\n"
     stream.write("[]\n}\n" if opening == "[\n" else "\n  ]\n}\n")
 
@@ -94,8 +104,9 @@ def emit_json(table: Table, stream) -> None:
 def emit_gnuplot(table: Table, stream) -> None:
     """Two-column plain text (first two columns) for external plotters."""
     stream.write(f"# {table.columns[0]} {table.columns[1]}\n")
-    for rows in _blocks(table.data[:2], _cells):
-        stream.write("".join(map("%s %s\n".__mod__, rows)))
+    data = table.data[:2]
+    for block in _blocks(data, " ".join(_conversions(data, "%.17g")) + "\n"):
+        stream.write(block)
 
 
 def _write_output(table: Table, args) -> None:
@@ -273,8 +284,10 @@ def cmd_return(args) -> int:
 def cmd_genfunc(args) -> int:
     model, walk = _model(args, "genfunc", tuple(MODELS))
     tol = _resolve_tol(args, model.genfunc_tol)
-    if args.z_count < 1:
-        raise ValueError(f"--z-count must be at least 1, got {args.z_count}")
+    # Each grid point costs a quadrature and a series sum: 1e5 of them take
+    # seconds, and nothing else would stop 1e8 from allocating gigabytes.
+    if not 1 <= args.z_count <= 10**5:
+        raise ValueError(f"--z-count must lie in [1, 1e5], got {args.z_count}")
     zgrid = np.linspace(args.z_start, args.z_stop, args.z_count)
     # Written so that a NaN grid point fails the check as well.
     if not np.all(np.abs(zgrid) < 1.0):

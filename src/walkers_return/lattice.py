@@ -17,13 +17,16 @@ product broadcasts over the walkers or under a stack of matrices, one per
 walker.  A single walker is the stack with no leading axis.  Every walk is
 set up by `stack`: its step matrix and its time-0 field.
 
-`evolve` and `return_values` set up one plan per walk: the window of slots
-kept at every time, computed at once, and two buffers that the steps fill
-in turn, slot m at fixed columns, so a step is one product, at most two
-zeroed slots and a few slices.  A real matrix multiplies a complex field
-as (re, im) float pairs: half the flops of the complex product and, with
-the OpenBLAS numpy ships, the same bits, except one slot wide, where numpy
-takes a matrix-vector routine that rounds differently.
+`evolve` and `return_values` set up one plan per walk: the bound on the
+window of slots kept at every time, computed at once, and two zeroed
+buffers that the steps fill in turn, slot m at fixed columns, so a step is
+one product, a few slices and at most one zeroed slot.  A walk with a real
+matrix also narrows its window to the nonzero columns every 32 steps: the
+ends of a long walk underflow to exact zeros, which stay zeros.  A real
+matrix multiplies a complex field as (re, im) float pairs: half the flops
+of the complex product and, with the OpenBLAS numpy ships, the same bits,
+except one slot wide, where numpy takes a matrix-vector routine that
+rounds differently.
 """
 
 from __future__ import annotations
@@ -44,22 +47,24 @@ def _weight(values):
     return np.abs(values) ** 2 if values.dtype.kind == "c" else values
 
 
-def _buffer(walkers: tuple, slots: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A step buffer of 2 S + 2 entries per walker, as a read view (..., 2, S)
-    with L and R of slot m in column m, and a write view (..., 2, S + 1)
-    whose R row starts one slot later, so a product written at the old
-    slots puts R into the next slot."""
-    buffer = np.empty(walkers + (2 * slots + 2,), dtype=dtype)
+def _buffer(walkers: tuple, slots: int, dtype, allocate=np.empty) -> tuple[np.ndarray, np.ndarray]:
+    """A step buffer of 2 S + 2 entries per walker, made by `allocate`, as a
+    read view (..., 2, S) with L and R of slot m in column m, and a write
+    view (..., 2, S + 1) whose R row starts one slot later, so a product
+    written at the old slots puts R into the next slot."""
+    buffer = allocate(walkers + (2 * slots + 2,), dtype=dtype)
     return buffer[..., : 2 * slots].reshape(walkers + (2, slots)), buffer.reshape(walkers + (2, slots + 1))
 
 
-def _plan(walkers: tuple, dtype, lows: np.ndarray, widths: np.ndarray) -> tuple:
-    """A walk's first slot and width at every time, as memoryviews (a list
-    would hold an int object per time), and the read, write and float-pair
-    write views of its two buffers; the step to time t writes buffer t % 2."""
-    buffers = [_buffer(walkers, int(np.max(lows + widths)), dtype) for _ in range(2)]
+def _plan(walkers: tuple, dtype, lows: np.ndarray, ends: np.ndarray) -> tuple:
+    """A walk's bound on its window at every time, first slot and end, as
+    memoryviews (a list would hold an int object per time), and the read,
+    write and float-pair write views of its two buffers; the step to time t
+    writes buffer t % 2."""
+    # Zeroed, so a slot that no step has written is 0, as one with no source must be.
+    buffers = [_buffer(walkers, int(np.max(ends)), dtype, np.zeros) for _ in range(2)]
     views = [(read, write, write.view(write.real.dtype)) for read, write in buffers]
-    return memoryview(lows), memoryview(widths), views
+    return memoryview(lows), memoryview(ends), views
 
 
 # Not frozen: a frozen dataclass's __init__ costs about 0.8 us more, and
@@ -74,12 +79,14 @@ class Field:
     field that `evolve` returns stores all time + 1 of them (lo = 0); a
     step without a plan keeps lo and one slot more.  Inside `evolve` and
     `return_values` a field carries `plan`: it then lives in one of the
-    plan's two buffers, which the next step but one overwrites, and inside
-    `return_values` it keeps only the light cone of the origin.  Such fields
-    never leave those loops.  The reads work per walker:
-    `position_distribution()` gives positions -time..time, one row per
-    walker, with exact zeros on every site not stored, and
-    `total_probability()` a float for one walker and an array for a stack.
+    plan's two buffers, which the next step but one overwrites; inside
+    `return_values` it keeps only the light cone of the origin, and under a
+    real matrix only the span of its nonzero columns as of the last time
+    the window was narrowed.  Such fields never leave those loops.  The
+    reads work per walker: `position_distribution()` gives positions
+    -time..time, one row per walker, with exact zeros on every site not
+    stored, and `total_probability()` a float for one walker and an array
+    for a stack.
     """
 
     time: int
@@ -133,21 +140,25 @@ def stack(source, state) -> tuple[np.ndarray, Field]:
     return matrix, Field.at_origin(vectors)
 
 
-def _product(matrix, old, lo, read, write, pairs, new_lo, new_width) -> np.ndarray:
-    """Writes the step's product of `old`, the field at slots lo.., through
-    the `write` view, zeroes the slots of the new window that have no
-    source, and returns the new window of the `read` view."""
-    width = old.shape[-1]
-    if width > 1 and matrix.dtype != old.dtype:  # a real matrix on amplitudes, as float pairs
-        pairs = write.view(matrix.dtype) if pairs is None else pairs
-        np.matmul(matrix, old.view(matrix.dtype), out=pairs[..., 2 * lo : 2 * (lo + width)])
-    else:
-        np.matmul(matrix, old, out=write[..., lo : lo + width])
-    if new_lo + new_width > lo + width:  # the last L slot has no source
-        read[..., 0, new_lo + new_width - 1] = 0
-    if new_lo == lo:  # the first R slot has no source
-        read[..., 1, lo] = 0
-    return read[..., new_lo : new_lo + new_width]
+# Steps between two narrowings of a planned window to its nonzero columns.
+_NARROW_EVERY = 32
+
+
+def _narrow(field: Field) -> Field:
+    """The planned field narrowed to its first and last nonzero column, if
+    that drops an edge column and keeps two; the slots dropped from the end
+    are zeroed in both buffers, so every slot past the window's end is 0 in
+    each, as the next steps need of a slot with no source."""
+    packed, lo = field.packed, field.lo
+    width = packed.shape[-1]
+    occupied = packed.any(axis=tuple(range(packed.ndim - 1)))
+    first, last = int(occupied.argmax()), width - int(occupied[::-1].argmax())
+    # A product one slot wide rounds differently, so two columns stay.
+    if last - first < 2 or last - first == width:
+        return field
+    for read, _, _ in field.plan[2]:
+        read[..., lo + last : lo + width] = 0
+    return Field(field.time, packed[..., first:last], lo + first, field.plan)
 
 
 def shift(field: Field, matrix: np.ndarray) -> Field:
@@ -157,31 +168,65 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     bottom row, so one product `matrix @ old` gives both moved components:
     in slots, new L[m] = (M old)[0, m] and new R[m] = (M old)[1, m - 1] (the
     L-components come from the right neighbour, the R-components from the
-    left one).  The product is written straight into place, and only a slot
-    with no source (the last L, the first R of a growing field) is zeroed.
-    For a stack of walkers the one product broadcasts a 2x2 `matrix` over
-    them, or pairs a (walkers, 2, 2) stack of matrices with them.  A field
-    with a plan steps into its plan's buffer and window; one without, into
-    a new buffer, keeping every slot its slots reach.
+    left one).  The product is written straight into place.  A slot with no
+    source (the last L, the first R of a growing field) is zeroed in a new
+    buffer; in a plan's zeroed buffers it is one that no step has written,
+    so it is already 0, except the first R of a window whose start stays
+    above slot 0, which is zeroed.  For a stack of walkers the
+    one product broadcasts a 2x2 `matrix` over them, or pairs a
+    (walkers, 2, 2) stack of matrices with them.  A field without a plan
+    steps into a new buffer, keeping every slot its slots reach; one with a
+    plan steps into its plan's buffer, keeping those inside the plan's
+    bound.  Every 32 steps a real `matrix` then narrows the window to its
+    first and last nonzero column, since an all-zero column stays exactly 0
+    under the step.  A complex matrix keeps its window: the complex product
+    rounds a column by its place in the window.  Subnormal columns are
+    stepped like any other: dropping them would change the values.
     """
     old, t, lo, plan = field.packed, field.time + 1, field.lo, field.plan
+    width = old.shape[-1]
+    end = lo + width
     if plan is None:  # a fresh buffer, so a field `evolve` returns is never overwritten
-        new_lo, new_width, pairs = lo, old.shape[-1] + 1, None
-        read, write = _buffer(old.shape[:-2], lo + new_width, old.dtype)
+        new_lo, new_end, pairs = lo, end + 1, None
+        read, write = _buffer(old.shape[:-2], new_end, old.dtype)
+        # Only the slots with no source: np.zeros would cost as much as the
+        # product at a thousand slots.
+        read[..., 0, end] = read[..., 1, lo] = 0
     else:
-        new_lo, new_width, (read, write, pairs) = plan[0][t], plan[1][t], plan[2][t % 2]
-    return Field(t, _product(matrix, old, lo, read, write, pairs, new_lo, new_width), new_lo, plan)
+        lows, ends, views = plan
+        read, write, pairs = views[t % 2]
+        new_lo, new_end = lows[t], ends[t]
+        new_lo = lo if new_lo < lo else new_lo
+        new_end = end + 1 if new_end > end + 1 else new_end
+        if new_lo == lo and lo:  # a first R slot that an earlier step may have written
+            read[..., 1, lo] = 0
+    if width > 1 and matrix.dtype != old.dtype:  # a real matrix on amplitudes, as float pairs
+        pairs = write.view(matrix.dtype) if pairs is None else pairs
+        np.matmul(matrix, old.view(matrix.dtype), out=pairs[..., 2 * lo : 2 * end])
+    else:
+        np.matmul(matrix, old, out=write[..., lo:end])
+    new = Field(t, read[..., new_lo:new_end], new_lo, plan)
+    if t % _NARROW_EVERY or plan is None or matrix.dtype.kind == "c":
+        return new
+    return _narrow(new)
 
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
-    """The field after n applications of `step`, dense: the window at time t
-    is slots 0..t."""
-    widths = np.arange(1, field.time + _require_count(n, "n") + 2)
-    plan = _plan(field.packed.shape[:-2], field.packed.dtype, np.zeros_like(widths), widths)
+    """The field after n applications of `step`, dense: lo = 0 and all
+    time + 1 slots, with exact zeros in the edge slots the steps skipped."""
+    t = field.time + _require_count(n, "n")
+    ends = np.arange(1, t + 2)
+    plan = _plan(field.packed.shape[:-2], field.packed.dtype, np.zeros_like(ends), ends)
     field = replace(field, plan=plan)
     for _ in range(n):
         field = step(field)
-    return replace(field, plan=None)
+    if not n:
+        return replace(field, plan=None)
+    # Past the window's end the buffer holds zeros; before its start, slots
+    # the steps no longer wrote.
+    dense = plan[2][t % 2][0]
+    dense[..., : field.lo] = 0
+    return Field(t, dense)
 
 
 def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np.ndarray:
@@ -191,8 +236,9 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     |x| <= min(t, nmax - t), which is about a quarter of the dense field's
     site work over the walk; the window is empty only at an odd last step.
     The origin pair is read at every even time, the only times it can be
-    occupied, and turned into weights at the end.  A stack of walkers gives
-    one row of weights per walker, shape (..., nmax + 1).
+    occupied, and turned into weights at the end; an origin outside the
+    window's nonzero columns has weight 0.  A stack of walkers gives one row
+    of weights per walker, shape (..., nmax + 1).
     """
     nmax = _require_count(nmax, "nmax")
     if field.time != 0:
@@ -200,14 +246,16 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     walkers = field.packed.shape[:-2]
     t = np.arange(nmax + 1)
     lows = np.maximum(0, (2 * t - nmax + 1) // 2)
-    widths = np.maximum(0, np.minimum(t, nmax // 2) - lows + 1)
-    field = replace(field, plan=_plan(walkers, field.packed.dtype, lows, widths))
-    pairs = np.empty((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
+    ends = np.maximum(lows, np.minimum(t, nmax // 2) + 1)
+    field = replace(field, plan=_plan(walkers, field.packed.dtype, lows, ends))
+    pairs = np.zeros((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):
         field = step(field)
         if t % 2 == 0:
-            pairs[..., t // 2] = field.packed[..., t // 2 - field.lo]
+            slot = t // 2 - field.lo
+            if 0 <= slot < field.packed.shape[-1]:
+                pairs[..., t // 2] = field.packed[..., slot]
     # |amp|^2 is rounded with pow, as numpy rounds a scalar |amp| ** 2 and
     # a per-step read would; an array's ** 2 is a product, which differs in
     # the last bit of about one value in a thousand.

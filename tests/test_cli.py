@@ -334,6 +334,48 @@ def test_lattice_output_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _LATTICE_DIGESTS[argv]
 
 
+# sha256 of the stdout of requests the pins above leave out, recorded before
+# the emitters filled each block of rows with one `%` and before planned
+# lattice windows were cut to their nonzero columns: every format of the
+# lattice commands, `genfunc` in JSON, and walks whose edge slots underflow
+# to exact zeros long before nmax.
+_FORMAT_DIGESTS = {
+    ("dist", "--model", "hadamard", "--nmax", "600", "--format", "json"):
+        "05348f0056a9f856cf5ce2e0103448b8392932535d3ead2e906f5fbbd572880e",
+    ("return", *_CRW, "--format", "json"):
+        "154fcbe7a0d1a9a478a21d7d65b8090851cb24cde9031297853318b6cfef4009",
+    ("return", "--model", "qw", "--alpha-sq", "0.3", "--nmax", "600", "--format", "gnuplot"):
+        "4c91a8fb7636a34dc829e7c1519071aac2fe2316408bb772b499789b853981b3",
+    ("dist", *_CRW, "--format", "gnuplot"):
+        "9417046e0ff0a2e12460e36a010d0f176271dc560b175911b9de0acb18fa8b22",
+    ("genfunc", "--model", "qw", "--alpha-sq", "0.3", "--z-start", "-0.85", "--z-stop", "0.98", "--z-count", "5",
+     "--format", "json"):
+        "93d966c1af1ffcc0ede45c8f013a81f59e3f8dc522d15fbed69f0edda27e5c8a",
+    ("dist", "--model", "crw", "--a", "0.2", "--d", "0.4", "--phi1", "0.3", "--nmax", "2000"):
+        "4021a4d9823789183dc4585d700c959f00f47756b8dfc3265a44e74dc1da75e6",
+    ("return", "--model", "crw", "--a", "0.2", "--d", "0.4", "--phi1", "0.3", "--nmax", "2000"):
+        "6577a8978db82b8710d5402bf84b17d4e9a685db76f2a858058b93b03d5ac48d",
+    ("return", "--model", "crw", "--a", "0.05", "--d", "0.4", "--nmax", "2000"):
+        "d82fb3270ba40d30462dbeaa2f6a8db99b172b94f75079bdcf0953e2c2024d47",
+    ("return", "--model", "qw", "--alpha-sq", "0.01", "--nmax", "2000"):
+        "05d789803cca3db06b61d0d9c6933fabe6187292342ce6a0c54ae0c22a77af2c",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(_FORMAT_DIGESTS),
+    ids=[
+        "dist-hadamard-json", "return-crw-json", "return-qw-gnuplot", "dist-crw-gnuplot", "genfunc-qw-json",
+        "dist-crw-underflow", "return-crw-underflow", "return-crw-drift", "return-qw-underflow",
+    ],
+)
+def test_formats_and_underflowing_walks_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _FORMAT_DIGESTS[argv]
+
+
 # ---------------------------------------------------------------------------
 # a NaN from any route fails the comparison gate
 
@@ -439,6 +481,40 @@ def test_lattice_commands_bound_nmax_before_any_walk(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"--nmax must lie in [0, 1e5], got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "100001", "100000000"])
+@pytest.mark.parametrize("model", [("qw", "--alpha-sq", "0.3"), ("polya2d",)], ids=["qw", "polya2d"])
+def test_genfunc_bounds_z_count_before_any_grid(capsys, monkeypatch, model, count):
+    # 1 <= z-count <= 1e5: past it a scan allocates and sums without a word.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid or a route ran before --z-count was checked")
+
+    for module, name in [
+        (cli.np, "linspace"), (genfunc, "gf_qw"), (genfunc, "polya2d_gf"), (genfunc, "polya2d_series"),
+        (genfunc, "truncation_for"), (genfunc, "series_sum"), (qw, "return_series_qw"),
+    ]:
+        monkeypatch.setattr(module, name, no_grid)
+    code, out, err = run_cli(capsys, "genfunc", "--model", *model, "--z-count", count)
+    assert (code, out) == (2, "")
+    assert f"--z-count must lie in [1, 1e5], got {count}" in err
+
+
+def test_genfunc_accepts_the_largest_and_smallest_z_count(monkeypatch):
+    class GridBuilt(Exception):
+        pass
+
+    seen = []
+
+    def grid(start, stop, count):
+        seen.append(count)
+        raise GridBuilt
+
+    monkeypatch.setattr(cli.np, "linspace", grid)
+    for count in ("100000", "1"):
+        with pytest.raises(GridBuilt):
+            main(["genfunc", "--model", "rw", "--p", "0.4", "--z-count", count])
+    assert seen == [100000, 1]
 
 
 def test_return_accepts_the_largest_and_smallest_nmax(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +114,47 @@ def test_tables_longer_than_one_block_of_rows():
     assert _emitted(emit_csv, _table(*case)) == _reference_csv(names, columns)
     assert _emitted(emit_json, _table(*case)) == _reference_json(names, columns, case[3])
     assert _emitted(emit_gnuplot, _table(*case)) == _reference_gnuplot(names, columns)
+
+
+# Column names that a row template could misread: conversion specifiers,
+# str.format fields, JSON escapes, a line break and non-ASCII text.
+AWKWARD_NAMES = ["%", "%%", "%s", "{", "}", "{0}", '"', "\\", "a\nb", "Größe π", "x%d{}"]
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES)
+def test_awkward_column_names(name):
+    names = [name, "p", name + "%"]
+    columns = [[-1, 0, 7], [0.1, math.nan, -0.0], [math.inf, 5e-324, 1e308]]
+    case = (names, columns, [True, False, False], {name: name})
+    assert _emitted(emit_csv, _table(*case)) == _reference_csv(names, columns)
+    assert _emitted(emit_json, _table(*case)) == _reference_json(names, columns, case[3])
+    assert _emitted(emit_gnuplot, _table(*case)) == _reference_gnuplot(names, columns)
+
+
+@pytest.mark.parametrize("nrows", [0, 1, 4095, 4096, 4097])
+def test_tables_at_the_block_boundary(nrows):
+    rng = np.random.default_rng(nrows)
+    names = ["n", "r", "err"]
+    floats = rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300, nrows)
+    columns = [list(range(nrows)), floats.tolist(), (-floats / 3).tolist()]
+    case = (names, columns, [True, False, False], {"rows": nrows})
+    assert _emitted(emit_csv, _table(*case)) == _reference_csv(names, columns)
+    assert _emitted(emit_json, _table(*case)) == _reference_json(names, columns, case[3])
+    assert _emitted(emit_gnuplot, _table(*case)) == _reference_gnuplot(names, columns)
+
+
+def test_json_non_finite_cells_on_both_sides_of_a_block_boundary():
+    nrows = 4096 + 5
+    values = np.linspace(-1.0, 1.0, nrows)
+    values[[4093, 4094, 4095, 4096, 4097, 4098]] = [math.nan, math.inf, -math.inf, -math.inf, math.nan, math.inf]
+    names = ["i", "v"]
+    columns = [list(range(nrows)), values.tolist()]
+    emitted = _emitted(emit_json, _table(names, columns, [True, False], {}))
+    assert emitted == _reference_json(names, columns, {})
+    assert '"v": -Infinity\n    },\n    {\n      "i": 4096,\n      "v": -Infinity' in emitted
+
+
+def test_rows_stop_at_the_shortest_column():
+    table = Table(["a", "b"], [np.arange(5), np.array([0.5, 1.5])])
+    assert _emitted(emit_csv, table) == "a,b\n0,0.5\n1,1.5\n"
+    assert _emitted(emit_gnuplot, table) == "# a b\n0 0.5\n1 1.5\n"

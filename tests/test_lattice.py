@@ -422,3 +422,124 @@ def test_short_and_empty_walks_keep_their_shapes(nmax):
     transition = crw.TransitionMatrix.random(rng)
     assert crw.simulate_return_crw(transition, crw.CRWInitialState.random(rng), nmax).shape == (nmax + 1,)
     assert crw.simulate_return_crw([], [], nmax).shape == (0, nmax + 1)
+
+
+# ---------------------------------------------------------------------------
+# edge slots that underflow to exact zeros: cut windows against plan-less steps
+
+
+# Walks whose edge slots reach exact zeros long before n = 2001: a crw whose
+# left end decays like 0.2^t, one that drifts right fast, and a qw coin
+# whose ballistic ends decay like 0.1^t.
+_UNDERFLOW = {
+    "crw-0.2-0.4": (crw.TransitionMatrix.from_persistence(0.2, 0.4), crw.CRWInitialState.from_phi1(0.3)),
+    "crw-0.05-0.4": (crw.TransitionMatrix.from_persistence(0.05, 0.4), crw.CRWInitialState.from_phi1(0.5)),
+    "qw-0.01": (qw.CoinMatrix.from_alpha_sq(0.01), qw.QWInitialState.canonical()),
+}
+# Odd: the last field lives in the buffer of odd times, which holds the
+# time t - 1 field of each narrowing at an even t.
+_UNDERFLOW_STEPS = 2001
+
+
+def _stepped_widths(step):
+    """`step`, and the list of the widths of the fields it steps."""
+    widths = []
+
+    def advance(field):
+        widths.append(field.packed.shape[-1])
+        return step(field)
+
+    return advance, widths
+
+
+def _reference_walk(start, matrix, n):
+    """Origin weights at every time up to n, rounded as `return_values`
+    rounds them, and the dense field at n, from plan-less steps."""
+    field, pairs = start, [start.packed[..., 0]]
+    for t in range(1, n + 1):
+        field = lattice.shift(field, matrix)
+        pairs.append(field.packed[..., t // 2] if t % 2 == 0 else np.zeros_like(pairs[0]))
+    pairs = np.array(pairs)
+    if pairs.dtype.kind == "c":
+        pairs = np.float_power(np.abs(pairs), 2)
+    return np.moveaxis(pairs[..., 0] + pairs[..., 1], 0, -1), field
+
+
+def _check_against_the_reference(start, matrix, step):
+    expected, dense = _reference_walk(start, matrix, _UNDERFLOW_STEPS)
+    advance, widths = _stepped_widths(step)
+    walked = lattice.evolve(start, _UNDERFLOW_STEPS, advance)
+    assert (walked.time, walked.lo, walked.plan) == (_UNDERFLOW_STEPS, 0, None)
+    assert walked.packed.shape == dense.packed.shape
+    assert np.array_equal(walked.packed, dense.packed)
+    assert np.array_equal(walked.position_distribution(), dense.position_distribution())
+    # The windows were cut: fewer columns stepped than the dense walk's.
+    assert sum(widths) < _UNDERFLOW_STEPS * (_UNDERFLOW_STEPS + 1) // 2
+    for nmax in (64, 65, 1001, 1500, 2000, 2001):
+        advance, widths = _stepped_widths(step)
+        values = lattice.return_values(start, nmax, advance)
+        assert np.array_equal(values, expected[..., : nmax + 1])
+        cone = [min(t, nmax - t) + 1 for t in range(nmax)]
+        if nmax > 1000:
+            assert sum(widths) < sum(cone)
+
+
+@pytest.mark.parametrize("walk", list(_UNDERFLOW))
+def test_zero_edges_are_cut_without_changing_a_bit(walk):
+    source, state = _UNDERFLOW[walk]
+    matrix, start = lattice.stack(source, state)
+    step = qw.step if walk.startswith("qw") else crw.crw_step
+    _check_against_the_reference(start, matrix, lambda field: step(field, matrix))
+
+
+def test_zero_edges_of_a_stack_are_cut_without_changing_a_bit():
+    # Each crw walker with its own transition: the stack's window is cut
+    # only where every walker's slots are exact zeros.
+    sources = [_UNDERFLOW["crw-0.2-0.4"][0], _UNDERFLOW["crw-0.05-0.4"][0], _UNDERFLOW["crw-0.05-0.4"][0]]
+    states = [crw.CRWInitialState.from_phi1(phi1) for phi1 in (0.3, 0.9, 0.0)]
+    matrix, start = lattice.stack(sources, states)
+    _check_against_the_reference(start, matrix, lambda field: crw.crw_step(field, matrix))
+    rng = np.random.default_rng(37)
+    coin = _UNDERFLOW["qw-0.01"][0]
+    matrix, start = lattice.stack(coin, [qw.QWInitialState.random(rng) for _ in range(3)])
+    _check_against_the_reference(start, matrix, lambda field: qw.step(field, matrix))
+
+
+def test_an_origin_outside_the_nonzero_columns_has_weight_zero():
+    # A walk that drifts right so fast that its mass left of the origin
+    # underflows: the cut window leaves the origin behind, and r_n is 0.
+    matrix, start = lattice.stack(crw.TransitionMatrix.from_persistence(0.01, 0.99), crw.CRWInitialState.from_phi1(0.0))
+    expected, _ = _reference_walk(start, matrix, 600)
+    values = lattice.return_values(start, 600, lambda field: crw.crw_step(field, matrix))
+    assert np.array_equal(values, expected)
+    assert values[600] == 0.0 and values[2] > 0.0
+
+
+def test_a_complex_coin_keeps_its_window():
+    # The complex product rounds a column by its place in the window, so a
+    # phased coin's walk is never cut, though its ends underflow to zeros.
+    matrix, start = lattice.stack(qw.CoinMatrix.from_alpha_sq(0.01, beta_phase=1.0), qw.QWInitialState.canonical())
+    assert matrix.dtype == np.complex128
+    advance, widths = _stepped_widths(lambda field: qw.step(field, matrix))
+    walked = lattice.evolve(start, 1000, advance)
+    assert widths == list(range(1, 1001))
+    assert not walked.packed[..., :100].any() and not walked.packed[..., -100:].any()
+
+
+def test_slots_cut_from_a_window_are_zero_in_both_buffers():
+    # All entries 0.5: a mass of 5e-324 halves to a tie and rounds to 0.
+    # At time 31 slot 21 holds L = 5e-324 above an empty slot 20; at 32 the
+    # window is cut to slots ..20, and the step to 33 writes the buffer of
+    # time 31 again, where slot 21's L, with no source, must read 0.
+    matrix, _ = lattice.stack(crw.TransitionMatrix.from_persistence(0.5, 0.5), crw.CRWInitialState.from_phi1(0.5))
+    packed = np.zeros((2, 31))
+    packed[:, :19] = 0.01
+    packed[0, 21] = 1e-323
+    start = lattice.Field(30, packed)
+    advance, widths = _stepped_widths(lambda field: crw.crw_step(field, matrix))
+    walked = lattice.evolve(start, 3, advance)
+    reference = start
+    for _ in range(3):
+        reference = lattice.shift(reference, matrix)
+    assert widths == [31, 32, 21]
+    assert np.array_equal(walked.packed, reference.packed)
