@@ -24,12 +24,13 @@ prefactor, which is what that sweep does: ``crw.return_series_crw`` takes
 its whole column from ``_scaled_legendre``, and
 :func:`scaled_legendre_pair` returns the sweep's last two values.
 
-Both sweeps, the scaled Legendre one and :func:`jacobi10_eval`'s, read
-their integer coefficients as floats from tables (the first 512 steps
-made at import, later steps a block at a time).  Each entry is one
-correctly rounded product of exact integers, the float that Python's
-``int * float`` converts the integer to, so a sweep keeps every bit of
-the plain loop while doing float arithmetic only.
+The Legendre sweep reads its integer coefficients as floats from a table
+(the first 512 steps made at import, later steps a block at a time).
+Each entry is one correctly rounded product of exact integers, the float
+that Python's ``int * float`` converts the integer to, so the sweep keeps
+every bit of the plain loop while doing float arithmetic only.
+:func:`jacobi10_range` forms its coefficients as Python ints in the loop,
+which rounds each product the same way.
 :func:`central_binomial_ratios` converts its exact C(2j, j) with
 ``float()`` and an exact power-of-two scaling instead of a long division.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "legendre_eval",
     "legendre_range",
     "jacobi10_eval",
+    "jacobi10_range",
     "binom",
     "central_binomial_ratios",
     "ellipK",
@@ -97,31 +99,24 @@ def _legendre_columns(j: np.ndarray) -> tuple[list[float], ...]:
     return (2.0 * j + 1.0).tolist(), j.tolist(), (j + 1.0).tolist()
 
 
-def _jacobi_columns(j: np.ndarray) -> tuple[list[float], ...]:
-    """The Jacobi(1,0) sweep's (2j+1)(2j-1), (j-1)(2j+1) and (j+1)(2j-1) as floats."""
-    odd, odd_below = 2.0 * j + 1.0, 2.0 * j - 1.0
-    return (odd * odd_below).tolist(), ((j - 1.0) * odd).tolist(), ((j + 1.0) * odd_below).tolist()
-
-
-# The coefficients of the first _BLOCK steps of each sweep, made once at
+# The coefficients of the Legendre sweep's first _BLOCK steps, made once at
 # import: a constant table, which every process builds alike.
 _BLOCK = 512
 _LEGENDRE_HEAD = _legendre_columns(np.arange(1.0, 1.0 + _BLOCK))
-_JACOBI_HEAD = _jacobi_columns(np.arange(2.0, 2.0 + _BLOCK))
 
 
-def _coefficients(head, columns, first: int, stop: int):
-    """Per-step coefficient tuples of degrees j = first..stop-1, a block at a time.
+def _coefficients(stop: int):
+    """The Legendre sweep's (2j+1, j, j+1) of degrees j = 1..stop-1, a block at a time.
 
-    The first block is the import-time table `head`, cut to length; each
-    later one is made by `columns` on demand, so memory stays bounded at
-    any degree.  Each coefficient is the integer product rounded once to a
-    float, as Python's int * float rounds it, so the sweeps keep the bits
-    of loops that form the integers themselves.
+    The first block is the import-time table, cut to length; each later one
+    is made on demand, so memory stays bounded at any degree.  Each
+    coefficient is the integer rounded once to a float, as Python's
+    int * float rounds it, so the sweep keeps the bits of a loop that forms
+    the integers itself.
     """
-    for start in range(first, stop, _BLOCK):
+    for start in range(1, stop, _BLOCK):
         count = min(_BLOCK, stop - start)
-        block = head if start == first else columns(np.arange(start, start + count, dtype=float))
+        block = _LEGENDRE_HEAD if start == 1 else _legendre_columns(np.arange(start, start + count, dtype=float))
         yield zip(*[column[:count] for column in block])
 
 
@@ -137,57 +132,57 @@ def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     t_prev, t = 1.0, numer
     values = [t_prev, t]
     d2 = denom * denom
-    for block in _coefficients(_LEGENDRE_HEAD, _legendre_columns, 1, n):
+    for block in _coefficients(n):
         for odd, j, j1 in block:
             t_prev, t = t, (odd * numer * t - j * d2 * t_prev) / j1
             values.append(t)
     return values if n else values[:1]
 
 
-def _legendre_sweep(n: int, x: float) -> list[float]:
-    """P_0(x)..P_n(x), or OverflowError where P_n(x) is not finite: a
-    non-finite value stays non-finite, so P_n decides for the whole sweep."""
+def legendre_range(n: int, x: float) -> np.ndarray:
+    """All values P_0(x), ..., P_n(x) in one forward pass.
+
+    P_0 = 1, P_1 = x, (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
+    Raises OverflowError where P_n(x) is not finite in float64: a
+    non-finite value stays non-finite, so P_n decides for the whole sweep.
+    """
     n = _require_count(n, "n")
     x = _require_finite("x", x)
     values = _scaled_legendre(n, x, 1.0)
     if not math.isfinite(values[-1]):
         raise _not_finite(n, x)
-    return values
+    return np.array(values)
 
 
 def legendre_eval(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x) by the three-term recurrence.
-
-    P_0 = 1, P_1 = x, (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
-    Raises OverflowError where P_n(x) is not finite in float64.
-    """
-    return _legendre_sweep(n, x)[-1]
+    """Legendre polynomial P_n(x): the last value of :func:`legendre_range`."""
+    return float(legendre_range(n, x)[-1])
 
 
-def legendre_range(n: int, x: float) -> np.ndarray:
-    """All values P_0(x), ..., P_n(x) in one forward pass."""
-    return np.array(_legendre_sweep(n, x))
-
-
-def jacobi10_eval(n: int, x: float) -> float:
-    """Jacobi polynomial P_n^(1,0)(x).
+def jacobi10_range(n: int, x: float) -> np.ndarray:
+    """All values P_0^(1,0)(x), ..., P_n^(1,0)(x) in one forward pass.
 
     Specialization of the general Jacobi recurrence:
     P_0 = 1, P_1 = (3x+1)/2,
     (j+1)(2j-1) P_j = ((2j+1)(2j-1) x + 1) P_{j-1} - (j-1)(2j+1) P_{j-2}.
-    Raises OverflowError where the value is not finite in float64.
+    Raises OverflowError where P_n^(1,0)(x) is not finite, as :func:`legendre_range` does.
     """
     n = _require_count(n, "n")
     x = _require_finite("x", x)
-    if n == 0:
-        return 1.0
     p_prev, p = 1.0, (3.0 * x + 1.0) / 2.0
-    for block in _coefficients(_JACOBI_HEAD, _jacobi_columns, 2, n + 1):
-        for grow, back, scale in block:
-            p_prev, p = p, ((grow * x + 1.0) * p - back * p_prev) / scale
-    if not math.isfinite(p):
+    values = [p_prev, p]
+    for j in range(2, n + 1):
+        odd, odd_below = 2 * j + 1, 2 * j - 1
+        p_prev, p = p, ((odd * odd_below * x + 1.0) * p - (j - 1) * odd * p_prev) / ((j + 1) * odd_below)
+        values.append(p)
+    if not math.isfinite(values[n]):
         raise _not_finite(n, x)
-    return p
+    return np.array(values[: n + 1])
+
+
+def jacobi10_eval(n: int, x: float) -> float:
+    """Jacobi polynomial P_n^(1,0)(x): the last value of :func:`jacobi10_range`."""
+    return float(jacobi10_range(n, x)[-1])
 
 
 def binom(n: int, k: int) -> int:
@@ -196,13 +191,11 @@ def binom(n: int, k: int) -> int:
     Arbitrary-precision integers keep this exact at every size, which the
     path-sum verification routes rely on.
     """
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise ValueError("binom arguments must be integers")
-    if k < 0 or n < 0:
-        raise ValueError(f"binom arguments must be non-negative, got ({n}, {k})")
+    n = _require_count(n, "n")
+    k = _require_count(k, "k")
     if k > n:
         raise ValueError(f"binom requires k <= n, got ({n}, {k})")
-    return math.comb(int(n), int(k))
+    return math.comb(n, k)
 
 
 def central_binomial_ratios(jmax: int) -> np.ndarray:

@@ -69,8 +69,8 @@ def _check_jacobi_difference_identity(rng: np.random.Generator) -> float:
     # P_n^(1,0)(k) (1 - k) = P_n(k) - P_{n+1}(k)
     residuals = []
     for k in np.linspace(-0.95, 0.95, 39).tolist():
-        # The Jacobi side stays one independent recurrence per n.
-        lhs = np.array([specfun.jacobi10_eval(n, k) for n in range(0, 51)]) * (1.0 - k)
+        # One Jacobi sweep per k, independent of the Legendre one.
+        lhs = specfun.jacobi10_range(50, k) * (1.0 - k)
         legendre = specfun.legendre_range(51, k)
         residuals.append(np.abs(lhs - (legendre[:-1] - legendre[1:])))
     return _worst(*residuals)
@@ -84,10 +84,12 @@ def _check_geometric_sum_identities(rng: np.random.Generator) -> float:
         coin = qw.CoinMatrix.from_alpha_sq(alpha_sq)
         beta_sq = 1.0 - alpha_sq
         k = 2.0 * alpha_sq - 1.0
+        jacobi = specfun.jacobi10_range(14, k).tolist()
+        legendre = specfun.legendre_range(14, k).tolist()
         for n in range(1, 16):
             weighted, plain, _ = qw._lemma_sums(coin, n)
-            jac = -(beta_sq / n) * specfun.jacobi10_eval(n - 1, k)
-            leg = -beta_sq * specfun.legendre_eval(n - 1, k)
+            jac = -(beta_sq / n) * jacobi[n - 1]
+            leg = -beta_sq * legendre[n - 1]
             residuals.append(abs(weighted - jac) / max(abs(jac), 1e-300))
             residuals.append(abs(plain - leg) / max(abs(leg), 1e-300))
     return _worst(*residuals)
@@ -133,12 +135,13 @@ def _check_hadamard_three_routes(rng: np.random.Generator) -> float:
     coin = qw.CoinMatrix.hadamard()
     phi = qw.QWInitialState.canonical()
     sim = qw.simulate_return(coin, phi, 10)
+    closed = qw.return_series_qw(0.5, 10)
     residuals = []
     for n, exact in _HADAMARD_EXACT.items():
         routes = (
             sim[n],
             qw.return_lemma1(coin, phi, n // 2),
-            qw.return_closed_qw(0.5, n),
+            closed[n],
             qw.return_hadamard(n),
         )
         residuals += [abs(r - exact) for r in routes]
@@ -305,8 +308,9 @@ def _check_crw_sum_form(rng: np.random.Generator) -> float:
     for _ in range(10):
         transition = crw.TransitionMatrix.random(rng)
         phi_hat = crw.CRWInitialState.random(rng)
+        series = crw.return_series_crw(transition, phi_hat, 30)
         for n in range(1, 16):
-            legendre_form = crw.return_closed_crw(transition, phi_hat, 2 * n)
+            legendre_form = series[2 * n]
             sum_form = crw.return_sum_form_crw(transition, phi_hat, n)
             residuals.append(abs(legendre_form - sum_form) / max(abs(legendre_form), 1e-300))
     return _worst(*residuals)

@@ -55,12 +55,15 @@ COUNT_TAKERS = {
     "legendre_eval": ("n", lambda n: specfun.legendre_eval(n, 0.3)),
     "legendre_range": ("n", lambda n: specfun.legendre_range(n, 0.3)),
     "jacobi10_eval": ("n", lambda n: specfun.jacobi10_eval(n, 0.3)),
+    "jacobi10_range": ("n", lambda n: specfun.jacobi10_range(n, 0.3)),
     "scaled_legendre_pair": ("n", lambda n: specfun.scaled_legendre_pair(n, 0.3, 0.5)),
     "central_binomial_ratios": ("jmax", specfun.central_binomial_ratios),
+    "binom n": ("n", lambda n: specfun.binom(n, 0)),
+    "binom k": ("k", lambda k: specfun.binom(5, k)),
 }
 
 
-@pytest.mark.parametrize("bad", [4.0, -1])
+@pytest.mark.parametrize("bad", [4.0, -1, True])
 @pytest.mark.parametrize("taker", COUNT_TAKERS)
 def test_a_bad_count_is_a_value_error_that_names_it(taker, bad):
     parameter, call = COUNT_TAKERS[taker]

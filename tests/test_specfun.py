@@ -16,6 +16,7 @@ from walkers_return.specfun import (
     ellipK,
     ellipK_from_complement,
     jacobi10_eval,
+    jacobi10_range,
     legendre_eval,
     legendre_range,
     scaled_legendre_pair,
@@ -130,6 +131,7 @@ _OVERFLOWING = {
     "legendre_eval": lambda: legendre_eval(740, 1.5),
     "legendre_range": lambda: legendre_range(800, 1.5),
     "jacobi10_eval": lambda: jacobi10_eval(740, 1.5),
+    "jacobi10_range": lambda: jacobi10_range(740, 1.5),
     "scaled_legendre_pair": lambda: scaled_legendre_pair(740, 1.5, 1.0),
 }
 
@@ -164,15 +166,15 @@ def _scaled_legendre_scalar(n, numer, denom):
 
 
 def _jacobi10_scalar(n, x):
-    """The Jacobi(1,0) sweep with every coefficient formed from the integer j in the loop."""
-    if n == 0:
-        return 1.0
+    """The Jacobi(1,0) sweep P_0..P_n, each coefficient formed from the integer j in the loop."""
     p_prev, p = 1.0, (3.0 * x + 1.0) / 2.0
+    values = [p_prev, p]
     for j in range(2, n + 1):
         p_prev, p = p, (
             ((2 * j + 1) * (2 * j - 1) * x + 1.0) * p - (j - 1) * (2 * j + 1) * p_prev
         ) / ((j + 1) * (2 * j - 1))
-    return p
+        values.append(p)
+    return values[: n + 1]
 
 
 def _bits(values):
@@ -205,7 +207,7 @@ def test_legendre_sweep_keeps_its_bits_across_coefficient_blocks(n):
 @example(2000, -1.0)
 @settings(max_examples=80, deadline=None)
 def test_jacobi10_keeps_the_bits_of_the_scalar_loop(n, x):
-    expected = _jacobi10_scalar(n, x)
+    expected = _jacobi10_scalar(n, x)[-1]
     if math.isfinite(expected):
         assert jacobi10_eval(n, x).hex() == expected.hex()
     else:
@@ -215,8 +217,23 @@ def test_jacobi10_keeps_the_bits_of_the_scalar_loop(n, x):
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_jacobi10_keeps_its_bits_across_coefficient_blocks(n):
-    for x in (-0.83, 0.29, 1.0):
-        assert jacobi10_eval(n, x).hex() == _jacobi10_scalar(n, x).hex()
+    # The Legendre table's block edges; the whole sweep, |x| > 1 included.
+    for x in (-0.83, 0.29, 1.0, -1.02, 1.001):
+        expected = _jacobi10_scalar(n, x)
+        assert _bits(jacobi10_range(n, x)) == _bits(expected)
+        assert jacobi10_eval(n, x).hex() == expected[-1].hex()
+
+
+# Up to degree 1000 at |x| <= 1.2, where no value leaves the float range.
+@given(st.integers(0, 500), st.integers(0, 500), st.floats(-1.2, 1.2))
+@example(0, 0, 0.3)
+@example(511, 2, -1.0)
+@settings(max_examples=60, deadline=None)
+def test_sweeps_are_prefix_stable(n, extra, x):
+    for sweep, last in ((legendre_range, legendre_eval), (jacobi10_range, jacobi10_eval)):
+        longer = sweep(n + extra, x)
+        assert _bits(sweep(n, x)) == _bits(longer[: n + 1])
+        assert last(n, x).hex() == longer[n].hex()
 
 
 # ---------------------------------------------------------------------------

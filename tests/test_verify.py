@@ -109,6 +109,48 @@ def test_a_check_run_alone_equals_its_suite_and_all_entries(seed):
     assert [r.name for r in everything if math.copysign(1.0, r.residual) < 0] == []
 
 
+# float.hex of every residual at DEFAULT_SEED.  A change that moves one
+# bit of a route moves its residual; a pin changes only with a reason.
+PINNED_RESIDUALS = {
+    "legendre-three-term-recurrence": "0x1.0000000000000p-48",
+    "jacobi-legendre-difference-identity": "0x1.f000000000000p-50",
+    "binomial-sum-vs-jacobi-legendre": "0x1.4f61cbf89a867p-46",
+    "elliptic-agm-vs-quadrature": "0x1.0000000000000p-51",
+    "landen-transformation": "0x1.8100000000000p-42",
+    "kernel-hadamard-reduction": "0x1.0000000000000p-52",
+    "hadamard-return-three-routes": "0x1.0000000000000p-52",
+    "simulation-vs-closed-form-random-coins": "0x1.4000000000000p-50",
+    "return-series-initial-state-independence": "0x1.4000000000000p-50",
+    "oracle-triangle-simulation-lemma-closed": "0x1.8000000000000p-52",
+    "path-sum-lemma-vs-enumeration": "0x1.c0b9a2aeb49acp-51",
+    "three-step-word-listing": "0x1.1e3779b97f4a8p-54",
+    "coin-phase-independence": "0x1.4000000000000p-54",
+    "unitarity-1000-steps": "0x1.4700000000000p-43",
+    "norm-conservation-30-steps": "0x1.5800000000000p-47",
+    "dist-spectral-vs-lattice": "0x1.0000000000000p-50",
+    "crw-closed-form-vs-simulation": "0x1.2e00000000000p-48",
+    "crw-equal-persistence-state-independence": "0x1.8000000000000p-52",
+    "uncorrelated-reduction-to-random-walk": "0x1.0000000000000p-55",
+    "crw-return-values-within-unit-interval": "0x0.0p+0",
+    "crw-binomial-sum-vs-legendre-form": "0x1.23c089dad1d88p-46",
+    "crw-generating-function-vs-series": "0x0.0p+0",
+    "crw-mass-conservation-30-steps": "0x1.0000000000000p-52",
+    "qw-generating-function-vs-series": "0x0.0p+0",
+    "qw-generating-function-hadamard-limit": "0x0.0p+0",
+    "squared-legendre-generating-function": "0x1.8000000000000p-53",
+    "legendre-product-integral-identity": "0x1.0000000000000p-53",
+    "weighted-legendre-product-identity": "0x1.0000000000000p-51",
+    "kernel-derivative-relations": "0x1.18d97b8932ee8p-30",
+    "polya-2d-generating-function-vs-series": "0x1.0000000000000p-52",
+    "polya-3d-constant-stability": "0x1.8057a00000000p-32",
+}
+
+
+def test_every_residual_keeps_its_pinned_bits():
+    results = verify.run_suite("all")
+    assert {r.name: r.residual.hex() for r in results} == PINNED_RESIDUALS
+
+
 def test_each_check_draws_its_own_stream(monkeypatch):
     for name, (suite, _, tolerance) in verify.CHECKS.items():
         monkeypatch.setitem(verify.CHECKS, name, (suite, lambda rng: rng.random(), tolerance))
