@@ -16,6 +16,7 @@ Routes to the return probability: exact mass evolution
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -216,28 +217,40 @@ def return_sum_form_crw(
     (ad)^n sum_g (bc/ad)^g C(n-1, g-1)^2
         { (n/g)(s/ad + 1) + ((ad - bc)/(abcd)) s },  s = ac phi1 + bd phi2.
 
-    All terms are positive (the brace is at least 1 + s/(bc) > 0), so they
-    are summed in the log domain: each log term from `lgamma`, shifted by the
-    largest before exponentiating, which keeps C(n-1, g-1)^2 and the powers
-    from overflowing.  The logs grow like n, so their rounding leaves a
-    relative error of a few 1e-12 at n = 10^4.
+    The brace is evaluated as n/g + (s/ad)((n-g)/g + ad/bc), a sum of
+    non-negative terms; as (n/g)(s/ad + 1) plus the drift it cancels to 0
+    or below when ad is small.  All terms are positive, so they are summed
+    in the log domain: each log term from `lgamma`, shifted by the largest
+    before exponentiating, which keeps C(n-1, g-1)^2 and the powers from
+    overflowing.  The logs grow like n, so their rounding leaves a relative
+    error of a few 1e-12 at n = 10^4.  A ValueError names the cause where
+    ad or bc is not a normal float, or where a brace overflows one (ad
+    near the smallest normal float, at large n).
     This is the independent verification twin of :func:`return_closed_crw`.
     """
     n = _require_count(n, "n")
     if n < 1:
         raise ValueError("return_sum_form_crw needs n >= 1; r_0 = 1 by definition")
     a, b, c, d = transition.a, transition.b, transition.c, transition.d
+    ad, bc = a * d, b * c
+    # A subnormal product has lost digits, and s/ad or bc/ad overflows.
+    if min(ad, bc) < sys.float_info.min:
+        raise ValueError(
+            f"return_sum_form_crw needs a*d and b*c to be normal floats, got a*d = {ad!r}, b*c = {bc!r}"
+        )
     s = a * c * phi_hat.phi1_hat + b * d * phi_hat.phi2_hat
-    log_ratio = math.log((b * c) / (a * d))
-    drift = (a * d - b * c) / (a * b * c * d) * s
-    base = s / (a * d) + 1.0
+    log_ratio = math.log(bc / ad)
+    spread = s / ad
+    balance = ad / bc
     log_top = math.lgamma(n)  # log (n-1)!
     logs = [
         g * log_ratio
         + 2.0 * (log_top - math.lgamma(g) - math.lgamma(n - g + 1))
-        + math.log((n / g) * base + drift)
+        + math.log(n / g + spread * ((n - g) / g + balance))
         for g in range(1, n + 1)
     ]
     peak = max(logs)
+    if peak == math.inf:
+        raise ValueError(f"return_sum_form_crw: a brace overflows a float at a*d = {ad!r}, n = {n}")
     total = math.fsum(math.exp(term - peak) for term in logs)
-    return math.exp(n * math.log(a * d) + peak + math.log(total))
+    return math.exp(n * math.log(ad) + peak + math.log(total))

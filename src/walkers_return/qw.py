@@ -264,7 +264,11 @@ def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:
             f"brute-force enumeration capped at {_BRUTEFORCE_MAX_STEPS} steps, got {nsteps}"
         )
     count = math.comb(nsteps, l)
-    slots = np.array(list(itertools.combinations(range(nsteps), l)), dtype=np.intp)
+    slots = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(nsteps), l)),
+        dtype=np.intp,
+        count=count * l,
+    ).reshape(count, l)
     moves_left = np.zeros((count, nsteps), dtype=bool)
     np.put_along_axis(moves_left, slots, True, axis=1)
     # P = [[a, b], [0, 0]] and Q = [[0, 0], [c, d]] are U with one row
@@ -290,23 +294,31 @@ def _lemma_sums(coin: CoinMatrix, n: int) -> tuple[float, float, float]:
     and rounded once at the end.
 
     With the floats |alpha|^2 = u/v and |beta|^2 = s/t (v, t powers of two),
-    |alpha|^{2n} rho^g = (-sv)^g (tu)^{n-g} / (vt)^n, so every term is an
-    integer over the one denominator (vt)^n.  C(n-1, g-1)/g = C(n, g)/n
-    keeps the sigma1 terms integers too.  Folding |alpha|^{2n} in keeps the
-    rounded values of order one where the sums alone overflow a float.
+    |alpha|^{2n} rho^g = num^g den^(n-g) / (vt)^n with num = -sv, den = tu,
+    so the scaled sums have the integer terms C(n-1, g-1)^2 num^g den^(n-g)
+    and (for n sigma1, as C(n-1, g-1)/g = C(n, g)/n) C(n-1, g-1) C(n, g)
+    num^g den^(n-g) over the one denominator (vt)^n.  Consecutive terms
+    differ by the ratios (n-g)^2 num / (g^2 den) and (n-g)^2 num /
+    (g(g+1) den), so Horner's rule from g = n - 1 down to 1, from
+    B_n = Q_n = 1,
+        Q_g = g^2 den Q_{g+1},  B_g = Q_g + (n-g)^2 num B_{g+1},
+    (and B', Q' with g(g+1) for g^2) sums each with big-by-small products
+    and no division: the sums are num B_1 / ((n-1)!)^2 and
+    num B'_1 / ((n-1)!)^2, as Q_1 and Q'_1 cancel the den^(n-1) of the
+    first terms.  Each value is one correctly rounded int / int division.
     """
     u, v = (abs(coin.alpha) ** 2).as_integer_ratio()
     s, t = (abs(coin.beta) ** 2).as_integer_ratio()
     num, den = -s * v, t * u
-    # term = C(n-1, g-1)^2 num^g den^(n-g), carried from g to g + 1.
-    term = num * den ** (n - 1)
-    plain = 0  # sum of C(n-1, g-1)^2 num^g den^(n-g)
-    weighted = 0  # sum of C(n-1, g-1) C(n, g) num^g den^(n-g)
-    for g in range(1, n + 1):
-        plain += term
-        weighted += term * n // g
-        term = term * (n - g) ** 2 * num // (g * g * den)
-    scale = (v * t) ** n
+    plain_q = plain_b = weighted_q = weighted_b = 1
+    for g in range(n - 1, 0, -1):
+        ratio = (n - g) ** 2 * num
+        plain_q *= g * g * den
+        plain_b = plain_q + ratio * plain_b
+        weighted_q *= g * (g + 1) * den
+        weighted_b = weighted_q + ratio * weighted_b
+    plain, weighted = num * plain_b, num * weighted_b
+    scale = math.factorial(n - 1) ** 2 * (v * t) ** n
     return weighted / (n * scale), plain / scale, (weighted - plain) / scale
 
 

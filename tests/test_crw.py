@@ -1,6 +1,8 @@
 """Correlated random walk: evolution, closed forms, degenerations."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +272,72 @@ def test_sum_form_matches_series_at_long_horizons(a, b, n):
     series = return_series_crw(transition, phi_hat, 2 * n)
     assert series[2 * n] > 0.0
     assert return_sum_form_crw(transition, phi_hat, n) == pytest.approx(series[2 * n], rel=1e-10)
+
+
+def _exact_sum_form(transition, phi_hat, n):
+    """The sum form's path count in exact rationals of the stored a, b, c, d and phi."""
+    a, b, c, d = (Fraction(x) for x in (transition.a, transition.b, transition.c, transition.d))
+    s = a * c * Fraction(phi_hat.phi1_hat) + b * d * Fraction(phi_hat.phi2_hat)
+    return sum(
+        (a * d) ** (n - g)
+        * (b * c) ** g
+        * binom(n - 1, g - 1) ** 2
+        * (Fraction(n, g) * (s / (a * d) + 1) + (a * d - b * c) / (a * b * c * d) * s)
+        for g in range(1, n + 1)
+    )
+
+
+def _sum_form_is_exact(transition, phi_hat, n):
+    """Within 1e-11 relative of the exact sum, or of the float grid where the
+    value underflows, and never NaN; False where the sum form refuses with a
+    ValueError."""
+    try:
+        got = return_sum_form_crw(transition, phi_hat, n)
+    except ValueError:
+        return False
+    assert not math.isnan(got)
+    exact = _exact_sum_form(transition, phi_hat, n)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-11) * exact + Fraction(5e-324)
+    return True
+
+
+_SMALL = [1e-3, 1e-8, 1e-12, 1e-17, 1e-300, 1e-310, 5e-324]
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [TransitionMatrix(a=x, b=0.5) for x in _SMALL]
+    + [TransitionMatrix(a=0.5, b=x) for x in _SMALL]
+    # d = 1 - b is a float above 2**-53 at the least.
+    + [TransitionMatrix.from_persistence(0.5, x) for x in [1e-3, 1e-8, 1e-12, 2.0**-53]],
+)
+@pytest.mark.parametrize("n", [1, 5, 15])
+def test_sum_form_near_the_boundary_is_exact_unless_a_product_is_subnormal(transition, n):
+    normal = min(transition.a * transition.d, transition.b * transition.c) >= sys.float_info.min
+    for phi1 in (0.0, 0.5, 1.0):
+        assert _sum_form_is_exact(transition, CRWInitialState.from_phi1(phi1), n) == normal
+
+
+def test_sum_form_names_what_a_float_cannot_hold():
+    # Where the brace cancelled, this raised a math domain error at
+    # a = 1e-17 .. 1e-300, returned NaN at 1e-310 and divided by 0 at 5e-324.
+    phi_hat = CRWInitialState.from_phi1(0.5)
+    for a in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="normal floats"):
+            return_sum_form_crw(TransitionMatrix(a=a, b=0.5), phi_hat, 5)
+    with pytest.raises(ValueError, match="overflows"):
+        return_sum_form_crw(TransitionMatrix(a=1e-307, b=0.5), phi_hat, 100)
+
+
+@given(
+    a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    phi1=st.floats(min_value=0.0, max_value=1.0),
+    n=st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=200, deadline=None)
+def test_sum_form_is_exact_or_refused_from_subnormal_to_normal(a, b, phi1, n):
+    _sum_form_is_exact(TransitionMatrix(a=a, b=b), CRWInitialState.from_phi1(phi1), n)
 
 
 def test_sum_form_rejects_zero_steps():

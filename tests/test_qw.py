@@ -1,6 +1,7 @@
 """Quantum walk: coin algebra, evolution, path sums, closed forms."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -229,6 +230,32 @@ def test_bruteforce_words_sum_to_the_coin_power():
             assert np.max(np.abs(total - power)) < 1e-12
 
 
+def _listed_bruteforce(coin, l, m):
+    """`xi_bruteforce` with its word table built from a list of tuples."""
+    nsteps = l + m
+    count = math.comb(nsteps, l)
+    slots = np.array(list(itertools.combinations(range(nsteps), l)), dtype=np.intp).reshape(count, l)
+    moves_left = np.zeros((count, nsteps), dtype=bool)
+    np.put_along_axis(moves_left, slots, True, axis=1)
+    keep = np.stack([moves_left, ~moves_left])[:, None]
+    words = np.zeros((2, 2, count), dtype=complex)
+    words[0, 0] = words[1, 1] = 1.0
+    for i in range(nsteps):
+        words = (coin.matrix() @ words.reshape(2, 2 * count)).reshape(2, 2, count) * keep[..., i]
+    return words.sum(axis=2)
+
+
+def test_bruteforce_keeps_the_bits_of_the_listed_word_table():
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        coin = CoinMatrix.random(rng)
+        for nsteps in range(13):
+            for l in range(nsteps + 1):
+                expected = _listed_bruteforce(coin, l, nsteps - l)
+                got = xi_bruteforce(coin, l, nsteps - l)
+                assert np.array_equal(got.view(float), expected.view(float)), (l, nsteps - l)
+
+
 def test_lemma_matches_bruteforce_enumeration():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -260,6 +287,52 @@ def test_lemma_sums_equal_exact_fraction_sums():
         for n in range(1, 41):
             exact = _fraction_lemma_sums(coin, n)
             assert _lemma_sums(coin, n) == tuple(float(scale**n * x) for x in exact)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.5, 0.25, 0.75, 2.0**-30, 1e-6, 1.0 - 1e-6])
+@pytest.mark.parametrize("n", [1, 2, 3, 41, 97, 200])
+def test_lemma_sums_equal_exact_fraction_sums_across_alpha(alpha_sq, n):
+    # From the balanced coin to both ends, where the terms cancel almost
+    # completely (small |alpha|) or barely alternate (small |beta|).
+    coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=0.7, alpha_phase=2.1)
+    scale = Fraction(abs(coin.alpha) ** 2)
+    exact = _fraction_lemma_sums(coin, n)
+    assert _lemma_sums(coin, n) == tuple(float(scale**n * x) for x in exact)
+
+
+@given(
+    alpha_sq=st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+    theta=st.floats(min_value=0.0, max_value=6.28),
+    n=st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=40, deadline=None)
+def test_lemma_sums_equal_exact_fraction_sums_for_any_coin(alpha_sq, theta, n):
+    coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=theta)
+    scale = Fraction(abs(coin.alpha) ** 2)
+    exact = _fraction_lemma_sums(coin, n)
+    assert _lemma_sums(coin, n) == tuple(float(scale**n * x) for x in exact)
+
+
+def _carried_lemma_sums(coin, n):
+    """The lemma's sums with each term carried from g to g + 1 by two exact
+    long divisions: the earlier spelling of `_lemma_sums`, kept as its reference."""
+    u, v = (abs(coin.alpha) ** 2).as_integer_ratio()
+    s, t = (abs(coin.beta) ** 2).as_integer_ratio()
+    num, den = -s * v, t * u
+    term = num * den ** (n - 1)
+    plain = weighted = 0
+    for g in range(1, n + 1):
+        plain += term
+        weighted += term * n // g
+        term = term * (n - g) ** 2 * num // (g * g * den)
+    scale = (v * t) ** n
+    return weighted / (n * scale), plain / scale, (weighted - plain) / scale
+
+
+@pytest.mark.parametrize("alpha_sq, theta", [(0.3, 1.3), (0.62, 4.0)])
+def test_lemma_sums_equal_the_carried_terms_at_a_long_horizon(alpha_sq, theta):
+    coin = CoinMatrix.from_alpha_sq(alpha_sq, theta=theta)
+    assert _lemma_sums(coin, 1100) == _carried_lemma_sums(coin, 1100)
 
 
 @pytest.mark.parametrize("alpha_sq, n", [(0.2, 450), (0.1, 320), (0.3, 1100)])

@@ -1,6 +1,7 @@
 """Verification checks: each runs alone on its own generator, and a NaN
 residual fails the check it feeds."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -149,6 +150,26 @@ PINNED_RESIDUALS = {
 def test_every_residual_keeps_its_pinned_bits():
     results = verify.run_suite("all")
     assert {r.name: r.residual.hex() for r in results} == PINNED_RESIDUALS
+
+
+# sha256 of the float.hex of all 200 path-sum lemma values the oracle
+# triangle reads at DEFAULT_SEED; its pinned residual covers only their worst.
+PINNED_LEMMA_VALUES_SHA256 = "67ff0d67208d64c09eb1adb13f2bf4514074dea7a09d616d1e6334cada97bb82"
+
+
+def test_oracle_triangle_lemma_values_keep_their_bits(monkeypatch):
+    values = []
+    lemma = qw.return_lemma1
+
+    def recorded(*args):
+        values.append(lemma(*args))
+        return values[-1]
+
+    monkeypatch.setattr(qw, "return_lemma1", recorded)
+    assert verify.run_check("oracle-triangle-simulation-lemma-closed").passed
+    assert len(values) == 200
+    digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == PINNED_LEMMA_VALUES_SHA256
 
 
 def test_each_check_draws_its_own_stream(monkeypatch):
