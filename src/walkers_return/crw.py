@@ -222,10 +222,12 @@ def return_sum_form_crw(
     or below when ad is small.  All terms are positive, so they are summed
     in the log domain: each log term from `lgamma`, shifted by the largest
     before exponentiating, which keeps C(n-1, g-1)^2 and the powers from
-    overflowing.  The logs grow like n, so their rounding leaves a relative
-    error of a few 1e-12 at n = 10^4.  A ValueError names the cause where
-    ad or bc is not a normal float, or where a brace overflows one (ad
-    near the smallest normal float, at large n).
+    overflowing; a brace too large for a float is taken in logs as
+    log(s/ad) + log(rest + (n/g)/(s/ad)), rest = (n-g)/g + ad/bc.  The logs
+    grow like n, so their rounding leaves a relative error of a few 1e-12 at
+    n = 10^4; near the smallest normal ad, n log(ad) cancels against the
+    largest log term, which leaves up to 5e-11 at a = 5e-308, n = 200.  A
+    ValueError names the cause where ad or bc is not a normal float.
     This is the independent verification twin of :func:`return_closed_crw`.
     """
     n = _require_count(n, "n")
@@ -243,14 +245,13 @@ def return_sum_form_crw(
     spread = s / ad
     balance = ad / bc
     log_top = math.lgamma(n)  # log (n-1)!
-    logs = [
-        g * log_ratio
-        + 2.0 * (log_top - math.lgamma(g) - math.lgamma(n - g + 1))
-        + math.log(n / g + spread * ((n - g) / g + balance))
-        for g in range(1, n + 1)
-    ]
+    logs = []
+    for g in range(1, n + 1):
+        rest = (n - g) / g + balance
+        brace = n / g + spread * rest
+        # Near the smallest normal ad, s/ad times the rest can overflow; its log cannot.
+        log_brace = math.log(brace) if brace < math.inf else math.log(spread) + math.log(rest + n / g / spread)
+        logs.append(g * log_ratio + 2.0 * (log_top - math.lgamma(g) - math.lgamma(n - g + 1)) + log_brace)
     peak = max(logs)
-    if peak == math.inf:
-        raise ValueError(f"return_sum_form_crw: a brace overflows a float at a*d = {ad!r}, n = {n}")
     total = math.fsum(math.exp(term - peak) for term in logs)
     return math.exp(n * math.log(ad) + peak + math.log(total))

@@ -17,16 +17,15 @@ product broadcasts over the walkers or under a stack of matrices, one per
 walker.  A single walker is the stack with no leading axis.  Every walk is
 set up by `stack`: its step matrix and its time-0 field.
 
-`evolve` and `return_values` set up one plan per walk: the bound on the
-window of slots kept at every time, computed at once, and two zeroed
-buffers that the steps fill in turn, slot m at fixed columns, so a step is
-one product, a few slices and at most one zeroed slot.  A walk with a real
-matrix also narrows its window to the nonzero columns every 32 steps: the
-ends of a long walk underflow to exact zeros, which stay zeros.  A real
-matrix multiplies a complex field as (re, im) float pairs: half the flops
-of the complex product and, with the OpenBLAS numpy ships, the same bits,
-except one slot wide, where numpy takes a matrix-vector routine that
-rounds differently.
+`evolve` and `return_values` set up one plan per walk: the window of
+slots kept at every time, computed at once, and two zeroed buffers that
+the steps fill in turn, slot m at fixed columns, so a step is one product
+and a few slices.  A window's first slot stays put or rises by one a step
+and its end grows by at most one, so a slot with no source is one that no
+step has written, and it reads 0.  A real matrix multiplies a complex
+field as (re, im) float pairs: half the flops of the complex product and,
+with the OpenBLAS numpy ships, the same bits, except one slot wide, where
+numpy takes a matrix-vector routine that rounds differently.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _buffer(walkers: tuple, slots: int, dtype, allocate=np.empty) -> tuple[np.nd
 
 
 def _plan(walkers: tuple, dtype, lows: np.ndarray, ends: np.ndarray) -> tuple:
-    """A walk's bound on its window at every time, first slot and end, as
+    """A walk's window at every time, first slot and end, as
     memoryviews (a list would hold an int object per time), and the read,
     write and float-pair write views of its two buffers; the step to time t
     writes buffer t % 2."""
@@ -76,17 +75,15 @@ class Field:
     Column j of `packed` holds the (L, R) pair at the occupied-parity site
     x = -time + 2 (lo + j); any axes in front of the pair axis index the
     walkers of one stack, which share `time`, `lo` and the step matrix.  A
-    field that `evolve` returns stores all time + 1 of them (lo = 0); a
-    step without a plan keeps lo and one slot more.  Inside `evolve` and
-    `return_values` a field carries `plan`: it then lives in one of the
-    plan's two buffers, which the next step but one overwrites; inside
-    `return_values` it keeps only the light cone of the origin, and under a
-    real matrix only the span of its nonzero columns as of the last time
-    the window was narrowed.  Such fields never leave those loops.  The
-    reads work per walker: `position_distribution()` gives positions
-    -time..time, one row per walker, with exact zeros on every site not
-    stored, and `total_probability()` a float for one walker and an array
-    for a stack.
+    step without a plan keeps lo and one slot more, and so does `evolve`:
+    from the origin it returns all time + 1 slots (lo = 0).  Inside
+    `evolve` and `return_values` a field carries `plan`: it then lives in
+    one of the plan's two buffers, which the next step but one overwrites;
+    inside `return_values` it keeps only the light cone of the origin.  Such
+    fields never leave those loops.  The reads work per walker:
+    `position_distribution()` gives positions -time..time, one row per
+    walker, with exact zeros on every site not stored, and
+    `total_probability()` a float for one walker and an array for a stack.
     """
 
     time: int
@@ -140,27 +137,6 @@ def stack(source, state) -> tuple[np.ndarray, Field]:
     return matrix, Field.at_origin(vectors)
 
 
-# Steps between two narrowings of a planned window to its nonzero columns.
-_NARROW_EVERY = 32
-
-
-def _narrow(field: Field) -> Field:
-    """The planned field narrowed to its first and last nonzero column, if
-    that drops an edge column and keeps two; the slots dropped from the end
-    are zeroed in both buffers, so every slot past the window's end is 0 in
-    each, as the next steps need of a slot with no source."""
-    packed, lo = field.packed, field.lo
-    width = packed.shape[-1]
-    occupied = packed.any(axis=tuple(range(packed.ndim - 1)))
-    first, last = int(occupied.argmax()), width - int(occupied[::-1].argmax())
-    # A product one slot wide rounds differently, so two columns stay.
-    if last - first < 2 or last - first == width:
-        return field
-    for read, _, _ in field.plan[2]:
-        read[..., lo + last : lo + width] = 0
-    return Field(field.time, packed[..., first:last], lo + first, field.plan)
-
-
 def shift(field: Field, matrix: np.ndarray) -> Field:
     """One time step: new(x) = P old(x+1) + Q old(x-1).
 
@@ -171,17 +147,11 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     left one).  The product is written straight into place.  A slot with no
     source (the last L, the first R of a growing field) is zeroed in a new
     buffer; in a plan's zeroed buffers it is one that no step has written,
-    so it is already 0, except the first R of a window whose start stays
-    above slot 0, which is zeroed.  For a stack of walkers the
-    one product broadcasts a 2x2 `matrix` over them, or pairs a
-    (walkers, 2, 2) stack of matrices with them.  A field without a plan
-    steps into a new buffer, keeping every slot its slots reach; one with a
-    plan steps into its plan's buffer, keeping those inside the plan's
-    bound.  Every 32 steps a real `matrix` then narrows the window to its
-    first and last nonzero column, since an all-zero column stays exactly 0
-    under the step.  A complex matrix keeps its window: the complex product
-    rounds a column by its place in the window.  Subnormal columns are
-    stepped like any other: dropping them would change the values.
+    so it is already 0.  For a stack of walkers the one product broadcasts
+    a 2x2 `matrix` over them, or pairs a (walkers, 2, 2) stack of matrices
+    with them.  A field without a plan steps into a new buffer, keeping
+    every slot its slots reach; one with a plan steps into its plan's
+    buffer and keeps the plan's window.
     """
     old, t, lo, plan = field.packed, field.time + 1, field.lo, field.plan
     width = old.shape[-1]
@@ -196,37 +166,25 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
         lows, ends, views = plan
         read, write, pairs = views[t % 2]
         new_lo, new_end = lows[t], ends[t]
-        new_lo = lo if new_lo < lo else new_lo
-        new_end = end + 1 if new_end > end + 1 else new_end
-        if new_lo == lo and lo:  # a first R slot that an earlier step may have written
-            read[..., 1, lo] = 0
     if width > 1 and matrix.dtype != old.dtype:  # a real matrix on amplitudes, as float pairs
         pairs = write.view(matrix.dtype) if pairs is None else pairs
         np.matmul(matrix, old.view(matrix.dtype), out=pairs[..., 2 * lo : 2 * end])
     else:
         np.matmul(matrix, old, out=write[..., lo:end])
-    new = Field(t, read[..., new_lo:new_end], new_lo, plan)
-    if t % _NARROW_EVERY or plan is None or matrix.dtype.kind == "c":
-        return new
-    return _narrow(new)
+    return Field(t, read[..., new_lo:new_end], new_lo, plan)
 
 
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
-    """The field after n applications of `step`, dense: lo = 0 and all
-    time + 1 slots, with exact zeros in the edge slots the steps skipped."""
+    """The field after n applications of `step`, through the windows of steps
+    without a plan: the field's own first slot, and one slot more per step.
+    A field at the origin comes out dense: lo = 0 and all time + 1 slots."""
+    packed, lo = field.packed, field.lo
     t = field.time + _require_count(n, "n")
-    ends = np.arange(1, t + 2)
-    plan = _plan(field.packed.shape[:-2], field.packed.dtype, np.zeros_like(ends), ends)
-    field = replace(field, plan=plan)
+    ends = np.arange(t + 1) + (lo + packed.shape[-1] - field.time)
+    field = replace(field, plan=_plan(packed.shape[:-2], packed.dtype, np.full_like(ends, lo), ends))
     for _ in range(n):
         field = step(field)
-    if not n:
-        return replace(field, plan=None)
-    # Past the window's end the buffer holds zeros; before its start, slots
-    # the steps no longer wrote.
-    dense = plan[2][t % 2][0]
-    dense[..., : field.lo] = 0
-    return Field(t, dense)
+    return replace(field, plan=None)
 
 
 def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np.ndarray:
@@ -235,10 +193,10 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     Only the light cone of the origin is advanced: at time t the sites with
     |x| <= min(t, nmax - t), which is about a quarter of the dense field's
     site work over the walk; the window is empty only at an odd last step.
-    The origin pair is read at every even time, the only times it can be
-    occupied, and turned into weights at the end; an origin outside the
-    window's nonzero columns has weight 0.  A stack of walkers gives one row
-    of weights per walker, shape (..., nmax + 1).
+    The origin pair, inside the window at every even time t <= nmax, is read
+    at those times, the only ones it can be occupied, and turned into
+    weights at the end.  A stack of walkers gives one row of weights per
+    walker, shape (..., nmax + 1).
     """
     nmax = _require_count(nmax, "nmax")
     if field.time != 0:
@@ -253,9 +211,7 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     for t in range(1, nmax + 1):
         field = step(field)
         if t % 2 == 0:
-            slot = t // 2 - field.lo
-            if 0 <= slot < field.packed.shape[-1]:
-                pairs[..., t // 2] = field.packed[..., slot]
+            pairs[..., t // 2] = field.packed[..., t // 2 - field.lo]
     # |amp|^2 is rounded with pow, as numpy rounds a scalar |amp| ** 2 and
     # a per-step read would; an array's ** 2 is a product, which differs in
     # the last bit of about one value in a thousand.

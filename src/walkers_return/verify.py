@@ -355,17 +355,17 @@ def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> float:
     return _worst(np.abs(genfunc.gf_qw(0.5, zgrid) - genfunc.gf_hadamard(zgrid)))
 
 
-def _legendre_product_series(x: float, z: tuple[float, ...], nmax: int) -> np.ndarray:
-    """(sum P_n^2 z^n, sum P_n P_{n-1} z^n, sum n z^{n-1} P_n P_{n-1}), n >= 1,
-    as rows of shape (3, len(z)): each z's terms summed exactly by fsum."""
+def _legendre_product_series(x: float, z: tuple[float, ...], nmax: int, which: int) -> np.ndarray:
+    """Series `which` of (sum P_n^2 z^n, sum P_n P_{n-1} z^n,
+    sum n z^{n-1} P_n P_{n-1}), n >= 1, one value per z: each z's terms
+    summed exactly by fsum."""
     values = specfun.legendre_range(nmax, x)
-    n = np.arange(1.0, nmax + 1)
-    prod = values[1:] * values[:-1]
     # z^1..z^nmax as the running products z, z z, (z z) z, ...
     powers = np.cumprod(np.repeat(np.array(z)[:, None], nmax, axis=1), axis=1)
-    previous = np.hstack([np.ones((len(z), 1)), powers[:, :-1]])  # z^{n-1}
-    terms = (values[1:] * values[1:] * powers, powers * prod, n * previous * prod)
-    return np.array([[math.fsum(row) for row in series] for series in terms])
+    if which == 2:  # n z^{n-1} in place of z^n
+        powers = np.arange(1.0, nmax + 1) * np.hstack([np.ones((len(z), 1)), powers[:, :-1]])
+    terms = powers * (values[1:] * values[1:] if which == 0 else values[1:] * values[:-1])
+    return np.array([math.fsum(row) for row in terms])
 
 
 # The (x, z) grid of the three Legendre product identities, x-major.
@@ -375,8 +375,8 @@ _IDENTITY_GRID = np.meshgrid(_IDENTITY_X, _IDENTITY_Z, indexing="ij")
 
 
 def _identity_series(which: int) -> np.ndarray:
-    """Entry `which` of :func:`_legendre_product_series` over the identity grid."""
-    return np.array([_legendre_product_series(x, _IDENTITY_Z, 400)[which] for x in _IDENTITY_X])
+    """Series `which` of :func:`_legendre_product_series` over the identity grid."""
+    return np.array([_legendre_product_series(x, _IDENTITY_Z, 400, which) for x in _IDENTITY_X])
 
 
 def _check_square_legendre_identity(rng: np.random.Generator) -> float:

@@ -335,8 +335,7 @@ def test_lattice_output_bytes_are_pinned(capsys, argv):
 
 
 # sha256 of the stdout of requests the pins above leave out, recorded before
-# the emitters filled each block of rows with one `%` and before planned
-# lattice windows were cut to their nonzero columns: every format of the
+# the emitters filled each block of rows with one `%`: every format of the
 # lattice commands, `genfunc` in JSON, and walks whose edge slots underflow
 # to exact zeros long before nmax.
 _FORMAT_DIGESTS = {

@@ -325,8 +325,11 @@ def test_sum_form_names_what_a_float_cannot_hold():
     for a in (1e-310, 5e-324):
         with pytest.raises(ValueError, match="normal floats"):
             return_sum_form_crw(TransitionMatrix(a=a, b=0.5), phi_hat, 5)
-    with pytest.raises(ValueError, match="overflows"):
-        return_sum_form_crw(TransitionMatrix(a=1e-307, b=0.5), phi_hat, 100)
+    # Here s/ad is about 2.5e306 and a brace (s/ad)(n - g)/g overflows;
+    # its log does not, and the value is r_200 = 2.05e-29.
+    transition = TransitionMatrix(a=1e-307, b=0.5)
+    exact = _exact_sum_form(transition, phi_hat, 100)
+    assert abs(Fraction(return_sum_form_crw(transition, phi_hat, 100)) - exact) <= Fraction(1e-11) * exact
 
 
 @given(

@@ -425,7 +425,7 @@ def test_short_and_empty_walks_keep_their_shapes(nmax):
 
 
 # ---------------------------------------------------------------------------
-# edge slots that underflow to exact zeros: cut windows against plan-less steps
+# edge slots that underflow to exact zeros: planned windows against plan-less steps
 
 
 # Walks whose edge slots reach exact zeros long before n = 2001: a crw whose
@@ -436,8 +436,7 @@ _UNDERFLOW = {
     "crw-0.05-0.4": (crw.TransitionMatrix.from_persistence(0.05, 0.4), crw.CRWInitialState.from_phi1(0.5)),
     "qw-0.01": (qw.CoinMatrix.from_alpha_sq(0.01), qw.QWInitialState.canonical()),
 }
-# Odd: the last field lives in the buffer of odd times, which holds the
-# time t - 1 field of each narrowing at an even t.
+# Odd: the last field lives in the buffer of odd times.
 _UNDERFLOW_STEPS = 2001
 
 
@@ -473,28 +472,29 @@ def _check_against_the_reference(start, matrix, step):
     assert walked.packed.shape == dense.packed.shape
     assert np.array_equal(walked.packed, dense.packed)
     assert np.array_equal(walked.position_distribution(), dense.position_distribution())
-    # The windows were cut: fewer columns stepped than the dense walk's.
-    assert sum(widths) < _UNDERFLOW_STEPS * (_UNDERFLOW_STEPS + 1) // 2
+    # Every slot is stepped, exact zeros included: widths 1..n.
+    assert widths == list(range(1, _UNDERFLOW_STEPS + 1))
     for nmax in (64, 65, 1001, 1500, 2000, 2001):
         advance, widths = _stepped_widths(step)
         values = lattice.return_values(start, nmax, advance)
         assert np.array_equal(values, expected[..., : nmax + 1])
-        cone = [min(t, nmax - t) + 1 for t in range(nmax)]
-        if nmax > 1000:
-            assert sum(widths) < sum(cone)
+        # The whole light cone: the sites of the parity of t with
+        # |x| <= r = min(t, nmax - t), r + 1 of them when r has that parity.
+        cone = [min(t, nmax - t) + 1 - (min(t, nmax - t) - t) % 2 for t in range(nmax)]
+        assert widths == cone
 
 
 @pytest.mark.parametrize("walk", list(_UNDERFLOW))
-def test_zero_edges_are_cut_without_changing_a_bit(walk):
+def test_zero_edges_are_stepped_without_changing_a_bit(walk):
     source, state = _UNDERFLOW[walk]
     matrix, start = lattice.stack(source, state)
     step = qw.step if walk.startswith("qw") else crw.crw_step
     _check_against_the_reference(start, matrix, lambda field: step(field, matrix))
 
 
-def test_zero_edges_of_a_stack_are_cut_without_changing_a_bit():
-    # Each crw walker with its own transition: the stack's window is cut
-    # only where every walker's slots are exact zeros.
+def test_zero_edges_of_a_stack_are_stepped_without_changing_a_bit():
+    # Each crw walker with its own transition, their ends underflowing at
+    # different times.
     sources = [_UNDERFLOW["crw-0.2-0.4"][0], _UNDERFLOW["crw-0.05-0.4"][0], _UNDERFLOW["crw-0.05-0.4"][0]]
     states = [crw.CRWInitialState.from_phi1(phi1) for phi1 in (0.3, 0.9, 0.0)]
     matrix, start = lattice.stack(sources, states)
@@ -507,7 +507,7 @@ def test_zero_edges_of_a_stack_are_cut_without_changing_a_bit():
 
 def test_an_origin_outside_the_nonzero_columns_has_weight_zero():
     # A walk that drifts right so fast that its mass left of the origin
-    # underflows: the cut window leaves the origin behind, and r_n is 0.
+    # underflows: the origin's columns are exact zeros, and r_n is 0.
     matrix, start = lattice.stack(crw.TransitionMatrix.from_persistence(0.01, 0.99), crw.CRWInitialState.from_phi1(0.0))
     expected, _ = _reference_walk(start, matrix, 600)
     values = lattice.return_values(start, 600, lambda field: crw.crw_step(field, matrix))
@@ -515,22 +515,34 @@ def test_an_origin_outside_the_nonzero_columns_has_weight_zero():
     assert values[600] == 0.0 and values[2] > 0.0
 
 
-def test_a_complex_coin_keeps_its_window():
-    # The complex product rounds a column by its place in the window, so a
-    # phased coin's walk is never cut, though its ends underflow to zeros.
-    matrix, start = lattice.stack(qw.CoinMatrix.from_alpha_sq(0.01, beta_phase=1.0), qw.QWInitialState.canonical())
-    assert matrix.dtype == np.complex128
-    advance, widths = _stepped_widths(lambda field: qw.step(field, matrix))
+# Walks whose ends underflow to exact zeros long before n = 1000: a phased
+# coin, whose matrix stays complex, a real coin on complex amplitudes and a
+# crw on real masses.
+_KEEPS_ITS_WINDOW = {
+    "qw-complex": (qw.CoinMatrix.from_alpha_sq(0.01, beta_phase=1.0), qw.QWInitialState.canonical()),
+    "qw-real": _UNDERFLOW["qw-0.01"],
+    "crw": (crw.TransitionMatrix.from_persistence(0.2, 0.2), crw.CRWInitialState.from_phi1(0.3)),
+}
+
+
+@pytest.mark.parametrize("walk", list(_KEEPS_ITS_WINDOW))
+def test_every_walk_keeps_its_whole_window(walk):
+    # No window is narrowed to its nonzero columns, though both ends
+    # underflow to zeros.
+    source, state = _KEEPS_ITS_WINDOW[walk]
+    matrix, start = lattice.stack(source, state)
+    assert matrix.dtype == (np.complex128 if walk == "qw-complex" else np.float64)
+    step = crw.crw_step if walk == "crw" else qw.step
+    advance, widths = _stepped_widths(lambda field: step(field, matrix))
     walked = lattice.evolve(start, 1000, advance)
     assert widths == list(range(1, 1001))
     assert not walked.packed[..., :100].any() and not walked.packed[..., -100:].any()
 
 
-def test_slots_cut_from_a_window_are_zero_in_both_buffers():
+def test_an_underflowing_slot_is_stepped_in_both_buffers():
     # All entries 0.5: a mass of 5e-324 halves to a tie and rounds to 0.
-    # At time 31 slot 21 holds L = 5e-324 above an empty slot 20; at 32 the
-    # window is cut to slots ..20, and the step to 33 writes the buffer of
-    # time 31 again, where slot 21's L, with no source, must read 0.
+    # At time 31 slot 21 holds L = 5e-324 above an empty slot 20; the
+    # planned steps from time 30 keep every slot and match plan-less steps.
     matrix, _ = lattice.stack(crw.TransitionMatrix.from_persistence(0.5, 0.5), crw.CRWInitialState.from_phi1(0.5))
     packed = np.zeros((2, 31))
     packed[:, :19] = 0.01
@@ -541,5 +553,33 @@ def test_slots_cut_from_a_window_are_zero_in_both_buffers():
     reference = start
     for _ in range(3):
         reference = lattice.shift(reference, matrix)
-    assert widths == [31, 32, 21]
+    assert widths == [31, 32, 33]
     assert np.array_equal(walked.packed, reference.packed)
+
+
+@pytest.mark.parametrize("walk", ["qw-complex", "qw-real", "crw"])
+def test_evolve_from_a_window_steps_as_plan_less_steps(walk):
+    # `evolve` keeps the field's own first slot and one slot more per step,
+    # as plan-less steps do, also from a field with lo > 0 or fewer than
+    # time + 1 slots.  The complex product rounds a column by its place in
+    # the window, so a wider window would move bits.
+    rng = np.random.default_rng(41)
+    if walk == "crw":
+        matrix, _ = lattice.stack(crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng))
+        draw = lambda width: rng.uniform(size=(2, width))  # noqa: E731
+    else:
+        coin = qw.CoinMatrix.random(rng) if walk == "qw-complex" else qw.CoinMatrix.from_alpha_sq(0.3)
+        matrix, _ = lattice.stack(coin, qw.QWInitialState.canonical())
+        draw = lambda width: rng.normal(size=(2, width)) + 1j * rng.normal(size=(2, width))  # noqa: E731
+    assert matrix.dtype == (np.complex128 if walk == "qw-complex" else np.float64)
+    step = crw.crw_step if walk == "crw" else qw.step
+    for lo in (0, 2, 3):
+        for width in range(2, 8):
+            start = lattice.Field(10, draw(width), lo)
+            walked = lattice.evolve(start, 20, lambda field: step(field, matrix))
+            reference = start
+            for _ in range(20):
+                reference = lattice.shift(reference, matrix)
+            assert (walked.time, walked.lo, walked.plan) == (30, lo, None)
+            assert np.array_equal(walked.packed, reference.packed)
+            assert np.array_equal(walked.position_distribution(), reference.position_distribution())
