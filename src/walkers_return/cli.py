@@ -292,12 +292,17 @@ def cmd_genfunc(args) -> int:
     # Written so that a NaN grid point fails the check as well.
     if not np.all(np.abs(zgrid) < 1.0):
         raise ValueError("z grid must lie strictly inside (-1, 1)")
-    closed = walk.gf(zgrid)
     points = zgrid.tolist()
     cuts = [genfunc.truncation_for(z, tol) for z in points]
+    longest = max(cuts)
+    # The sweep holds all N + 1 terms at once: at |z| = 0.999999, 3.9e7 of
+    # them took 11 s and 0.9 GB, and |z| nearer 1 would fill memory.
+    if longest > 5 * 10**7:
+        raise ValueError(f"|z| = {max(map(abs, points))!r} needs a series of N = {longest} terms, above the bound 5e7")
+    closed = walk.gf(zgrid)
     # One sweep serves every z: each closed route's first n + 1 values are
     # the same whatever the nmax it is swept to.
-    values = walk.closed(max(cuts))
+    values = walk.closed(longest)
     # Called through the module, so that a traced run counts every sum.
     series, tails = np.array([genfunc.series_sum(values[: n + 1], z) for z, n in zip(points, cuts)]).T
     errors = np.abs(closed - series)

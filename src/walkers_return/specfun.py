@@ -24,13 +24,13 @@ prefactor, which is what that sweep does: ``crw.return_series_crw`` takes
 its whole column from ``_scaled_legendre``, and
 :func:`scaled_legendre_pair` returns the sweep's last two values.
 
-The Legendre sweep reads its integer coefficients as floats from a table
-(the first 512 steps made at import, later steps a block at a time).
-Each entry is one correctly rounded product of exact integers, the float
-that Python's ``int * float`` converts the integer to, so the sweep keeps
-every bit of the plain loop while doing float arithmetic only.
-:func:`jacobi10_range` forms its coefficients as Python ints in the loop,
-which rounds each product the same way.
+The Legendre sweep carries its degree j as a float and forms 2j+1 as
+j + (j+1).  Every integer up to 2^53 is an exact float, and Python's
+``int * float`` converts its int to exactly that float before it
+multiplies, so the sweep has every bit of a loop over integer j while
+doing float arithmetic only.  :func:`jacobi10_range` forms its
+coefficients as Python ints in the loop, which rounds each product the
+same way.
 :func:`central_binomial_ratios` converts its exact C(2j, j) with
 ``float()`` and an exact power-of-two scaling instead of a long division.
 """
@@ -94,32 +94,6 @@ def _not_finite(n: int, x) -> OverflowError:
     return OverflowError(f"polynomial of degree {n} at x = {x} is not finite in float64")
 
 
-def _legendre_columns(j: np.ndarray) -> tuple[list[float], ...]:
-    """The Legendre sweep's coefficients 2j+1, j and j+1 as floats, per degree j."""
-    return (2.0 * j + 1.0).tolist(), j.tolist(), (j + 1.0).tolist()
-
-
-# The coefficients of the Legendre sweep's first _BLOCK steps, made once at
-# import: a constant table, which every process builds alike.
-_BLOCK = 512
-_LEGENDRE_HEAD = _legendre_columns(np.arange(1.0, 1.0 + _BLOCK))
-
-
-def _coefficients(stop: int):
-    """The Legendre sweep's (2j+1, j, j+1) of degrees j = 1..stop-1, a block at a time.
-
-    The first block is the import-time table, cut to length; each later one
-    is made on demand, so memory stays bounded at any degree.  Each
-    coefficient is the integer rounded once to a float, as Python's
-    int * float rounds it, so the sweep keeps the bits of a loop that forms
-    the integers itself.
-    """
-    for start in range(1, stop, _BLOCK):
-        count = min(_BLOCK, stop - start)
-        block = _LEGENDRE_HEAD if start == 1 else _legendre_columns(np.arange(start, start + count, dtype=float))
-        yield zip(*[column[:count] for column in block])
-
-
 def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     """T_j = denom^j P_j(numer/denom) for j = 0..n: the one Legendre sweep.
 
@@ -132,10 +106,12 @@ def _scaled_legendre(n: int, numer: float, denom: float) -> list[float]:
     t_prev, t = 1.0, numer
     values = [t_prev, t]
     d2 = denom * denom
-    for block in _coefficients(n):
-        for odd, j, j1 in block:
-            t_prev, t = t, (odd * numer * t - j * d2 * t_prev) / j1
-            values.append(t)
+    j, stop = 1.0, float(n)  # float to float compares faster than float to int
+    while j < stop:
+        j1 = j + 1.0
+        t_prev, t = t, ((j + j1) * numer * t - j * d2 * t_prev) / j1
+        values.append(t)
+        j = j1
     return values if n else values[:1]
 
 

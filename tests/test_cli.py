@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -497,6 +498,40 @@ def test_genfunc_bounds_z_count_before_any_grid(capsys, monkeypatch, model, coun
     code, out, err = run_cli(capsys, "genfunc", "--model", *model, "--z-count", count)
     assert (code, out) == (2, "")
     assert f"--z-count must lie in [1, 1e5], got {count}" in err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [("qw", "--alpha-sq", "0.3"), ("hadamard",), ("crw", "--a", "0.7", "--d", "0.6"), ("rw", "--p", "0.5"), ("polya2d",)],
+    ids=["qw", "hadamard", "crw", "rw", "polya2d"],
+)
+def test_genfunc_bounds_the_series_length_before_any_route(capsys, monkeypatch, model):
+    # |z| = 0.99999999 asks for about 4e9 terms: the sweep once filled
+    # memory, or died of an uncaught MemoryError under a memory limit.
+    class RouteReached(Exception):
+        pass
+
+    reached = []
+
+    def route(arg):
+        reached.append(arg)
+        raise RouteReached
+
+    name = model[0]
+    bind = cli.MODELS[name].bind
+    stubbed = dataclasses.replace(
+        cli.MODELS[name], bind=lambda **values: dataclasses.replace(bind(**values), closed=route, gf=route)
+    )
+    monkeypatch.setitem(cli.MODELS, name, stubbed)
+    code, out, err = run_cli(
+        capsys, "genfunc", "--model", *model, "--z-start", "0.5", "--z-stop", "-0.99999999", "--z-count", "3"
+    )
+    assert (code, out, reached) == (2, "", [])
+    assert "|z| = 0.99999999 needs a series of N = " in err and "above the bound 5e7" in err
+    # Each model's default tolerance at |z| = 0.999999 (3.0e7 to 3.9e7 terms) reaches its routes.
+    with pytest.raises(RouteReached):
+        main(["genfunc", "--model", *model, "--z-start", "0.5", "--z-stop", "0.999999", "--z-count", "2"])
+    assert len(reached) == 1
 
 
 def test_genfunc_accepts_the_largest_and_smallest_z_count(monkeypatch):

@@ -332,6 +332,16 @@ def test_sum_form_names_what_a_float_cannot_hold():
     assert abs(Fraction(return_sum_form_crw(transition, phi_hat, 100)) - exact) <= Fraction(1e-11) * exact
 
 
+@pytest.mark.parametrize("a, n", [(5e-308, 200), (1e-300, 200), (1e-307, 100)])
+def test_sum_form_near_the_smallest_normal_ad_keeps_its_digits(a, n):
+    # A final n log(ad) cancelled against the largest log term here and
+    # left a relative error of up to 3.4e-11.
+    transition = TransitionMatrix(a=a, b=0.5)
+    phi_hat = CRWInitialState.from_phi1(0.5)
+    exact = _exact_sum_form(transition, phi_hat, n)
+    assert abs(Fraction(return_sum_form_crw(transition, phi_hat, n)) - exact) <= Fraction(1e-12) * exact
+
+
 @given(
     a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),

@@ -201,6 +201,13 @@ def test_legendre_sweep_keeps_its_bits_across_coefficient_blocks(n):
     assert _bits(specfun._scaled_legendre(n, 0.9, 0.35)) == _bits(_scaled_legendre_scalar(n, 0.9, 0.35))
 
 
+@pytest.mark.parametrize("numer, denom", [(-0.61, 1.0), (1.0, 1.0), (-1.0, 1.0), (0.3, 0.8), (0.9, 0.35)])
+def test_legendre_sweep_keeps_its_bits_at_the_largest_cli_degree(numer, denom):
+    # Degree 50000 is the sweep of `return --nmax 100000`; the sweep carries
+    # j as a float.  At 0.9/0.35 both loops reach the same inf or NaN.
+    assert _bits(specfun._scaled_legendre(50_000, numer, denom)) == _bits(_scaled_legendre_scalar(50_000, numer, denom))
+
+
 @given(st.integers(0, 2000), _SWEEP_ARGUMENTS)
 @example(513, -0.999)
 @example(740, 1.5)

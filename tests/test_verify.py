@@ -133,7 +133,7 @@ PINNED_RESIDUALS = {
     "crw-equal-persistence-state-independence": "0x1.8000000000000p-52",
     "uncorrelated-reduction-to-random-walk": "0x1.0000000000000p-55",
     "crw-return-values-within-unit-interval": "0x0.0p+0",
-    "crw-binomial-sum-vs-legendre-form": "0x1.23c089dad1d88p-46",
+    "crw-binomial-sum-vs-legendre-form": "0x1.b9ae2607b6926p-47",
     "crw-generating-function-vs-series": "0x0.0p+0",
     "crw-mass-conservation-30-steps": "0x1.0000000000000p-52",
     "qw-generating-function-vs-series": "0x0.0p+0",
