@@ -36,7 +36,8 @@ class Table:
 
     @property
     def rows(self) -> range:
-        """The row indices; `len(table.rows)` is the row count."""
+        """The row indices; `len(table.rows)` is the row count.  The emitters
+        read `data`; the row counters of ``bench/tracing.py`` read this."""
         return range(len(self.data[0]) if self.data else 0)
 
 

@@ -9,8 +9,9 @@ occupation probability.
 
 Routes to the return probability: exact mass evolution
 (:func:`simulate_return_crw`), the Legendre closed form
-(:func:`return_closed_crw`), and the explicit path-count sum
-(:func:`return_sum_form_crw`) used as a verification path.
+(:func:`return_series_crw`, one sweep for all of r_0..r_nmax), and the
+explicit path-count sum (:func:`return_sum_form_crw`) used as a
+verification path.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class CRWInitialState:
 
 def crw_step(field: Field, matrix: np.ndarray) -> Field:
     """One time step, L-mass one unit left and R-mass one unit right, under
-    the 2x2 or (walkers, 2, 2) step `matrix` that :func:`lattice.stack` returns."""
+    the 2x2 or (walkers, 2, 2) `matrix` of :func:`lattice.stack`, of a field
+    inside `lattice.evolve` or `lattice.return_values`; others raise ValueError."""
     return lattice.shift(field, matrix)
 
 
@@ -180,7 +182,9 @@ def return_closed_crw(
 
     r_{2j} = (delta_minus^j / 2ad) (k_minus P_{j-1}(y) + k_plus P_j(y))
     with y = delta_plus/delta_minus; odd times return 0, r_0 = 1.  The
-    value is entry n of :func:`return_series_crw`.
+    value is entry n of :func:`return_series_crw`, the route that every
+    caller takes; ``bench/tracing.py`` wraps this view by name, and its
+    ``Tracer.install`` raises on a missing name.
     """
     return return_series_crw(transition, phi_hat, _require_count(n, "n"))[n]
 
@@ -230,7 +234,7 @@ def return_sum_form_crw(
     smallest normal ad it stays about 3e-14 at a = 5e-308, n = 200, and
     1.1e-13 at a = 1e-307, n = 100.  A ValueError names the cause where ad
     or bc is not a normal float.
-    This is the independent verification twin of :func:`return_closed_crw`.
+    This is the independent verification twin of :func:`return_series_crw`.
     """
     n = _require_count(n, "n")
     if n < 1:

@@ -17,15 +17,16 @@ product broadcasts over the walkers or under a stack of matrices, one per
 walker.  A single walker is the stack with no leading axis.  Every walk is
 set up by `stack`: its step matrix and its time-0 field.
 
-`evolve` and `return_values` set up one plan per walk: the window of
-slots kept at every time, computed at once, and two zeroed buffers that
-the steps fill in turn, slot m at fixed columns, so a step is one product
-and a few slices.  A window's first slot stays put or rises by one a step
-and its end grows by at most one, so a slot with no source is one that no
-step has written, and it reads 0.  A real matrix multiplies a complex
-field as (re, im) float pairs: half the flops of the complex product and,
-with the OpenBLAS numpy ships, the same bits, except one slot wide, where
-numpy takes a matrix-vector routine that rounds differently.
+Every step runs in the plan that `evolve` or `return_values` sets up for
+a walk from time 0: the window of slots kept at every time, computed at
+once, and two zeroed buffers that the steps fill in turn, slot m at fixed
+columns, so a step is one product and a few slices.  A window's first
+slot stays put or rises by one a step and its end grows by at most one,
+so a slot with no source is one that no step has written, and it reads 0.
+A real matrix multiplies a complex field as (re, im) float pairs: half
+the flops of the complex product and, with the OpenBLAS numpy ships, the
+same bits, except one slot wide, where numpy takes a matrix-vector
+routine that rounds differently.
 """
 
 from __future__ import annotations
@@ -46,26 +47,6 @@ def _weight(values):
     return np.abs(values) ** 2 if values.dtype.kind == "c" else values
 
 
-def _buffer(walkers: tuple, slots: int, dtype, allocate=np.empty) -> tuple[np.ndarray, np.ndarray]:
-    """A step buffer of 2 S + 2 entries per walker, made by `allocate`, as a
-    read view (..., 2, S) with L and R of slot m in column m, and a write
-    view (..., 2, S + 1) whose R row starts one slot later, so a product
-    written at the old slots puts R into the next slot."""
-    buffer = allocate(walkers + (2 * slots + 2,), dtype=dtype)
-    return buffer[..., : 2 * slots].reshape(walkers + (2, slots)), buffer.reshape(walkers + (2, slots + 1))
-
-
-def _plan(walkers: tuple, dtype, lows: np.ndarray, ends: np.ndarray) -> tuple:
-    """A walk's window at every time, first slot and end, as
-    memoryviews (a list would hold an int object per time), and the read,
-    write and float-pair write views of its two buffers; the step to time t
-    writes buffer t % 2."""
-    # Zeroed, so a slot that no step has written is 0, as one with no source must be.
-    buffers = [_buffer(walkers, int(np.max(ends)), dtype, np.zeros) for _ in range(2)]
-    views = [(read, write, write.view(write.real.dtype)) for read, write in buffers]
-    return memoryview(lows), memoryview(ends), views
-
-
 # Not frozen: a frozen dataclass's __init__ costs about 0.8 us more, and
 # every lattice step builds a Field.
 @dataclass
@@ -74,13 +55,13 @@ class Field:
 
     Column j of `packed` holds the (L, R) pair at the occupied-parity site
     x = -time + 2 (lo + j); any axes in front of the pair axis index the
-    walkers of one stack, which share `time`, `lo` and the step matrix.  A
-    step without a plan keeps lo and one slot more, and so does `evolve`:
-    from the origin it returns all time + 1 slots (lo = 0).  Inside
-    `evolve` and `return_values` a field carries `plan`: it then lives in
-    one of the plan's two buffers, which the next step but one overwrites;
-    inside `return_values` it keeps only the light cone of the origin.  Such
-    fields never leave those loops.  The reads work per walker:
+    walkers of one stack, which share `time`, `lo` and the step matrix.
+    Inside `evolve` and `return_values` a field carries `plan`: it then
+    lives in one of the plan's two buffers, which the next step but one
+    overwrites; inside `return_values` it keeps only the light cone of the
+    origin.  Such fields never leave those loops.  `evolve` hands out its
+    last field without the plan, with all time + 1 slots (lo = 0), and a
+    field without a plan is never stepped.  The reads work per walker:
     `position_distribution()` gives positions -time..time, one row per
     walker, with exact zeros on every site not stored, and
     `total_probability()` a float for one walker and an array for a stack.
@@ -144,44 +125,54 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     bottom row, so one product `matrix @ old` gives both moved components:
     in slots, new L[m] = (M old)[0, m] and new R[m] = (M old)[1, m - 1] (the
     L-components come from the right neighbour, the R-components from the
-    left one).  The product is written straight into place.  A slot with no
-    source (the last L, the first R of a growing field) is zeroed in a new
-    buffer; in a plan's zeroed buffers it is one that no step has written,
-    so it is already 0.  For a stack of walkers the one product broadcasts
-    a 2x2 `matrix` over them, or pairs a (walkers, 2, 2) stack of matrices
-    with them.  A field without a plan steps into a new buffer, keeping
-    every slot its slots reach; one with a plan steps into its plan's
-    buffer and keeps the plan's window.
+    left one).  The product is written straight into the plan's buffer for
+    the new time, and the new field keeps the plan's window.  A slot with
+    no source (the last L, the first R of a growing field) is one that no
+    step has written, so the zeroed buffer already holds 0 there.  For a
+    stack of walkers the one product broadcasts a 2x2 `matrix` over them,
+    or pairs a (walkers, 2, 2) stack of matrices with them.  Only a field
+    with a plan steps; walk one with `evolve` or `return_values`.
     """
     old, t, lo, plan = field.packed, field.time + 1, field.lo, field.plan
+    if plan is None:
+        raise ValueError("a field without a plan does not step; walk it with lattice.evolve or lattice.return_values")
     width = old.shape[-1]
     end = lo + width
-    if plan is None:  # a fresh buffer, so a field `evolve` returns is never overwritten
-        new_lo, new_end, pairs = lo, end + 1, None
-        read, write = _buffer(old.shape[:-2], new_end, old.dtype)
-        # Only the slots with no source: np.zeros would cost as much as the
-        # product at a thousand slots.
-        read[..., 0, end] = read[..., 1, lo] = 0
-    else:
-        lows, ends, views = plan
-        read, write, pairs = views[t % 2]
-        new_lo, new_end = lows[t], ends[t]
+    lows, ends, views = plan
+    read, write, pairs = views[t % 2]
+    new_lo, new_end = lows[t], ends[t]
     if width > 1 and matrix.dtype != old.dtype:  # a real matrix on amplitudes, as float pairs
-        pairs = write.view(matrix.dtype) if pairs is None else pairs
         np.matmul(matrix, old.view(matrix.dtype), out=pairs[..., 2 * lo : 2 * end])
     else:
         np.matmul(matrix, old, out=write[..., lo:end])
     return Field(t, read[..., new_lo:new_end], new_lo, plan)
 
 
+def _plan(field: Field, caller: str, lows: np.ndarray, ends: np.ndarray) -> Field:
+    """The time-0 `field` with the plan of a walk whose window at time t is
+    slots lows[t]..ends[t] - 1: the windows as memoryviews (a list would
+    hold an int object per time), and the read, write and float-pair write
+    views of two zeroed buffers; the step to time t writes buffer t % 2.  A
+    buffer holds 2 S + 2 entries per walker: the read view (..., 2, S) has
+    L and R of slot m in column m, and the write view (..., 2, S + 1)
+    starts the R row one slot later, so a product written at the old slots
+    puts R into the next slot."""
+    if field.time != 0:
+        raise ValueError(f"{caller} starts at time 0, got a field at time {field.time}")
+    walkers, slots, views = field.packed.shape[:-2], int(np.max(ends)), []
+    for _ in range(2):
+        buffer = np.zeros(walkers + (2 * slots + 2,), dtype=field.packed.dtype)
+        write = buffer.reshape(walkers + (2, slots + 1))
+        views.append((buffer[..., : 2 * slots].reshape(walkers + (2, slots)), write, write.view(write.real.dtype)))
+    return replace(field, plan=(memoryview(lows), memoryview(ends), views))
+
+
 def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
-    """The field after n applications of `step`, through the windows of steps
-    without a plan: the field's own first slot, and one slot more per step.
-    A field at the origin comes out dense: lo = 0 and all time + 1 slots."""
-    packed, lo = field.packed, field.lo
-    t = field.time + _require_count(n, "n")
-    ends = np.arange(t + 1) + (lo + packed.shape[-1] - field.time)
-    field = replace(field, plan=_plan(packed.shape[:-2], packed.dtype, np.full_like(ends, lo), ends))
+    """The field after n applications of `step` from the time-0 `field`,
+    with every slot of every step kept: lo = 0 and all n + 1 slots.  It is
+    handed out without the plan, so no later walk writes into it or steps it."""
+    ends = np.arange(_require_count(n, "n") + 1) + 1
+    field = _plan(field, "evolve", np.zeros_like(ends), ends)
     for _ in range(n):
         field = step(field)
     return replace(field, plan=None)
@@ -199,13 +190,11 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     walker, shape (..., nmax + 1).
     """
     nmax = _require_count(nmax, "nmax")
-    if field.time != 0:
-        raise ValueError(f"return_values starts at time 0, got a field at time {field.time}")
-    walkers = field.packed.shape[:-2]
     t = np.arange(nmax + 1)
     lows = np.maximum(0, (2 * t - nmax + 1) // 2)
     ends = np.maximum(lows, np.minimum(t, nmax // 2) + 1)
-    field = replace(field, plan=_plan(walkers, field.packed.dtype, lows, ends))
+    field = _plan(field, "return_values", lows, ends)
+    walkers = field.packed.shape[:-2]
     pairs = np.zeros((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):

@@ -8,7 +8,8 @@ provides three independent routes to the return probability at the origin:
 * exact amplitude evolution (:func:`simulate_return`),
 * the path-sum matrix of all balanced left/right step orderings
   (:func:`xi_lemma1`, cross-checked by :func:`xi_bruteforce`),
-* the Legendre closed form (:func:`return_closed_qw`).
+* the Legendre closed form (:func:`return_series_qw`, one sweep for
+  all of r_0..r_nmax).
 
 The whole position distribution comes from :func:`distribution`, which
 works in momentum space in O(n log n); the lattice :func:`evolve` stays as
@@ -187,7 +188,8 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def step(field: Field, matrix: np.ndarray) -> Field:
     """One time step, new(x) = P old(x+1) + Q old(x-1), under the 2x2 or
-    (walkers, 2, 2) step `matrix` that :func:`lattice.stack` returns."""
+    (walkers, 2, 2) `matrix` of :func:`lattice.stack`, of a field inside
+    `lattice.evolve` or `lattice.return_values`; others raise ValueError."""
     return lattice.shift(field, matrix)
 
 
@@ -361,7 +363,9 @@ def return_closed_qw(alpha_sq: float, n: int) -> float:
 
     r_{2j} = ({P_{j-1}(k)}^2 - 2k P_j(k) P_{j-1}(k) + {P_j(k)}^2) / (2(k+1))
     with k = 2|alpha|^2 - 1; odd times return 0, r_0 = 1.  The value is
-    entry n of :func:`return_series_qw`.
+    entry n of :func:`return_series_qw`, the route that every caller
+    takes; ``bench/tracing.py`` wraps this view by name, and its
+    ``Tracer.install`` raises on a missing name.
     """
     return return_series_qw(alpha_sq, _require_count(n, "n"))[n]
 

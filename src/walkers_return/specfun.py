@@ -20,9 +20,9 @@ module and in the walks' closed forms, comes from one scaled sweep
 T_j = denom^j P_j(numer/denom) (plain P_j at denom = 1).  Arguments with
 |x| > 1 are legal (the correlated-walk closed form needs them); when such
 values would overflow they must be evaluated jointly with their decaying
-prefactor, which is what that sweep does: ``crw.return_series_crw`` takes
-its whole column from ``_scaled_legendre``, and
-:func:`scaled_legendre_pair` returns the sweep's last two values.
+prefactor, which is what that sweep does.  The closed-form routes
+``qw.return_series_qw`` and ``crw.return_series_crw`` take their columns
+from :func:`legendre_range` and ``_scaled_legendre``.
 
 The Legendre sweep carries its degree j as a float and forms 2j+1 as
 j + (j+1).  Every integer up to 2^53 is an exact float, and Python's
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "legendre_eval",
     "legendre_range",
-    "jacobi10_eval",
     "jacobi10_range",
     "binom",
     "central_binomial_ratios",
@@ -131,7 +130,9 @@ def legendre_range(n: int, x: float) -> np.ndarray:
 
 
 def legendre_eval(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x): the last value of :func:`legendre_range`."""
+    """Legendre polynomial P_n(x): the last value of :func:`legendre_range`.
+    No route calls it; ``bench/tracing.py`` wraps it by name, and its
+    ``Tracer.install`` raises on a missing name."""
     return float(legendre_range(n, x)[-1])
 
 
@@ -154,11 +155,6 @@ def jacobi10_range(n: int, x: float) -> np.ndarray:
     if not math.isfinite(values[n]):
         raise _not_finite(n, x)
     return np.array(values[: n + 1])
-
-
-def jacobi10_eval(n: int, x: float) -> float:
-    """Jacobi polynomial P_n^(1,0)(x): the last value of :func:`jacobi10_range`."""
-    return float(jacobi10_range(n, x)[-1])
 
 
 def binom(n: int, k: int) -> int:
@@ -318,7 +314,8 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
 
     The last two values of the scaled sweep T_j = denom^j P_j(numer/denom),
     which never overflows where the pair itself is finite; OverflowError
-    where it is not.
+    where it is not.  No route calls it; ``bench/tracing.py`` wraps it by
+    name, and its ``Tracer.install`` raises on a missing name.
     """
     n = _require_count(n, "n")
     if n == 0:

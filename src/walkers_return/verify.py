@@ -224,9 +224,13 @@ def _norm_drift(source, state, step, steps: int) -> float:
     """Largest |total weight - 1| over `steps` steps of the walk of `state` under `source`."""
     matrix, field = lattice.stack(source, state)
     residuals = []
-    for _ in range(steps):
+
+    def recorded(field):
         field = step(field, matrix)
         residuals.append(abs(field.total_probability() - 1.0))
+        return field
+
+    lattice.evolve(field, steps, recorded)
     return _worst(*residuals)
 
 

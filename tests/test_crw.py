@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkers_return import lattice
 from walkers_return.crw import (
     CRWInitialState,
     TransitionMatrix,
@@ -106,8 +107,7 @@ def test_single_persistent_step():
 def test_mass_conserved_over_five_hundred_steps():
     rng = np.random.default_rng(41)
     matrix, field = stack(TransitionMatrix.random(rng), CRWInitialState.random(rng))
-    for _ in range(500):
-        field = crw_step(field, matrix)
+    field = lattice.evolve(field, 500, lambda field: crw_step(field, matrix))
     assert abs(field.total_probability() - 1.0) < 1e-12
 
 

@@ -9,6 +9,9 @@ from walkers_return import crw, lattice, qw
 
 RETURN_HORIZONS = (0, 1, 2, 3, 7, 40, 301)
 
+# The refusal of a step on a field without a plan.
+NO_PLAN = r"^a field without a plan does not step; walk it with lattice\.evolve or lattice\.return_values$"
+
 
 def _walks(seed):
     """(simulate_return, initial field, step, step matrix) for a qw walk with a
@@ -55,11 +58,15 @@ def _origin_weight(field):
 
 
 def _dense_origin_weights(field, advance, nmax):
-    """r_0..r_nmax read from the untrimmed field after every step, as `evolve` walks it."""
+    """r_0..r_nmax read from the untrimmed field after every step of `evolve`."""
     weights = [_origin_weight(field)]
-    for _ in range(nmax):
+
+    def recorded(field):
         field = advance(field)
         weights.append(_origin_weight(field))
+        return field
+
+    lattice.evolve(field, nmax, recorded)
     return np.array(weights)
 
 
@@ -110,37 +117,61 @@ def _dense_shift(components, matrix):
     return new
 
 
+def _shift_alone(field, matrix):
+    """A step without a plan, as a reference: a fresh zeroed buffer laid out
+    as a plan's, so a product writes the same columns, and every slot that
+    the old slots reach, lo..end."""
+    old, lo = field.packed, field.lo
+    end = lo + old.shape[-1]
+    buffer = np.zeros(old.shape[:-2] + (2 * end + 4,), dtype=old.dtype)
+    write = buffer.reshape(old.shape[:-2] + (2, end + 2))
+    if old.shape[-1] > 1 and matrix.dtype != old.dtype:
+        np.matmul(matrix, old.view(matrix.dtype), out=write.view(matrix.dtype)[..., 2 * lo : 2 * end])
+    else:
+        np.matmul(matrix, old, out=write[..., lo:end])
+    read = buffer[..., : 2 * end + 2].reshape(old.shape[:-2] + (2, end + 1))
+    return lattice.Field(field.time + 1, read[..., lo : end + 1], lo)
+
+
 @pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
 def test_compressed_field_reads_like_the_dense_reference(walk):
     _, field, advance, matrix = _walks(11)[walk]
-    dense = field.packed.copy()
-    for t in range(1, 31):
+    dense = [field.packed.copy()]
+
+    def compared(field):
         field = advance(field)
-        dense = _dense_shift(dense, matrix)
-        weights = _weight(dense[0]) + _weight(dense[1])
-        assert field.time == t
+        dense.append(_dense_shift(dense[-1], matrix))
+        weights = _weight(dense[-1][0]) + _weight(dense[-1][1])
+        assert field.time == len(dense) - 1
         # The stored slots are the occupied-parity sites x = -t + 2m; every
         # other site of the dense walk is exactly empty.
-        assert np.array_equal(field.packed, dense[:, ::2])
-        assert not dense[:, 1::2].any()
+        assert np.array_equal(field.packed, dense[-1][:, ::2])
+        assert not dense[-1][:, 1::2].any()
         assert np.array_equal(field.position_distribution(), weights)
         assert field.total_probability() == pytest.approx(float(np.sum(weights)), abs=1e-14)
+        return field
+
+    assert lattice.evolve(field, 30, compared).time == 30
 
 
-def test_a_returned_field_is_never_overwritten():
+def test_a_returned_field_is_never_overwritten_nor_stepped():
     rng = np.random.default_rng(3)
-    coin = qw.CoinMatrix.random(rng)
-    first = qw.evolve(coin, qw.QWInitialState.random(rng), 5)
+    coin, phi = qw.CoinMatrix.random(rng), qw.QWInitialState.random(rng)
+    first = qw.evolve(coin, phi, 5)
     kept = first.packed.copy()
-    later = lattice.evolve(first, 20, lambda field: qw.step(field, coin.matrix()))
-    assert later.time == 25
+    assert qw.evolve(coin, phi, 25).time == 25
+    with pytest.raises(ValueError, match="starts at time 0"):
+        lattice.evolve(first, 20, lambda field: qw.step(field, coin.matrix()))
+    with pytest.raises(ValueError, match=NO_PLAN):
+        qw.step(first, coin.matrix())
     assert np.array_equal(first.packed, kept)
 
 
-def test_return_values_rejects_a_field_after_time_zero():
+@pytest.mark.parametrize("loop", [lattice.return_values, lattice.evolve], ids=["return_values", "evolve"])
+def test_a_loop_rejects_a_field_after_time_zero(loop):
     field = qw.evolve(qw.CoinMatrix.hadamard(), qw.QWInitialState.canonical(), 2)
-    with pytest.raises(ValueError, match="time 0"):
-        lattice.return_values(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard().matrix()))
+    with pytest.raises(ValueError, match=f"^{loop.__name__} starts at time 0, got a field at time 2$"):
+        loop(field, 4, lambda f: qw.step(f, qw.CoinMatrix.hadamard().matrix()))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +357,20 @@ def test_a_real_coin_steps_bit_for_bit_as_its_complex_matrix(layout, seed, walke
     start = lattice.Field.at_origin(_complex_states(rng, shape))
     advance = lambda field: qw.step(field, matrix)  # noqa: E731
     # The reference steps with the complex matrix, without a plan; the real
-    # matrix's plan-less step must give the same fields at every time.
-    reference, real, expected = start, start, [_origin_weights(start)]
+    # matrix's planned steps must give the same fields at every time.
+    references = [start]
     for _ in range(nmax):
-        reference, real = lattice.shift(reference, complex_matrix), advance(real)
-        assert np.array_equal(real.packed, reference.packed)
-        expected.append(_origin_weights(reference))
-    walked = lattice.evolve(start, nmax, advance)
+        references.append(_shift_alone(references[-1], complex_matrix))
+    expected = [_origin_weights(reference) for reference in references]
+
+    def compared(field):
+        field = advance(field)
+        assert np.array_equal(field.packed, references[field.time].packed)
+        return field
+
+    walked = lattice.evolve(start, nmax, compared)
     assert walked.packed.dtype == np.complex128
-    assert np.array_equal(walked.packed, reference.packed)
+    assert np.array_equal(walked.packed, references[-1].packed)
     values = lattice.return_values(start, nmax, advance)
     assert values.shape == shape + (nmax + 1,)
     assert np.array_equal(values, np.moveaxis(np.array(expected), 0, -1))
@@ -367,35 +403,38 @@ def test_an_evolved_field_survives_later_walks_on_the_same_coin():
     rng = np.random.default_rng(29)
     for coin in (qw.CoinMatrix.from_alpha_sq(0.4), qw.CoinMatrix.random(rng)):
         phi = qw.QWInitialState.random(rng)
-        matrix, start = lattice.stack(coin, phi)
+        matrix, _ = lattice.stack(coin, phi)
         first = qw.evolve(coin, phi, 40)
         kept = first.packed.copy()
         assert first.plan is None and first.lo == 0 and first.packed.shape == (2, 41)
         again = qw.evolve(coin, phi, 40)
-        longer = lattice.evolve(first, 15, lambda field: qw.step(field, matrix))
+        longer = qw.evolve(coin, phi, 55)
         qw.simulate_return(coin, phi, 90)
-        stepped = qw.step(first, matrix)
+        with pytest.raises(ValueError, match=NO_PLAN):
+            qw.step(first, matrix)
         assert np.array_equal(first.packed, kept)
         assert np.array_equal(again.packed, kept)
-        assert (longer.time, stepped.time) == (55, 41)
-        assert np.array_equal(stepped.packed, lattice.evolve(start, 41, lambda f: qw.step(f, matrix)).packed)
+        assert longer.time == 55
 
 
-@pytest.mark.parametrize("walk", [0, 1], ids=["qw", "crw"])
-def test_a_step_without_a_plan_keeps_a_window_and_one_slot_more(walk):
-    # A field that stores slots lo..lo + w - 1 steps to lo..lo + w, the
-    # slots of the zero-padded dense field that can be nonzero.
-    _, field, advance, _ = _walks(13)[walk]
-    for _ in range(6):
-        field = advance(field)
-    for lo, width in [(0, 7), (2, 3), (6, 1), (1, 5)]:
-        window = lattice.Field(6, field.packed[:, lo : lo + width].copy(), lo)
-        padded = np.zeros_like(field.packed)
-        padded[:, lo : lo + width] = window.packed
-        stepped, dense = advance(window), advance(lattice.Field(6, padded))
-        assert (stepped.time, stepped.lo, stepped.packed.shape) == (7, lo, (2, width + 1))
-        assert np.array_equal(stepped.packed, dense.packed[:, lo : lo + width + 1])
-        assert np.array_equal(stepped.position_distribution(), dense.position_distribution())
+# Each walk's dense route and its step, with a source and a state.
+_HANDED_OUT = {
+    "qw": (qw.evolve, qw.step, qw.CoinMatrix.from_alpha_sq(0.3), qw.QWInitialState.canonical()),
+    "crw": (crw.evolve_crw, crw.crw_step, crw.TransitionMatrix(a=0.3, b=0.6), crw.CRWInitialState.from_phi1(0.2)),
+}
+
+
+@pytest.mark.parametrize("walk", list(_HANDED_OUT))
+def test_a_step_on_a_handed_out_field_is_refused(walk):
+    # A field that `evolve` hands out carries no plan, and neither does the
+    # time-0 field of `stack`: the only stepping path is a planned walk.
+    evolve, step, source, state = _HANDED_OUT[walk]
+    matrix, start = lattice.stack(source, state)
+    for field in (evolve(source, state, 6), evolve(source, state, 0), start):
+        kept = field.packed.copy()
+        with pytest.raises(ValueError, match=NO_PLAN):
+            step(field, matrix)
+        assert np.array_equal(field.packed, kept)
 
 
 def test_evolve_for_no_steps_gives_the_time_zero_field():
@@ -456,7 +495,7 @@ def _reference_walk(start, matrix, n):
     rounds them, and the dense field at n, from plan-less steps."""
     field, pairs = start, [start.packed[..., 0]]
     for t in range(1, n + 1):
-        field = lattice.shift(field, matrix)
+        field = _shift_alone(field, matrix)
         pairs.append(field.packed[..., t // 2] if t % 2 == 0 else np.zeros_like(pairs[0]))
     pairs = np.array(pairs)
     if pairs.dtype.kind == "c":
@@ -540,29 +579,35 @@ def test_every_walk_keeps_its_whole_window(walk):
 
 
 def test_an_underflowing_slot_is_stepped_in_both_buffers():
-    # All entries 0.5: a mass of 5e-324 halves to a tie and rounds to 0.
-    # At time 31 slot 21 holds L = 5e-324 above an empty slot 20; the
-    # planned steps from time 30 keep every slot and match plan-less steps.
+    # All entries 0.5: the end masses halve each step down to 5e-324, and
+    # the next halving is a tie that rounds to 0.  The second walker starts
+    # with half the mass, so its ends underflow one step earlier, in the
+    # other buffer.  The planned steps keep every slot and match plan-less
+    # steps.
     matrix, _ = lattice.stack(crw.TransitionMatrix.from_persistence(0.5, 0.5), crw.CRWInitialState.from_phi1(0.5))
-    packed = np.zeros((2, 31))
-    packed[:, :19] = 0.01
-    packed[0, 21] = 1e-323
-    start = lattice.Field(30, packed)
-    advance, widths = _stepped_widths(lambda field: crw.crw_step(field, matrix))
-    walked = lattice.evolve(start, 3, advance)
-    reference = start
-    for _ in range(3):
-        reference = lattice.shift(reference, matrix)
-    assert widths == [31, 32, 33]
+    start = lattice.Field.at_origin(np.array([[0.5, 0.5], [0.25, 0.25]]))
+    ends = {}
+
+    def recorded(field):
+        field = crw.crw_step(field, matrix)
+        ends[field.time] = (field.packed[:, 0, 0].copy(), field.packed[:, 1, -1].copy())
+        return field
+
+    advance, widths = _stepped_widths(recorded)
+    walked = lattice.evolve(start, 1076, advance)
+    _, reference = _reference_walk(start, matrix, 1076)
+    assert widths == list(range(1, 1077))
     assert np.array_equal(walked.packed, reference.packed)
+    # Each walker's two ends: 1e-323, then 5e-324, then the tie rounds to 0.
+    for t, values in [(1073, [1e-323, 5e-324]), (1074, [5e-324, 0.0]), (1075, [0.0, 0.0])]:
+        assert np.array_equal(ends[t], [values, values]), t
 
 
 @pytest.mark.parametrize("walk", ["qw-complex", "qw-real", "crw"])
-def test_evolve_from_a_window_steps_as_plan_less_steps(walk):
-    # `evolve` keeps the field's own first slot and one slot more per step,
-    # as plan-less steps do, also from a field with lo > 0 or fewer than
-    # time + 1 slots.  The complex product rounds a column by its place in
-    # the window, so a wider window would move bits.
+def test_a_field_after_time_zero_starts_no_walk(walk):
+    # A window with lo > 0 or fewer than time + 1 slots has no plan that a
+    # walk from the origin would give it: neither loop starts from it, and
+    # no step moves it.
     rng = np.random.default_rng(41)
     if walk == "crw":
         matrix, _ = lattice.stack(crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng))
@@ -576,10 +621,10 @@ def test_evolve_from_a_window_steps_as_plan_less_steps(walk):
     for lo in (0, 2, 3):
         for width in range(2, 8):
             start = lattice.Field(10, draw(width), lo)
-            walked = lattice.evolve(start, 20, lambda field: step(field, matrix))
-            reference = start
-            for _ in range(20):
-                reference = lattice.shift(reference, matrix)
-            assert (walked.time, walked.lo, walked.plan) == (30, lo, None)
-            assert np.array_equal(walked.packed, reference.packed)
-            assert np.array_equal(walked.position_distribution(), reference.position_distribution())
+            kept = start.packed.copy()
+            for loop in (lattice.evolve, lattice.return_values):
+                with pytest.raises(ValueError, match=f"^{loop.__name__} starts at time 0, got a field at time 10$"):
+                    loop(start, 20, lambda field: step(field, matrix))
+            with pytest.raises(ValueError, match=NO_PLAN):
+                step(start, matrix)
+            assert np.array_equal(start.packed, kept)

@@ -54,7 +54,6 @@ COUNT_TAKERS = {
     "polya2d_series": ("nmax", genfunc.polya2d_series),
     "legendre_eval": ("n", lambda n: specfun.legendre_eval(n, 0.3)),
     "legendre_range": ("n", lambda n: specfun.legendre_range(n, 0.3)),
-    "jacobi10_eval": ("n", lambda n: specfun.jacobi10_eval(n, 0.3)),
     "jacobi10_range": ("n", lambda n: specfun.jacobi10_range(n, 0.3)),
     "scaled_legendre_pair": ("n", lambda n: specfun.scaled_legendre_pair(n, 0.3, 0.5)),
     "central_binomial_ratios": ("jmax", specfun.central_binomial_ratios),

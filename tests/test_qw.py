@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkers_return import lattice
 from walkers_return.lattice import stack
 from walkers_return.qw import (
     CoinMatrix,
@@ -130,7 +131,7 @@ def test_single_step_amplitudes_by_hand():
     coin = CoinMatrix.hadamard()
     phi = QWInitialState.canonical()
     matrix, field = stack(coin, phi)
-    field = step(field, matrix)
+    field = lattice.evolve(field, 1, lambda field: step(field, matrix))
     s = 1.0 / math.sqrt(2.0)
     # At time 1 the stored sites are x = -1 (column 0) and x = 1 (column 1).
     (left_at_minus_one, left_at_one), (right_at_minus_one, right_at_one) = field.packed
@@ -149,8 +150,7 @@ def test_norm_preserved_over_hundred_steps():
     rng = np.random.default_rng(11)
     phi = QWInitialState.random(rng)
     matrix, field = stack(CoinMatrix.random(rng), phi)
-    for _ in range(100):
-        field = step(field, matrix)
+    field = lattice.evolve(field, 100, lambda field: step(field, matrix))
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 
@@ -158,11 +158,15 @@ def test_off_parity_positions_hold_exact_zeros():
     rng = np.random.default_rng(13)
     phi = QWInitialState.random(rng)
     matrix, field = stack(CoinMatrix.random(rng), phi)
-    for _ in range(25):
+
+    def checked(field):
         field = step(field, matrix)
         dist = field.position_distribution()
         bad = dist[(np.arange(-field.time, field.time + 1) + field.time) % 2 == 1]
         assert np.all(bad == 0.0)
+        return field
+
+    assert lattice.evolve(field, 25, checked).time == 25
 
 
 def test_two_step_distribution():
@@ -444,8 +448,7 @@ def test_return_series_independent_of_coin_phases():
 def test_unitarity_over_thousand_steps():
     rng = np.random.default_rng(31)
     matrix, field = stack(CoinMatrix.random(rng), QWInitialState.random(rng))
-    for _ in range(1000):
-        field = step(field, matrix)
+    field = lattice.evolve(field, 1000, lambda field: step(field, matrix))
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 

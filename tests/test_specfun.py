@@ -15,7 +15,6 @@ from walkers_return.specfun import (
     ellipE,
     ellipK,
     ellipK_from_complement,
-    jacobi10_eval,
     jacobi10_range,
     legendre_eval,
     legendre_range,
@@ -93,9 +92,9 @@ def test_legendre_rejects_bad_arguments():
 
 
 def test_jacobi10_degree_zero_and_one():
-    assert jacobi10_eval(0, 0.3) == 1.0
+    assert jacobi10_range(0, 0.3)[-1] == 1.0
     # P_1^(1,0)(x) = (1 + 3x)/2
-    assert jacobi10_eval(1, 0.0) == 0.5
+    assert jacobi10_range(1, 0.0)[-1] == 0.5
 
 
 def test_jacobi10_difference_identity_grid():
@@ -104,7 +103,7 @@ def test_jacobi10_difference_identity_grid():
     for k in np.linspace(-0.95, 0.95, 39):
         k = float(k)
         for n in range(51):
-            lhs = jacobi10_eval(n, k) * (1.0 - k)
+            lhs = jacobi10_range(n, k)[-1] * (1.0 - k)
             rhs = legendre_eval(n, k) - legendre_eval(n + 1, k)
             worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-11
@@ -113,16 +112,16 @@ def test_jacobi10_difference_identity_grid():
 @given(st.integers(0, 30), st.floats(-0.99, 0.99))
 @settings(max_examples=60, deadline=None)
 def test_jacobi10_difference_identity_property(n, k):
-    lhs = jacobi10_eval(n, k) * (1.0 - k)
+    lhs = jacobi10_range(n, k)[-1] * (1.0 - k)
     rhs = legendre_eval(n, k) - legendre_eval(n + 1, k)
     assert abs(lhs - rhs) < 1e-11
 
 
 def test_jacobi10_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        jacobi10_eval(3, math.nan)
+        jacobi10_range(3, math.nan)
     with pytest.raises(ValueError):
-        jacobi10_eval(-2, 0.1)
+        jacobi10_range(-2, 0.1)
 
 
 # P_n(1.5) grows like 2.618^n and leaves the float range near n = 737, where
@@ -130,7 +129,6 @@ def test_jacobi10_rejects_bad_arguments():
 _OVERFLOWING = {
     "legendre_eval": lambda: legendre_eval(740, 1.5),
     "legendre_range": lambda: legendre_range(800, 1.5),
-    "jacobi10_eval": lambda: jacobi10_eval(740, 1.5),
     "jacobi10_range": lambda: jacobi10_range(740, 1.5),
     "scaled_legendre_pair": lambda: scaled_legendre_pair(740, 1.5, 1.0),
 }
@@ -147,7 +145,7 @@ def test_evaluators_stay_finite_below_the_overflow():
     assert np.isfinite(values).all()
     assert legendre_eval(700, 1.5) == values[-1]
     assert scaled_legendre_pair(700, 1.5, 1.0) == (values[-2], values[-1])
-    assert math.isfinite(jacobi10_eval(700, 1.5))
+    assert math.isfinite(jacobi10_range(700, 1.5)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +214,10 @@ def test_legendre_sweep_keeps_its_bits_at_the_largest_cli_degree(numer, denom):
 def test_jacobi10_keeps_the_bits_of_the_scalar_loop(n, x):
     expected = _jacobi10_scalar(n, x)[-1]
     if math.isfinite(expected):
-        assert jacobi10_eval(n, x).hex() == expected.hex()
+        assert jacobi10_range(n, x)[-1].hex() == expected.hex()
     else:
         with pytest.raises(OverflowError):
-            jacobi10_eval(n, x)
+            jacobi10_range(n, x)
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
@@ -228,7 +226,7 @@ def test_jacobi10_keeps_its_bits_across_coefficient_blocks(n):
     for x in (-0.83, 0.29, 1.0, -1.02, 1.001):
         expected = _jacobi10_scalar(n, x)
         assert _bits(jacobi10_range(n, x)) == _bits(expected)
-        assert jacobi10_eval(n, x).hex() == expected[-1].hex()
+        assert jacobi10_range(n, x)[-1].hex() == expected[-1].hex()
 
 
 # Up to degree 1000 at |x| <= 1.2, where no value leaves the float range.
@@ -237,7 +235,7 @@ def test_jacobi10_keeps_its_bits_across_coefficient_blocks(n):
 @example(511, 2, -1.0)
 @settings(max_examples=60, deadline=None)
 def test_sweeps_are_prefix_stable(n, extra, x):
-    for sweep, last in ((legendre_range, legendre_eval), (jacobi10_range, jacobi10_eval)):
+    for sweep, last in ((legendre_range, legendre_eval), (jacobi10_range, lambda n, x: jacobi10_range(n, x)[-1])):
         longer = sweep(n + extra, x)
         assert _bits(sweep(n, x)) == _bits(longer[: n + 1])
         assert last(n, x).hex() == longer[n].hex()
@@ -269,7 +267,7 @@ def test_alternating_binomial_sum_equals_jacobi_form(alpha_sq):
     k = 2.0 * alpha_sq - 1.0
     for n in range(1, 13):
         oracle, _ = _alternating_sum_oracle(n, w)
-        via_jacobi = -(beta_sq / n) * alpha_sq**-n * jacobi10_eval(n - 1, k)
+        via_jacobi = -(beta_sq / n) * alpha_sq**-n * jacobi10_range(n - 1, k)[-1]
         scale = max(abs(oracle), 1e-300)
         assert abs(via_jacobi - oracle) / scale < 1e-9
 

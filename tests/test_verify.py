@@ -152,6 +152,22 @@ def test_every_residual_keeps_its_pinned_bits():
     assert {r.name: r.residual.hex() for r in results} == PINNED_RESIDUALS
 
 
+# float.hex of the conservation residuals at more seeds: the lattice walks
+# under them, and any bit a step moves moves one of these.
+PINNED_CONSERVATION = {
+    1: ("0x1.8b00000000000p-43", "0x1.8000000000000p-50", "0x1.e000000000000p-50"),
+    2: ("0x1.d000000000000p-45", "0x1.4000000000000p-50", "0x1.0000000000000p-50"),
+    3: ("0x1.5000000000000p-45", "0x1.0000000000000p-51", "0x1.0000000000000p-52"),
+    7: ("0x1.1000000000000p-44", "0x1.e000000000000p-50", "0x1.0000000000000p-50"),
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_CONSERVATION))
+def test_conservation_residuals_keep_their_pinned_bits(seed):
+    names = ("unitarity-1000-steps", "norm-conservation-30-steps", "crw-mass-conservation-30-steps")
+    assert tuple(verify.run_check(name, seed).residual.hex() for name in names) == PINNED_CONSERVATION[seed]
+
+
 # sha256 of the float.hex of all 200 path-sum lemma values the oracle
 # triangle reads at DEFAULT_SEED; its pinned residual covers only their worst.
 PINNED_LEMMA_VALUES_SHA256 = "67ff0d67208d64c09eb1adb13f2bf4514074dea7a09d616d1e6334cada97bb82"
