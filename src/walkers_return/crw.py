@@ -122,9 +122,9 @@ class CRWInitialState:
 
 
 def crw_step(field: Field, matrix: np.ndarray) -> Field:
-    """One time step, L-mass one unit left and R-mass one unit right, under
-    the 2x2 or (walkers, 2, 2) `matrix` of :func:`lattice.stack`, of a field
-    inside `lattice.evolve` or `lattice.return_values`; others raise ValueError."""
+    """One time step, L-mass one unit left and R-mass one unit right, of a
+    planned field: `lattice.evolve` and `lattice.return_values` call it with
+    the `matrix` of :func:`lattice.stack`.  A field without a plan raises ValueError."""
     return lattice.shift(field, matrix)
 
 
@@ -132,8 +132,7 @@ def evolve_crw(
     transition: TransitionMatrix | Sequence[TransitionMatrix], phi_hat: CRWInitialState | Sequence[CRWInitialState], n: int
 ) -> Field:
     """Masses after n steps from the origin: one walk, or a stack as in :func:`simulate_return_crw`."""
-    matrix, field = lattice.stack(transition, phi_hat)
-    return lattice.evolve(field, n, lambda field: crw_step(field, matrix))
+    return lattice.evolve(*lattice.stack(transition, phi_hat), n, crw_step)
 
 
 def simulate_return_crw(
@@ -148,8 +147,7 @@ def simulate_return_crw(
     state, shape (len(phi_hat), nmax + 1): bit for bit the walks one state
     at a time.
     """
-    matrix, field = lattice.stack(transition, phi_hat)
-    return lattice.return_values(field, nmax, lambda field: crw_step(field, matrix))
+    return lattice.return_values(*lattice.stack(transition, phi_hat), nmax, crw_step)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ Walkers advance as one stack: a leading walker axis in front of the
 (pair, slot) axes, and one product per step, under one matrix that the
 product broadcasts over the walkers or under a stack of matrices, one per
 walker.  A single walker is the stack with no leading axis.  Every walk is
-set up by `stack`: its step matrix and its time-0 field.
+set up by `stack`: its step matrix and its origin (L, R) pairs.
 
-Every step runs in the plan that `evolve` or `return_values` sets up for
-a walk from time 0: the window of slots kept at every time, computed at
-once, and two zeroed buffers that the steps fill in turn, slot m at fixed
+`evolve` and `return_values` take both and a step, called as `step(field,
+matrix)` like `shift`, in the plan they set up from the origin pairs: the
+window of slots kept at every time, computed at once, and two zeroed
+buffers that the steps fill in turn, slot m at fixed
 columns, so a step is one product and a few slices.  A window's first
 slot stays put or rises by one a step and its end grows by at most one,
 so a slot with no source is one that no step has written, and it reads 0.
@@ -56,9 +57,9 @@ class Field:
     Column j of `packed` holds the (L, R) pair at the occupied-parity site
     x = -time + 2 (lo + j); any axes in front of the pair axis index the
     walkers of one stack, which share `time`, `lo` and the step matrix.
-    Inside `evolve` and `return_values` a field carries `plan`: it then
-    lives in one of the plan's two buffers, which the next step but one
-    overwrites; inside `return_values` it keeps only the light cone of the
+    Only `evolve` and `return_values` make a field with a `plan`, from the
+    origin pairs: it lives in one of the plan's two buffers, which the next
+    step but one overwrites; inside `return_values` it keeps only the light cone of the
     origin.  Such fields never leave those loops.  `evolve` hands out its
     last field without the plan, with all time + 1 slots (lo = 0), and a
     field without a plan is never stepped.  The reads work per walker:
@@ -72,11 +73,6 @@ class Field:
     lo: int = 0
     plan: tuple | None = None  # see `_plan`
 
-    @classmethod
-    def at_origin(cls, vector: np.ndarray) -> "Field":
-        """The time-0 field of the (L, R) pairs `vector`, shape (..., 2)."""
-        return cls(time=0, packed=vector[..., None].copy())
-
     def total_probability(self) -> float | np.ndarray:
         weights = _weight(self.packed)
         total = np.sum(weights.reshape(weights.shape[:-2] + (-1,)), axis=-1)
@@ -89,17 +85,17 @@ class Field:
         return dist
 
 
-def stack(source, state) -> tuple[np.ndarray, Field]:
-    """The step matrix and the time-0 field of one walk or of a stack of walks.
+def stack(source, state) -> tuple[np.ndarray, np.ndarray]:
+    """The step matrix and the origin (L, R) pairs of one walk or of a stack of walks.
 
     `source` is a coin or transition (anything with `matrix()`) or a
     sequence of them, `state` an initial state (anything with `vector()`)
-    or a sequence of them.  One state walks alone under one source.  A
-    sequence of states walks as one stack, shape (len(state), 2, 1), under
-    the one source or paired one-to-one with a sequence of sources, whose
-    matrices stack to shape (len(source), 2, 2).  A complex matrix whose
-    entries all have a zero imaginary part is handed out as its real part;
-    the states keep the complex dtype.
+    or a sequence of them.  One state walks alone under one source, from
+    pairs of shape (2,).  A sequence of states walks as one stack, pairs of
+    shape (len(state), 2), under the one source or paired one-to-one with a
+    sequence of sources, whose matrices stack to shape (len(source), 2, 2).
+    A complex matrix whose entries all have a zero imaginary part is handed
+    out as its real part; the states keep the complex dtype.
     """
     if hasattr(source, "matrix"):
         matrix = source.matrix()
@@ -115,7 +111,7 @@ def stack(source, state) -> tuple[np.ndarray, Field]:
         raise ValueError(f"a stack pairs each state with one step matrix, got {len(matrix)} matrices and {states}")
     if matrix.dtype.kind == "c" and not matrix.imag.any():
         matrix = np.ascontiguousarray(matrix.real)
-    return matrix, Field.at_origin(vectors)
+    return matrix, vectors
 
 
 def shift(field: Field, matrix: np.ndarray) -> Field:
@@ -148,38 +144,40 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     return Field(t, read[..., new_lo:new_end], new_lo, plan)
 
 
-def _plan(field: Field, caller: str, lows: np.ndarray, ends: np.ndarray) -> Field:
-    """The time-0 `field` with the plan of a walk whose window at time t is
-    slots lows[t]..ends[t] - 1: the windows as memoryviews (a list would
-    hold an int object per time), and the read, write and float-pair write
-    views of two zeroed buffers; the step to time t writes buffer t % 2.  A
-    buffer holds 2 S + 2 entries per walker: the read view (..., 2, S) has
-    L and R of slot m in column m, and the write view (..., 2, S + 1)
-    starts the R row one slot later, so a product written at the old slots
-    puts R into the next slot."""
-    if field.time != 0:
-        raise ValueError(f"{caller} starts at time 0, got a field at time {field.time}")
-    walkers, slots, views = field.packed.shape[:-2], int(np.max(ends)), []
+def _plan(origin, lows: np.ndarray, ends: np.ndarray) -> Field:
+    """The time-0 field of one slot, a copy of the (..., 2) pairs `origin`,
+    with the plan of a walk whose window at time t is the slots from
+    lows[t] to ends[t] - 1: the windows as memoryviews (a list would hold
+    an int object per time), and the read, write and float-pair write views
+    of two zeroed buffers; the step to time t writes buffer t % 2.  A buffer
+    holds 2 S + 2 entries per walker: the read view (..., 2, S) has L and R
+    of slot m in column m, and the write view (..., 2, S + 1) starts the R
+    row one slot later, so a product written at the old slots puts R into
+    the next slot."""
+    origin = np.asarray(origin)
+    if origin.shape[-1:] != (2,):
+        raise ValueError(f"a walk starts from (L, R) pairs of shape (..., 2), got shape {origin.shape}")
+    walkers, slots, views = origin.shape[:-1], int(np.max(ends)), []
     for _ in range(2):
-        buffer = np.zeros(walkers + (2 * slots + 2,), dtype=field.packed.dtype)
+        buffer = np.zeros(walkers + (2 * slots + 2,), dtype=origin.dtype)
         write = buffer.reshape(walkers + (2, slots + 1))
         views.append((buffer[..., : 2 * slots].reshape(walkers + (2, slots)), write, write.view(write.real.dtype)))
-    return replace(field, plan=(memoryview(lows), memoryview(ends), views))
+    return Field(0, origin[..., None].copy(), 0, (memoryview(lows), memoryview(ends), views))
 
 
-def evolve(field: Field, n: int, step: Callable[[Field], Field]) -> Field:
-    """The field after n applications of `step` from the time-0 `field`,
-    with every slot of every step kept: lo = 0 and all n + 1 slots.  It is
-    handed out without the plan, so no later walk writes into it or steps it."""
+def evolve(matrix: np.ndarray, origin, n: int, step: Callable[[Field, np.ndarray], Field]) -> Field:
+    """The field after n calls `step(field, matrix)` from the `origin` pairs,
+    with all n + 1 slots (lo = 0).  It is handed out without the plan, so
+    no later walk writes into it or steps it."""
     ends = np.arange(_require_count(n, "n") + 1) + 1
-    field = _plan(field, "evolve", np.zeros_like(ends), ends)
+    field = _plan(origin, np.zeros_like(ends), ends)
     for _ in range(n):
-        field = step(field)
+        field = step(field, matrix)
     return replace(field, plan=None)
 
 
-def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np.ndarray:
-    """Origin weights r_0..r_nmax of a walk started from the time-0 `field`.
+def return_values(matrix: np.ndarray, origin, nmax: int, step: Callable[[Field, np.ndarray], Field]) -> np.ndarray:
+    """Origin weights r_0..r_nmax of a walk of calls `step(field, matrix)` from the `origin` pairs.
 
     Only the light cone of the origin is advanced: at time t the sites with
     |x| <= min(t, nmax - t), which is about a quarter of the dense field's
@@ -193,12 +191,12 @@ def return_values(field: Field, nmax: int, step: Callable[[Field], Field]) -> np
     t = np.arange(nmax + 1)
     lows = np.maximum(0, (2 * t - nmax + 1) // 2)
     ends = np.maximum(lows, np.minimum(t, nmax // 2) + 1)
-    field = _plan(field, "return_values", lows, ends)
+    field = _plan(origin, lows, ends)
     walkers = field.packed.shape[:-2]
     pairs = np.zeros((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]
     for t in range(1, nmax + 1):
-        field = step(field)
+        field = step(field, matrix)
         if t % 2 == 0:
             pairs[..., t // 2] = field.packed[..., t // 2 - field.lo]
     # |amp|^2 is rounded with pow, as numpy rounds a scalar |amp| ** 2 and

@@ -187,16 +187,15 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def step(field: Field, matrix: np.ndarray) -> Field:
-    """One time step, new(x) = P old(x+1) + Q old(x-1), under the 2x2 or
-    (walkers, 2, 2) `matrix` of :func:`lattice.stack`, of a field inside
-    `lattice.evolve` or `lattice.return_values`; others raise ValueError."""
+    """One time step, new(x) = P old(x+1) + Q old(x-1), of a planned field:
+    `lattice.evolve` and `lattice.return_values` call it with the `matrix`
+    of :func:`lattice.stack`.  A field without a plan raises ValueError."""
     return lattice.shift(field, matrix)
 
 
 def evolve(coin: CoinMatrix | Sequence[CoinMatrix], phi: QWInitialState | Sequence[QWInitialState], n: int) -> Field:
     """State after n steps from the origin: one walk, or a stack as in :func:`simulate_return`."""
-    matrix, field = lattice.stack(coin, phi)
-    return lattice.evolve(field, n, lambda field: step(field, matrix))
+    return lattice.evolve(*lattice.stack(coin, phi), n, step)
 
 
 def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
@@ -245,8 +244,7 @@ def simulate_return(
     one-to-one with a sequence of coins, and gives one row per state,
     shape (len(phi), nmax + 1): bit for bit the walks one state at a time.
     """
-    matrix, field = lattice.stack(coin, phi)
-    return lattice.return_values(field, nmax, lambda field: step(field, matrix))
+    return lattice.return_values(*lattice.stack(coin, phi), nmax, step)
 
 
 def xi_bruteforce(coin: CoinMatrix, l: int, m: int) -> np.ndarray:

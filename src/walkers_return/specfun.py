@@ -222,11 +222,13 @@ def _agm(m: np.ndarray, mc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (about half an ulp of a), so the cut sits just above one ulp.
         done = abs(c) <= 4e-16 * a
         finished = np.count_nonzero(done)
+        if finished == live.size:  # also where no element was given
+            k[live] = math.pi / (2.0 * a)
+            sums[live] = csum
+            return k.reshape(shape), sums.reshape(shape)
         if finished:
             k[live[done]] = math.pi / (2.0 * a[done])
             sums[live[done]] = csum[done]
-            if finished == live.size:
-                return k.reshape(shape), sums.reshape(shape)
             live, a, b, csum = live[~done], a[~done], b[~done], csum[~done]
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), np.sqrt(a * b)

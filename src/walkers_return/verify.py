@@ -221,16 +221,15 @@ def _check_phase_independence(rng: np.random.Generator) -> float:
 
 
 def _norm_drift(source, state, step, steps: int) -> float:
-    """Largest |total weight - 1| over `steps` steps of the walk of `state` under `source`."""
-    matrix, field = lattice.stack(source, state)
+    """Largest |total weight - 1| over `steps` calls `step(field, matrix)` walking `state` under `source`."""
     residuals = []
 
-    def recorded(field):
+    def recorded(field, matrix):
         field = step(field, matrix)
         residuals.append(abs(field.total_probability() - 1.0))
         return field
 
-    lattice.evolve(field, steps, recorded)
+    lattice.evolve(*lattice.stack(source, state), steps, recorded)
     return _worst(*residuals)
 
 

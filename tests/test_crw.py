@@ -106,8 +106,7 @@ def test_single_persistent_step():
 
 def test_mass_conserved_over_five_hundred_steps():
     rng = np.random.default_rng(41)
-    matrix, field = stack(TransitionMatrix.random(rng), CRWInitialState.random(rng))
-    field = lattice.evolve(field, 500, lambda field: crw_step(field, matrix))
+    field = lattice.evolve(*stack(TransitionMatrix.random(rng), CRWInitialState.random(rng)), 500, crw_step)
     assert abs(field.total_probability() - 1.0) < 1e-12
 
 

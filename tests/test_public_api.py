@@ -1,13 +1,15 @@
-"""The public surface: every name an `__all__` exports resolves, and every
-count parameter rejects a non-integer or negative value by name."""
+"""The public surface: every name an `__all__` exports resolves, every
+count parameter rejects a non-integer or negative value by name, and the
+README's library example runs."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import walkers_return
-from walkers_return import crw, genfunc, qw, specfun
+from walkers_return import crw, genfunc, lattice, qw, specfun
 
 # `__main__` runs the CLI when imported, so it is no importable module.
 MODULES = ["walkers_return"] + [
@@ -51,6 +53,8 @@ COUNT_TAKERS = {
     "return_sum_form_crw": ("n", lambda n: crw.return_sum_form_crw(_TRANSITION, _PHI_HAT, n)),
     "simulate_return_crw": ("nmax", lambda n: crw.simulate_return_crw(_TRANSITION, _PHI_HAT, n)),
     "evolve_crw": ("n", lambda n: crw.evolve_crw(_TRANSITION, _PHI_HAT, n)),
+    "lattice.evolve": ("n", lambda n: lattice.evolve(*lattice.stack(_COIN, _PHI), n, qw.step)),
+    "lattice.return_values": ("nmax", lambda n: lattice.return_values(*lattice.stack(_COIN, _PHI), n, qw.step)),
     "polya2d_series": ("nmax", genfunc.polya2d_series),
     "legendre_eval": ("n", lambda n: specfun.legendre_eval(n, 0.3)),
     "legendre_range": ("n", lambda n: specfun.legendre_range(n, 0.3)),
@@ -68,3 +72,11 @@ def test_a_bad_count_is_a_value_error_that_names_it(taker, bad):
     parameter, call = COUNT_TAKERS[taker]
     with pytest.raises(ValueError, match=f"^{parameter} must be "):
         call(bad)
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "simulate_return" in code
+    exec(compile(code, "README.md", "exec"), {})

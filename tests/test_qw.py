@@ -130,8 +130,7 @@ def test_decompose_hadamard_left_piece():
 def test_single_step_amplitudes_by_hand():
     coin = CoinMatrix.hadamard()
     phi = QWInitialState.canonical()
-    matrix, field = stack(coin, phi)
-    field = lattice.evolve(field, 1, lambda field: step(field, matrix))
+    field = lattice.evolve(*stack(coin, phi), 1, step)
     s = 1.0 / math.sqrt(2.0)
     # At time 1 the stored sites are x = -1 (column 0) and x = 1 (column 1).
     (left_at_minus_one, left_at_one), (right_at_minus_one, right_at_one) = field.packed
@@ -149,24 +148,23 @@ def test_two_step_origin_probability_is_half():
 def test_norm_preserved_over_hundred_steps():
     rng = np.random.default_rng(11)
     phi = QWInitialState.random(rng)
-    matrix, field = stack(CoinMatrix.random(rng), phi)
-    field = lattice.evolve(field, 100, lambda field: step(field, matrix))
+    field = lattice.evolve(*stack(CoinMatrix.random(rng), phi), 100, step)
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 
 def test_off_parity_positions_hold_exact_zeros():
     rng = np.random.default_rng(13)
     phi = QWInitialState.random(rng)
-    matrix, field = stack(CoinMatrix.random(rng), phi)
+    coin = CoinMatrix.random(rng)
 
-    def checked(field):
+    def checked(field, matrix):
         field = step(field, matrix)
         dist = field.position_distribution()
         bad = dist[(np.arange(-field.time, field.time + 1) + field.time) % 2 == 1]
         assert np.all(bad == 0.0)
         return field
 
-    assert lattice.evolve(field, 25, checked).time == 25
+    assert lattice.evolve(*stack(coin, phi), 25, checked).time == 25
 
 
 def test_two_step_distribution():
@@ -447,8 +445,7 @@ def test_return_series_independent_of_coin_phases():
 
 def test_unitarity_over_thousand_steps():
     rng = np.random.default_rng(31)
-    matrix, field = stack(CoinMatrix.random(rng), QWInitialState.random(rng))
-    field = lattice.evolve(field, 1000, lambda field: step(field, matrix))
+    field = lattice.evolve(*stack(CoinMatrix.random(rng), QWInitialState.random(rng)), 1000, step)
     assert abs(field.total_probability() - 1.0) < 1e-10
 
 

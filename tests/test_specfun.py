@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walkers_return import specfun
+from walkers_return import genfunc, specfun
 from walkers_return.specfun import (
     binom,
     central_binomial_ratios,
@@ -430,6 +430,29 @@ def test_ellipE_is_one_at_modulus_one_in_an_array():
     values = ellipE(np.array([0.5, 1.0, 0.0, 1.0]))
     assert values[1] == 1.0 and values[3] == 1.0
     assert values[0] == ellipE(0.5) and values[2] == ellipE(0.0)
+
+
+# Every kernel that runs the AGM, as a function of one array argument.
+_AGM_KERNELS = {
+    "ellipK": ellipK,
+    "ellipE": ellipE,
+    "ellipK_from_complement": ellipK_from_complement,
+    "script_K": lambda z: script_K(0.3, z),
+    "script_E": lambda z: script_E(0.3, z),
+    "gf_qw": lambda z: genfunc.gf_qw(0.3, z),
+    "gf_hadamard": genfunc.gf_hadamard,
+    "polya2d_gf": genfunc.polya2d_gf,
+}
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+@pytest.mark.parametrize("kernel", list(_AGM_KERNELS))
+def test_an_empty_array_gives_an_empty_array(kernel, shape):
+    # With no element the AGM has none to finish: it returns at once,
+    # rather than run out of iterations.
+    values = _AGM_KERNELS[kernel](np.zeros(shape))
+    assert isinstance(values, np.ndarray)
+    assert values.shape == shape and values.dtype == np.float64
 
 
 def test_kernel_domain_errors_name_an_offending_element():

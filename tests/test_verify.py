@@ -168,6 +168,43 @@ def test_conservation_residuals_keep_their_pinned_bits(seed):
     assert tuple(verify.run_check(name, seed).residual.hex() for name in names) == PINNED_CONSERVATION[seed]
 
 
+# float.hex of the other checks that walk the lattice, at the same seeds,
+# in the order of LATTICE_CHECKS.
+LATTICE_CHECKS = (
+    "hadamard-return-three-routes",
+    "simulation-vs-closed-form-random-coins",
+    "return-series-initial-state-independence",
+    "oracle-triangle-simulation-lemma-closed",
+    "coin-phase-independence",
+    "dist-spectral-vs-lattice",
+    "crw-closed-form-vs-simulation",
+    "uncorrelated-reduction-to-random-walk",
+)
+PINNED_LATTICE = {
+    1: (
+        "0x1.0000000000000p-52", "0x1.7000000000000p-50", "0x1.0000000000000p-50", "0x1.c000000000000p-51",
+        "0x1.c000000000000p-51", "0x1.f800000000000p-51", "0x1.6400000000000p-49", "0x1.0000000000000p-55",
+    ),
+    2: (
+        "0x1.0000000000000p-52", "0x1.c000000000000p-51", "0x1.c000000000000p-51", "0x1.e000000000000p-51",
+        "0x1.0000000000000p-51", "0x1.7400000000000p-50", "0x1.4800000000000p-50", "0x1.0000000000000p-55",
+    ),
+    3: (
+        "0x1.0000000000000p-52", "0x1.1000000000000p-50", "0x1.0000000000000p-50", "0x1.a000000000000p-51",
+        "0x1.4000000000000p-52", "0x1.c000000000000p-51", "0x1.b000000000000p-51", "0x1.0000000000000p-55",
+    ),
+    7: (
+        "0x1.0000000000000p-52", "0x1.c000000000000p-51", "0x1.0000000000000p-50", "0x1.4000000000000p-51",
+        "0x1.0000000000000p-53", "0x1.a400000000000p-51", "0x1.3400000000000p-50", "0x1.0000000000000p-55",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_LATTICE))
+def test_lattice_residuals_keep_their_pinned_bits(seed):
+    assert tuple(verify.run_check(name, seed).residual.hex() for name in LATTICE_CHECKS) == PINNED_LATTICE[seed]
+
+
 # sha256 of the float.hex of all 200 path-sum lemma values the oracle
 # triangle reads at DEFAULT_SEED; its pinned residual covers only their worst.
 PINNED_LEMMA_VALUES_SHA256 = "67ff0d67208d64c09eb1adb13f2bf4514074dea7a09d616d1e6334cada97bb82"
