@@ -5,7 +5,13 @@ split of a 2x2 matrix M: the top row P sends the pair one site left, the
 bottom row Q one site right, new(x) = P old(x+1) + Q old(x-1).  The quantum
 walk shifts complex amplitudes, the correlated walk real conditional
 masses; the site weight follows from the dtype: |amp|^2 for a complex
-amplitude, the value itself for a real mass.
+amplitude, the value itself for a real mass.  The origin pairs must be
+float or complex, of a dtype the step matrix does not widen (no int
+pairs, no complex matrix over float pairs, no float32 pairs under a
+float64 matrix); the loops refuse any other before a step.  The dtype is
+all they see: a quantum coin with real entries over real pairs is walked
+as masses, like a correlated walk (the pairs (0.6, 0.8) give r_0 = 1.4),
+so amplitudes are walked only from complex pairs, as `qw` passes them.
 
 A walk started at the origin occupies at time t only the t + 1 sites
 x = -t + 2m (m = 0..t) of the parity of t; every other site holds exactly
@@ -144,9 +150,10 @@ def shift(field: Field, matrix: np.ndarray) -> Field:
     return Field(t, read[..., new_lo:new_end], new_lo, plan)
 
 
-def _plan(origin, lows: np.ndarray, ends: np.ndarray) -> Field:
+def _plan(matrix: np.ndarray, origin, lows: np.ndarray, ends: np.ndarray) -> Field:
     """The time-0 field of one slot, a copy of the (..., 2) pairs `origin`,
-    with the plan of a walk whose window at time t is the slots from
+    which must be float or complex and of a dtype that `matrix` does not
+    widen, with the plan of a walk whose window at time t is the slots from
     lows[t] to ends[t] - 1: the windows as memoryviews (a list would hold
     an int object per time), and the read, write and float-pair write views
     of two zeroed buffers; the step to time t writes buffer t % 2.  A buffer
@@ -157,6 +164,8 @@ def _plan(origin, lows: np.ndarray, ends: np.ndarray) -> Field:
     origin = np.asarray(origin)
     if origin.shape[-1:] != (2,):
         raise ValueError(f"a walk starts from (L, R) pairs of shape (..., 2), got shape {origin.shape}")
+    if origin.dtype.kind not in "fc" or np.result_type(matrix, origin) != origin.dtype:
+        raise ValueError(f"a walk needs float or complex pairs its {matrix.dtype} matrix does not widen, got {origin.dtype}")
     walkers, slots, views = origin.shape[:-1], int(np.max(ends)), []
     for _ in range(2):
         buffer = np.zeros(walkers + (2 * slots + 2,), dtype=origin.dtype)
@@ -170,7 +179,7 @@ def evolve(matrix: np.ndarray, origin, n: int, step: Callable[[Field, np.ndarray
     with all n + 1 slots (lo = 0).  It is handed out without the plan, so
     no later walk writes into it or steps it."""
     ends = np.arange(_require_count(n, "n") + 1) + 1
-    field = _plan(origin, np.zeros_like(ends), ends)
+    field = _plan(matrix, origin, np.zeros_like(ends), ends)
     for _ in range(n):
         field = step(field, matrix)
     return replace(field, plan=None)
@@ -191,7 +200,7 @@ def return_values(matrix: np.ndarray, origin, nmax: int, step: Callable[[Field, 
     t = np.arange(nmax + 1)
     lows = np.maximum(0, (2 * t - nmax + 1) // 2)
     ends = np.maximum(lows, np.minimum(t, nmax // 2) + 1)
-    field = _plan(origin, lows, ends)
+    field = _plan(matrix, origin, lows, ends)
     walkers = field.packed.shape[:-2]
     pairs = np.zeros((*walkers, 2, nmax // 2 + 1), dtype=field.packed.dtype)
     pairs[..., 0] = field.packed[..., 0]

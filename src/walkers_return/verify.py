@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -320,16 +321,14 @@ def _check_crw_sum_form(rng: np.random.Generator) -> float:
 
 
 def _check_crw_gf_vs_series(rng: np.random.Generator) -> float:
-    residuals = [0.0]
+    residuals = []
     for _ in range(20):
-        transition = crw.TransitionMatrix.random(rng)
-        phi_hat = crw.CRWInitialState.random(rng)
-        z = rng.uniform(-0.9, 0.9)
-        closed = genfunc.gf_crw(transition, phi_hat, z)
-        nmax = genfunc.truncation_for(z, 1e-10)
-        value, tail = genfunc.series_sum(crw.return_series_crw(transition, phi_hat, nmax), z)
-        residuals.append(abs(closed - value) - tail)
-    return _worst(*residuals)
+        transition, phi_hat = crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng)
+        gf, closed = partial(genfunc.gf_crw, transition, phi_hat), partial(crw.return_series_crw, transition, phi_hat)
+        closed_values, series, tails = genfunc.against_series(gf, closed, [rng.uniform(-0.9, 0.9)], 1e-10)
+        residuals.append(np.abs(closed_values - series) - tails)
+    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
+    return _worst(np.maximum(residuals, 0.0))
 
 
 def _check_crw_mass_conservation(rng: np.random.Generator) -> float:
@@ -341,16 +340,13 @@ def _check_crw_mass_conservation(rng: np.random.Generator) -> float:
 
 
 def _check_qw_gf_vs_series(rng: np.random.Generator) -> float:
-    residuals = [0.0]
-    zgrid = (0.2, 0.5, 0.8)
-    cuts = [genfunc.truncation_for(z, 1e-6) for z in zgrid]
+    residuals = []
     for alpha_sq in (0.2, 0.5, 0.8):
-        # One sweep per coin: its first n + 1 values do not depend on nmax.
-        values = qw.return_series_qw(alpha_sq, max(cuts))
-        for z, n, closed in zip(zgrid, cuts, genfunc.gf_qw(alpha_sq, np.array(zgrid)).tolist()):
-            value, tail = genfunc.series_sum(values[: n + 1], z)
-            residuals.append(abs(closed - value) - tail)
-    return _worst(*residuals)
+        gf, closed = partial(genfunc.gf_qw, alpha_sq), partial(qw.return_series_qw, alpha_sq)
+        closed_values, series, tails = genfunc.against_series(gf, closed, [0.2, 0.5, 0.8], 1e-6)
+        residuals.append(np.abs(closed_values - series) - tails)
+    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
+    return _worst(np.maximum(residuals, 0.0))
 
 
 def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> float:

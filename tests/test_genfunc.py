@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walkers_return import cli, genfunc
 from walkers_return.crw import CRWInitialState, TransitionMatrix, return_series_crw
 from walkers_return.genfunc import (
     ConvergenceError,
+    against_series,
     gf_crw,
     gf_hadamard,
     gf_qw,
@@ -657,3 +659,106 @@ def test_crw_series_is_prefix_stable(a, b, phi1, cuts):
 def test_polya2d_series_is_prefix_stable(cuts):
     m, extra = cuts
     assert np.array_equal(polya2d_series(m), polya2d_series(m + extra)[: m + 1])
+
+
+# ---------------------------------------------------------------------------
+# the closed form against its series on a z grid
+
+
+def _against_series_inline(walk, zgrid, tol):
+    """The comparison as `genfunc` requests spelled it out before
+    `against_series`: cuts, the 5e7 bound, G, one sweep, a sum per z."""
+    points = zgrid.tolist()
+    cuts = [truncation_for(z, tol) for z in points]
+    longest = max(cuts)
+    if longest > 5 * 10**7:
+        raise ValueError(f"|z| = {max(map(abs, points))!r} needs a series of N = {longest} terms, above the bound 5e7")
+    closed = walk.gf(zgrid)
+    values = walk.closed(longest)
+    series, tails = np.array([series_sum(values[: n + 1], z) for z, n in zip(points, cuts)]).T
+    return closed, series, tails
+
+
+# One binding of every model the `genfunc` command serves.
+_MODEL_VALUES = {
+    "qw": {"alpha_sq": 0.3},
+    "hadamard": {},
+    "crw": {"a": 0.7, "d": 0.6, "phi1": 0.2},
+    "rw": {"p": 0.4},
+    "polya2d": {},
+}
+
+
+def _hexes(*arrays):
+    return [[float(v).hex() for v in np.ravel(array)] for array in arrays]
+
+
+@pytest.mark.parametrize("name", list(cli.MODELS))
+def test_against_series_keeps_the_bits_of_the_inline_comparison(name):
+    assert set(_MODEL_VALUES) == set(cli.MODELS)
+    model = cli.MODELS[name]
+    walk = model.bind(**_MODEL_VALUES[name])
+    zgrid = np.linspace(-0.95, 0.9, 12)
+    got = against_series(walk.gf, walk.closed, zgrid, model.genfunc_tol)
+    assert _hexes(*got) == _hexes(*_against_series_inline(walk, zgrid, model.genfunc_tol))
+
+
+class _Routes:
+    """Stub routes that record their calls; `gf` raises `gf_error` if set."""
+
+    def __init__(self, gf_error=None):
+        self.calls, self.gf_error = [], gf_error
+
+    def gf(self, z):
+        self.calls.append(("gf", len(z)))
+        if self.gf_error:
+            raise self.gf_error
+        return np.zeros(len(z))
+
+    def closed(self, nmax):
+        self.calls.append(("closed", nmax))
+        return np.zeros(nmax + 1)
+
+
+def test_against_series_bounds_the_series_before_either_route():
+    routes = _Routes()
+    # 0.99999999 at tol 1e-10 asks for about 4e9 terms.
+    with pytest.raises(ValueError, match=r"^\|z\| = 0\.99999999 needs a series of N = \d+ terms, above the bound 5e7$"):
+        against_series(routes.gf, routes.closed, [0.5, -0.99999999], 1e-10)
+    assert routes.calls == []
+
+
+def test_a_generating_function_that_raises_stops_the_sweep_before_it_starts():
+    routes = _Routes(gf_error=ValueError("|z| refused"))
+    with pytest.raises(ValueError, match="refused"):
+        against_series(routes.gf, routes.closed, [0.5, 0.9], 1e-10)
+    assert routes.calls == [("gf", 2)]
+
+
+def test_one_sweep_serves_the_whole_grid(monkeypatch):
+    routes = _Routes()
+    sums = []
+    summed = genfunc.series_sum
+
+    def counted(series, z):
+        sums.append((len(series), z))
+        return summed(series, z)
+
+    # Called through the module global, so a wrapper there sees every sum.
+    monkeypatch.setattr(genfunc, "series_sum", counted)
+    zgrid = [-0.9, 0.2, 0.0, 0.7]
+    closed, series, tails = against_series(routes.gf, routes.closed, zgrid, 1e-8)
+    cuts = [truncation_for(z, 1e-8) for z in zgrid]
+    assert routes.calls == [("gf", 4), ("closed", max(cuts))]
+    assert sums == [(n + 1, z) for z, n in zip(zgrid, cuts)]
+    assert all(len(column) == 4 for column in (closed, series, tails))
+
+
+def test_against_series_reads_the_grid_flat():
+    routes = _Routes()
+    closed, series, tails = against_series(routes.gf, routes.closed, [[0.1, 0.2], [0.3, 0.4]], 1e-8)
+    assert routes.calls == [("gf", 4), ("closed", truncation_for(0.4, 1e-8))]
+    assert series.shape == tails.shape == (4,)
+    routes = _Routes()
+    closed, series, tails = against_series(routes.gf, routes.closed, [], 1e-8)
+    assert (closed.shape, series.shape, tails.shape) == ((0,), (0,), (0,))

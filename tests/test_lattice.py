@@ -192,6 +192,48 @@ def test_a_start_of_more_than_one_slot_is_refused_before_any_step():
     assert calls == []
 
 
+def _not_walked(matrix, origin):
+    """The refusal of origin pairs whose dtype the loops do not walk."""
+    return (
+        r"^a walk needs float or complex pairs its "
+        rf"{matrix.dtype} matrix does not widen, got {np.asarray(origin).dtype}$"
+    )
+
+
+def test_pairs_of_a_dtype_the_loops_do_not_walk_are_refused_before_any_step():
+    # Int and bool pairs once raised numpy's UFuncTypeError from inside the
+    # first step, as did float pairs under a complex coin; float32 pairs
+    # walked silently in float32.
+    real, _ = lattice.stack(crw.TransitionMatrix.from_persistence(0.3, 0.4), crw.CRWInitialState.from_phi1(0.5))
+    complex_coin = qw.CoinMatrix.from_alpha_sq(0.3, theta=0.7).matrix()
+    assert complex_coin.imag.any()
+    starts = [
+        (real, np.array([1, 0])),
+        (real, np.array([True, False])),
+        (complex_coin, np.array([0.6, 0.8])),
+        (real, np.array([0.5, 0.5], dtype=np.float32)),
+    ]
+    calls = []
+
+    def counted(field, matrix):
+        calls.append(field.time)
+        return lattice.shift(field, matrix)
+
+    for matrix, origin in starts:
+        for loop in (lattice.evolve, lattice.return_values):
+            with pytest.raises(ValueError, match=_not_walked(matrix, origin)):
+                loop(matrix, origin, 3, counted)
+    assert calls == []
+
+
+def test_a_real_coin_over_real_pairs_is_walked_as_masses():
+    # The dtype is all the loops see: a qw coin with real entries over real
+    # pairs walks like a crw, and r_0 reads 0.6 + 0.8.
+    coin, _ = lattice.stack(qw.CoinMatrix.from_alpha_sq(0.3), qw.QWInitialState.canonical())
+    assert coin.dtype == np.float64
+    assert lattice.return_values(coin, np.array([0.6, 0.8]), 4, qw.step)[0] == 1.4
+
+
 # ---------------------------------------------------------------------------
 # walker stacks
 

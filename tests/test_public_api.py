@@ -3,7 +3,10 @@ count parameter rejects a non-integer or negative value by name, and the
 README's library example runs."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,14 @@ def test_the_readme_library_example_runs():
     code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
     assert "simulate_return" in code
     exec(compile(code, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("name", ["walkers_return.verify", "walkers_return.genfunc"])
+def test_the_library_loads_no_command_line_module(name):
+    # The generating-function comparison lives in the library: `verify`
+    # and `genfunc` run it without the CLI behind them.
+    code = f"import sys, {name}; print(sorted(m for m in sys.modules if m.startswith('walkers_return')))"
+    # The child imports the package from wherever this process does.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert name in loaded and "walkers_return.cli" not in loaded

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from walkers_return import crw, genfunc, lattice, qw, verify
@@ -223,6 +224,46 @@ def test_oracle_triangle_lemma_values_keep_their_bits(monkeypatch):
     assert len(values) == 200
     digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
     assert digest == PINNED_LEMMA_VALUES_SHA256
+
+
+# sha256 of the float.hex of every value the generating functions and
+# series sums return inside each generating-function-vs-series check, in
+# call order, at the seeds below: the residuals are floored at 0, so their
+# pins cannot see a bit of G, S or the tail bound move.  The qw check draws
+# nothing, so its digest is the same at every seed.
+PINNED_GF_SERIES_SHA256 = {
+    "qw-generating-function-vs-series": dict.fromkeys(
+        (verify.DEFAULT_SEED, 1, 2, 3, 7), "7cc333187574dbf196dce76eabaa834e4e09eefa22d648387c1315bdc9bf2c2f"
+    ),
+    "crw-generating-function-vs-series": {
+        verify.DEFAULT_SEED: "0d42e60bebfc50cff1604d96b28bc2afa6236eecfcdb7d13873f4647e616955b",
+        1: "8ced150246239d4f9e984299359ff42cfadc9f106bdab5b35d18bc67a26cb6ad",
+        2: "9eeb4dd30829c9fe5b2ecf837809d37d3d17b2ae520fb1996c4b5a50207328e8",
+        3: "897be57b67d17490b1fe3f54904f0f092d5cb66aea90997921caff54ae18bc1d",
+        7: "006eb76d75bff418487dd12f9bdbca778631a518c0bb2333cb49ff64a0d7e634",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed", [(name, seed) for name, pins in PINNED_GF_SERIES_SHA256.items() for seed in pins]
+)
+def test_generating_function_vs_series_values_keep_their_bits(monkeypatch, name, seed):
+    values = []
+
+    def recorded(route):
+        def call(*args):
+            result = route(*args)
+            values.extend(np.ravel(result).tolist())
+            return result
+
+        return call
+
+    for route in ("series_sum", "gf_qw", "gf_crw"):
+        monkeypatch.setattr(genfunc, route, recorded(getattr(genfunc, route)))
+    assert verify.run_check(name, seed).passed
+    digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == PINNED_GF_SERIES_SHA256[name][seed]
 
 
 def test_each_check_draws_its_own_stream(monkeypatch):
