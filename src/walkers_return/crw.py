@@ -82,6 +82,13 @@ class TransitionMatrix:
 
     @classmethod
     def from_persistence(cls, p: float, q: float) -> "TransitionMatrix":
+        """a = p and b = 1 - q, so the walk's d = 1 - b is q exactly only for q >= 0.5.
+
+        Below 0.5 each subtraction may round: q = 0.3 walks
+        d = 0.30000000000000004, and q = 1e-9 walks d = 9.999999717180685e-10,
+        2.8e-8 off relative to q.  c = 1 - a rounds the same way, so for
+        a < 0.5 the stored a + c may differ from 1 as an exact sum (at a = 0.3).
+        """
         return cls(a=p, b=1.0 - q)
 
     @classmethod

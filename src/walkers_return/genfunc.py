@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .crw import CRWInitialState, TransitionMatrix, closed_form_params
-from .specfun import _plain, _require_count, _require_in, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
+from .specfun import _plain, _real_array, _require_count, _require_in, central_binomial_ratios, ellipK, ellipK_from_complement, script_E, script_K
 
 __all__ = [
     "ConvergenceError",
@@ -90,8 +90,8 @@ def _check_tol(tol: float) -> None:
 
 
 def _z_array(z, bound: float = 1.0) -> np.ndarray:
-    """z as a float array with every |z| below `bound` (NaN fails too)."""
-    z = np.asarray(z, dtype=float)
+    """z as a real float array with every |z| below `bound` (NaN fails too)."""
+    z = _real_array("z", z)
     _require_in(z, np.abs(z) < bound, f"|z| must be below {bound}, got {{}}")
     return z
 
@@ -124,7 +124,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-10):
     with the bits it would get alone.  Float ends give a float.
     """
     _check_tol(tol)
-    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.broadcast_arrays(_real_array("a", a), _real_array("b", b))
     if not np.all(np.isfinite(lo) & np.isfinite(hi)):
         raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if np.any(hi < lo):
@@ -174,7 +174,7 @@ def integral_E_term(k: float, z2):
     """
     if not -1.0 < k < 1.0:
         raise ValueError(f"k must lie in (-1, 1), got {k}")
-    z2 = np.asarray(z2, dtype=float)
+    z2 = _real_array("z2", z2)
     _require_in(z2, (0.0 <= z2) & (z2 < 1.0 - _Z_MARGIN), f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {{}}")
     return integrate(lambda s: script_E(k, -np.expm1(-s)), 0.0, -np.log1p(-z2), _E_TERM_TOL)
 
@@ -339,7 +339,7 @@ def series_sum(series, z: float) -> tuple[float, float]:
     az = abs(z)
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
-    series = np.asarray(series, dtype=float)
+    series = _real_array("series", series)
     live = (series != 0.0).nonzero()[0]
     # fsum reads Python floats from a memoryview faster than numpy scalars
     # from the array, and needs no list of them.
@@ -362,7 +362,7 @@ def against_series(gf: Callable[[np.ndarray], np.ndarray], closed: Callable[[int
     raises ValueError before either route runs.  G comes before the sweep,
     so that a z the generating function refuses stops no long sweep.
     """
-    z = np.asarray(z, dtype=float).ravel()
+    z = _real_array("z", z).ravel()
     cuts = [truncation_for(x, tol) for x in z.tolist()]
     longest = max(cuts, default=0)
     if longest > 5 * 10**7:

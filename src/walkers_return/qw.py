@@ -55,8 +55,9 @@ _BRUTEFORCE_MAX_STEPS = 14
 class CoinMatrix:
     """Unitary coin parametrized by a global phase and the top row.
 
-    Entries: a = e^{i theta} alpha, b = e^{i theta} beta,
-    c = -e^{i theta} conj(beta), d = e^{i theta} conj(alpha).
+    :meth:`matrix` is [[a, b], [c, d]] with a = e^{i theta} alpha,
+    b = e^{i theta} beta, c = -e^{i theta} conj(beta) and
+    d = e^{i theta} conj(alpha); every route reads the entries from it.
     Both alpha and beta must be nonzero: the excluded boundary coins are a
     pure shift or a pure reflection and sit outside every closed form here.
     """
@@ -86,22 +87,6 @@ class CoinMatrix:
         matrix = np.array(entries, dtype=complex)
         matrix.setflags(write=False)
         return matrix
-
-    @property
-    def a(self) -> complex:
-        return complex(self._matrix[0, 0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self._matrix[0, 1])
-
-    @property
-    def c(self) -> complex:
-        return complex(self._matrix[1, 0])
-
-    @property
-    def d(self) -> complex:
-        return complex(self._matrix[1, 1])
 
     @property
     def alpha_sq(self) -> float:
@@ -178,7 +163,7 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     P = [[a, b], [0, 0]], Q = [[0, 0], [c, d]], R = [[c, d], [0, 0]],
     S = [[0, 0], [a, b]]; P + Q = U.
     """
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    a, b, c, d = coin.matrix().ravel().tolist()
     p = np.array([[a, b], [0, 0]], dtype=complex)
     q = np.array([[0, 0], [c, d]], dtype=complex)
     r = np.array([[c, d], [0, 0]], dtype=complex)
@@ -217,7 +202,8 @@ def distribution(coin: CoinMatrix, phi: QWInitialState, n: int) -> np.ndarray:
     w = np.exp(2j * np.pi * np.arange(size) / size)
     # The stack of V(w) = [[a, b], [c w, d w]], one 2x2 matrix per sample,
     # held entry by entry: elementwise products beat np.matmul on 2x2 blocks.
-    a, b, c, d = np.full(size, coin.a), np.full(size, coin.b), coin.c * w, coin.d * w
+    a, b, c, d = coin.matrix().ravel().tolist()
+    a, b, c, d = np.full(size, a), np.full(size, b), c * w, d * w
     left, right = np.full(size, phi.phi1, dtype=complex), np.full(size, phi.phi2, dtype=complex)
     k = n
     while k:
@@ -336,7 +322,7 @@ def xi_lemma1(coin: CoinMatrix, n: int) -> np.ndarray:
         raise ValueError("xi_lemma1 needs n >= 1; the 0-step path sum is the identity")
     p, q, r, s = decompose(coin)
     _, sigma0, drift = _lemma_sums(coin, n)
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    a, b, c, d = coin.matrix().ravel().tolist()
     phase = (a * d / abs(a * d)) ** n
     return phase * (
         (drift / a) * p + (drift / d) * q + (sigma0 / c) * r + (sigma0 / b) * s

@@ -64,16 +64,18 @@ def _require_in(values: np.ndarray, inside: np.ndarray, message: str) -> None:
         raise ValueError(message.format(float(np.extract(~inside, values)[0])))
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def _real_array(name: str, value) -> np.ndarray:
+    """`value` as a float array (0-d for a scalar).  Complex input raises
+    ValueError: the cast to float would keep only its real part."""
+    values = np.asarray(value)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {value!r}")
+    return np.asarray(values, dtype=float)
 
 
 def _finite_array(name: str, value) -> np.ndarray:
-    """`value` as a float array (0-d for a scalar), every element finite."""
-    values = np.asarray(value, dtype=float)
+    """`value` as a real float array (0-d for a scalar), every element finite."""
+    values = _real_array(name, value)
     _require_in(values, np.isfinite(values), name + " must be finite, got {!r}")
     return values
 
@@ -122,7 +124,7 @@ def legendre_range(n: int, x: float) -> np.ndarray:
     non-finite value stays non-finite, so P_n decides for the whole sweep.
     """
     n = _require_count(n, "n")
-    x = _require_finite("x", x)
+    x = float(_finite_array("x", x))
     values = _scaled_legendre(n, x, 1.0)
     if not math.isfinite(values[-1]):
         raise _not_finite(n, x)
@@ -145,7 +147,7 @@ def jacobi10_range(n: int, x: float) -> np.ndarray:
     Raises OverflowError where P_n^(1,0)(x) is not finite, as :func:`legendre_range` does.
     """
     n = _require_count(n, "n")
-    x = _require_finite("x", x)
+    x = float(_finite_array("x", x))
     p_prev, p = 1.0, (3.0 * x + 1.0) / 2.0
     values = [p_prev, p]
     for j in range(2, n + 1):
@@ -322,8 +324,8 @@ def scaled_legendre_pair(n: int, numer: float, denom: float) -> tuple[float, flo
     n = _require_count(n, "n")
     if n == 0:
         raise ValueError("scaled_legendre_pair needs n >= 1 (the pair ends at degree n)")
-    numer = _require_finite("numer", numer)
-    denom = _require_finite("denom", denom)
+    numer = float(_finite_array("numer", numer))
+    denom = float(_finite_array("denom", denom))
     t_prev, t = _scaled_legendre(n, numer, denom)[-2:]
     if not math.isfinite(t):
         raise _not_finite(n, f"{numer!r}/{denom!r}")

@@ -45,6 +45,13 @@ def _worst(*values: float | np.ndarray) -> float:
     return float(np.max(values)) + 0.0
 
 
+def _beyond_tail(values: np.ndarray, sums: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """How far each generating-function value lies from its series sum
+    beyond the series' tail bound: |G - S| - tail, floored at 0 (a series
+    inside its tail bound).  np.maximum keeps a NaN, so it fails the gate."""
+    return np.maximum(np.abs(values - sums) - tails, 0.0)
+
+
 def _pairs(draws) -> tuple[list, list]:
     """(coins, states) of a stack from (coin, its states) draws: each coin
     repeated once per state, paired one-to-one with the states in order."""
@@ -325,10 +332,8 @@ def _check_crw_gf_vs_series(rng: np.random.Generator) -> float:
     for _ in range(20):
         transition, phi_hat = crw.TransitionMatrix.random(rng), crw.CRWInitialState.random(rng)
         gf, closed = partial(genfunc.gf_crw, transition, phi_hat), partial(crw.return_series_crw, transition, phi_hat)
-        closed_values, series, tails = genfunc.against_series(gf, closed, [rng.uniform(-0.9, 0.9)], 1e-10)
-        residuals.append(np.abs(closed_values - series) - tails)
-    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
-    return _worst(np.maximum(residuals, 0.0))
+        residuals.append(_beyond_tail(*genfunc.against_series(gf, closed, [rng.uniform(-0.9, 0.9)], 1e-10)))
+    return _worst(*residuals)
 
 
 def _check_crw_mass_conservation(rng: np.random.Generator) -> float:
@@ -343,10 +348,8 @@ def _check_qw_gf_vs_series(rng: np.random.Generator) -> float:
     residuals = []
     for alpha_sq in (0.2, 0.5, 0.8):
         gf, closed = partial(genfunc.gf_qw, alpha_sq), partial(qw.return_series_qw, alpha_sq)
-        closed_values, series, tails = genfunc.against_series(gf, closed, [0.2, 0.5, 0.8], 1e-6)
-        residuals.append(np.abs(closed_values - series) - tails)
-    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
-    return _worst(np.maximum(residuals, 0.0))
+        residuals.append(_beyond_tail(*genfunc.against_series(gf, closed, [0.2, 0.5, 0.8], 1e-6)))
+    return _worst(*residuals)
 
 
 def _check_qw_gf_hadamard_limit(rng: np.random.Generator) -> float:
@@ -412,9 +415,7 @@ def _check_polya2d(rng: np.random.Generator) -> float:
     series = genfunc.polya2d_series(400)
     zgrid = np.array([0.3, 0.6])
     values, tails = np.array([genfunc.series_sum(series, z) for z in zgrid.tolist()]).T
-    residuals = np.abs(genfunc.polya2d_gf(zgrid) - values) - tails
-    # Floored at 0 (a series inside its tail bound); np.maximum keeps a NaN.
-    return _worst(np.maximum(residuals, 0.0))
+    return _worst(_beyond_tail(genfunc.polya2d_gf(zgrid), values, tails))
 
 
 def _check_polya3d(rng: np.random.Generator) -> float:

@@ -63,6 +63,23 @@ def test_from_persistence_recovers_parameters():
     assert t.b == pytest.approx(0.6)
 
 
+def test_from_persistence_walks_the_d_that_its_stored_b_gives():
+    # b = 1 - d is stored and d is read back as 1 - b, rounded twice.
+    assert TransitionMatrix.from_persistence(0.7, 0.3).d == 0.30000000000000004
+    assert TransitionMatrix.from_persistence(0.7, 1e-9).d == 9.999999717180685e-10
+    # c = 1 - a is rounded as well: the stored column need not sum to 1.
+    t = TransitionMatrix.from_persistence(0.3, 0.6)
+    assert Fraction(t.a) + Fraction(t.c) != 1
+
+
+@given(st.floats(0.5, 1.0, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_from_persistence_keeps_every_d_from_one_half_exactly(d):
+    t = TransitionMatrix.from_persistence(0.7, d)
+    assert t.d == d
+    assert Fraction(t.b) + Fraction(t.d) == 1
+
+
 def test_initial_state_validation():
     with pytest.raises(ValueError):
         CRWInitialState(phi1_hat=0.7, phi2_hat=0.7)

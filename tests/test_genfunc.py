@@ -300,6 +300,24 @@ def test_gf_rejects_an_array_with_one_z_outside(name):
         _GF_ON_GRID[name](np.array([0.2, -1.0]))
 
 
+# Each cast of genfunc's inputs to float, where a complex value would keep
+# only its real part.
+_COMPLEX_INPUT = {
+    "gf_hadamard": (lambda: gf_hadamard(np.array([0.3 + 0.2j])), "z"),
+    "integrate": (lambda: integrate(np.cos, np.array([0.0 + 1j]), 1.0), "a"),
+    "integral_E_term": (lambda: integral_E_term(0.2, np.array([0.3 + 0.1j])), "z2"),
+    "series_sum": (lambda: series_sum(np.array([1.0, 0.5j]), 0.5), "series"),
+    "against_series": (lambda: against_series(polya2d_gf, polya2d_series, [0.3 + 0.2j], 1e-9), "z"),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPLEX_INPUT))
+def test_complex_input_is_refused_not_cut_to_its_real_part(name):
+    call, argument = _COMPLEX_INPUT[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be real, got "):
+        call()
+
+
 def test_integral_E_term_on_an_array_equals_its_scalar_values():
     z2 = np.array([0.0, 0.04, 0.5, 0.9604, 0.999])
     assert integral_E_term(0.3, z2).tolist() == [integral_E_term(0.3, v) for v in z2.tolist()]

@@ -124,6 +124,35 @@ def test_jacobi10_rejects_bad_arguments():
         jacobi10_range(-2, 0.1)
 
 
+@pytest.mark.parametrize(
+    "sweep, args, message",
+    [
+        (legendre_range, (3, math.nan), r"^x must be finite, got nan$"),
+        (jacobi10_range, (3, math.inf), r"^x must be finite, got inf$"),
+        (scaled_legendre_pair, (2, math.nan, 1.0), r"^numer must be finite, got nan$"),
+        (scaled_legendre_pair, (2, 0.3, -math.inf), r"^denom must be finite, got -inf$"),
+        # None casts to NaN, so it is refused by name too, not by float(None).
+        (legendre_range, (3, None), r"^x must be finite, got nan$"),
+    ],
+)
+def test_a_sweep_refuses_a_non_finite_argument_by_name(sweep, args, message):
+    with pytest.raises(ValueError, match=message):
+        sweep(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, name",
+    [
+        (ellipK, (np.array([0.5 + 0.5j]),), "m"),
+        (legendre_range, (3, np.complex128(0.5 + 0.5j)), "x"),
+        (scaled_legendre_pair, (2, 0.5, 1.0 + 1e-3j), "denom"),
+    ],
+)
+def test_complex_input_is_refused_not_cut_to_its_real_part(function, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+        function(*args)
+
+
 # P_n(1.5) grows like 2.618^n and leaves the float range near n = 737, where
 # the sweep reaches inf and then inf - inf = NaN.
 _OVERFLOWING = {

@@ -34,6 +34,8 @@ def _nan_from(route):
         (crw, "return_sum_form_crw", verify._check_crw_sum_form),
         (crw, "simulate_return_crw", verify._check_crw_closed_vs_simulation),
         (genfunc, "gf_crw", verify._check_crw_gf_vs_series),
+        (genfunc, "gf_qw", verify._check_qw_gf_vs_series),
+        (qw, "return_series_qw", verify._check_qw_gf_vs_series),
         (genfunc, "polya2d_gf", verify._check_polya2d),
     ],
 )
