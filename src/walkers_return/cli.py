@@ -82,8 +82,7 @@ def emit_csv(table: Table, stream) -> None:
     csv.writer(stream, lineterminator="\n").writerow(table.columns)
     # Number cells hold no comma, quote or line break, so none needs quoting;
     # %.17g round-trips any float64.
-    for block in _blocks(table.data, ",".join(_conversions(table.data, "%.17g")) + "\n"):
-        stream.write(block)
+    stream.writelines(_blocks(table.data, ",".join(_conversions(table.data, "%.17g")) + "\n"))
 
 
 def emit_json(table: Table, stream) -> None:
@@ -106,18 +105,7 @@ def emit_gnuplot(table: Table, stream) -> None:
     """Two-column plain text (first two columns) for external plotters."""
     stream.write(f"# {table.columns[0]} {table.columns[1]}\n")
     data = table.data[:2]
-    for block in _blocks(data, " ".join(_conversions(data, "%.17g")) + "\n"):
-        stream.write(block)
-
-
-def _write_output(table: Table, args) -> None:
-    # Built per call, so that a traced run calls the emitters it wrapped.
-    emitter = {"csv": emit_csv, "json": emit_json, "gnuplot": emit_gnuplot}[args.format]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            emitter(table, handle)
-    else:
-        emitter(table, sys.stdout)
+    stream.writelines(_blocks(data, " ".join(_conversions(data, "%.17g")) + "\n"))
 
 
 def _resolve_tol(args, default: float) -> float:
@@ -259,7 +247,11 @@ def _model(args, command: str, supported: tuple[str, ...]) -> tuple[Model, Walk]
 def _write_table(args, walk: Walk, columns: list[str], data, **meta) -> None:
     """Writes a command's table under a meta block: the request, the command's own keys, the version."""
     meta = {"command": args.command, "model": args.model, "params": walk.params, **meta, "version": __version__}
-    _write_output(Table(columns, data, meta), args)
+    table = Table(columns, data, meta)
+    # Built per call, so that a traced run calls the emitters it wrapped.
+    emitter = {"csv": emit_csv, "json": emit_json, "gnuplot": emit_gnuplot}[args.format]
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+        emitter(table, stream)
 
 
 def _require_nmax(args) -> None:

@@ -31,7 +31,6 @@ from .specfun import _require_count, _scaled_legendre
 __all__ = [
     "TransitionMatrix",
     "CRWInitialState",
-    "CRWClosedFormParams",
     "crw_step",
     "evolve_crw",
     "simulate_return_crw",
@@ -131,7 +130,11 @@ class CRWInitialState:
 def crw_step(field: Field, matrix: np.ndarray) -> Field:
     """One time step, L-mass one unit left and R-mass one unit right, of a
     planned field: `lattice.evolve` and `lattice.return_values` call it with
-    the `matrix` of :func:`lattice.stack`.  A field without a plan raises ValueError."""
+    the `matrix` of :func:`lattice.stack`.  A field without a plan raises ValueError.
+
+    It only calls :func:`lattice.shift`, and stays a name of its own because
+    ``bench/tracing.py`` wraps it to count the correlated walk's site steps,
+    `crw.site_steps`, apart from :func:`qw.step`'s."""
     return lattice.shift(field, matrix)
 
 
@@ -157,27 +160,16 @@ def simulate_return_crw(
     return lattice.return_values(*lattice.stack(transition, phi_hat), nmax, crw_step)
 
 
-@dataclass(frozen=True)
-class CRWClosedFormParams:
-    """Scalars of the closed form: delta_pm = ad +- bc, k_pm = ac phi1 + bd phi2 +- ad."""
-
-    delta_plus: float
-    delta_minus: float
-    k_plus: float
-    k_minus: float
-
-
 def closed_form_params(
     transition: TransitionMatrix, phi_hat: CRWInitialState
-) -> CRWClosedFormParams:
+) -> tuple[float, float, float, float]:
+    """Scalars of the closed form, as (delta_plus, delta_minus, k_plus, k_minus).
+
+    delta_pm = ad +- bc and k_pm = ac phi1 + bd phi2 +- ad.
+    """
     a, b, c, d = transition.a, transition.b, transition.c, transition.d
     s = a * c * phi_hat.phi1_hat + b * d * phi_hat.phi2_hat
-    return CRWClosedFormParams(
-        delta_plus=a * d + b * c,
-        delta_minus=a * d - b * c,
-        k_plus=s + a * d,
-        k_minus=s - a * d,
-    )
+    return a * d + b * c, a * d - b * c, s + a * d, s - a * d
 
 
 def return_closed_crw(
@@ -205,16 +197,14 @@ def return_series_crw(
     gives T_j = delta_plus^j C(2j, j) / 2^j exactly.
     """
     nmax = _require_count(nmax, "nmax")
-    params = closed_form_params(transition, phi_hat)
-    scaled = np.array(_scaled_legendre(nmax // 2, params.delta_plus, params.delta_minus))
-    ad2 = params.k_plus - params.k_minus  # equals 2ad
+    delta_plus, delta_minus, k_plus, k_minus = closed_form_params(transition, phi_hat)
+    scaled = np.array(_scaled_legendre(nmax // 2, delta_plus, delta_minus))
+    ad2 = k_plus - k_minus  # equals 2ad
     values = np.zeros(nmax + 1)
     values[0] = 1.0
     # 2ad rounds to 0 against k_pm when ad is tiny: raise, never return NaN.
     with np.errstate(divide="raise", invalid="raise"):
-        values[2::2] = (
-            params.k_minus * params.delta_minus * scaled[:-1] + params.k_plus * scaled[1:]
-        ) / ad2
+        values[2::2] = (k_minus * delta_minus * scaled[:-1] + k_plus * scaled[1:]) / ad2
     return values
 
 

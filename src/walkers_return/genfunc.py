@@ -224,18 +224,18 @@ def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z):
     walk) the form is 1/sqrt(1 - 4pqz^2), whatever phi_hat.
     """
     z = _z_array(z)
-    params = closed_form_params(transition, phi_hat)
+    delta_plus, delta_minus, k_plus, k_minus = closed_form_params(transition, phi_hat)
     w = z * z
-    radicand = params.delta_minus**2 * w * w - 2.0 * params.delta_plus * w + 1.0
+    radicand = delta_minus**2 * w * w - 2.0 * delta_plus * w + 1.0
     if not np.all(radicand > 0.0):
         # Unreachable for |z| < 1 with a valid transition matrix: the
         # nearest root of the radicand sits at w >= 1.
         raise ValueError(f"generating-function radicand {np.min(radicand)} not positive at some z")
-    ad2 = params.k_plus - params.k_minus
-    value = (params.delta_minus * params.k_minus * w + params.k_plus) / np.sqrt(radicand)
+    ad2 = k_plus - k_minus
+    value = (delta_minus * k_minus * w + k_plus) / np.sqrt(radicand)
     # ad = 0 (a or d underflowed): raise FloatingPointError, never return NaN.
     with np.errstate(divide="raise", invalid="raise"):
-        return _plain((value - params.k_plus) / ad2 + 1.0)
+        return _plain((value - k_plus) / ad2 + 1.0)
 
 
 def polya2d_gf(z):
@@ -311,6 +311,7 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
 
 def truncation_for(z: float, target: float) -> int:
     """Smallest N with geometric tail |z|^{N+1}/(1-|z|) below target/10."""
+    z = float(_real_array("z", z))
     az = abs(z)
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")
@@ -336,6 +337,7 @@ def series_sum(series, z: float) -> tuple[float, float]:
     fsum rounds the exact sum correctly, so exact zeros cannot change it,
     while a NaN or inf term is kept and comes back in the sum.
     """
+    z = float(_real_array("z", z))
     az = abs(z)
     if not az < 1.0:
         raise ValueError(f"|z| must be below 1, got {z}")

@@ -174,7 +174,11 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def step(field: Field, matrix: np.ndarray) -> Field:
     """One time step, new(x) = P old(x+1) + Q old(x-1), of a planned field:
     `lattice.evolve` and `lattice.return_values` call it with the `matrix`
-    of :func:`lattice.stack`.  A field without a plan raises ValueError."""
+    of :func:`lattice.stack`.  A field without a plan raises ValueError.
+
+    It only calls :func:`lattice.shift`, and stays a name of its own because
+    ``bench/tracing.py`` wraps it to count the quantum walk's site steps,
+    `qw.site_steps`, apart from :func:`crw.crw_step`'s."""
     return lattice.shift(field, matrix)
 
 
@@ -337,11 +341,6 @@ def return_lemma1(coin: CoinMatrix, phi: QWInitialState, n: int) -> float:
     return float(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
 
 
-def _closed_even(k: float, p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
-    """Closed-form r_{2j} from (P_{j-1}(k), P_j(k)), elementwise."""
-    return (p_lo * p_lo - 2.0 * k * p_hi * p_lo + p_hi * p_hi) / (2.0 * (k + 1.0))
-
-
 def return_closed_qw(alpha_sq: float, n: int) -> float:
     """Legendre closed form for the return probability at time n.
 
@@ -361,12 +360,13 @@ def return_series_qw(alpha_sq: float, nmax: int) -> np.ndarray:
     nmax = _require_count(nmax, "nmax")
     k = 2.0 * alpha_sq - 1.0
     legendre = legendre_range(nmax // 2, k)
+    lo, hi = legendre[:-1], legendre[1:]  # P_{j-1}(k), P_j(k)
     values = np.zeros(nmax + 1)
     values[0] = 1.0
     # k rounds to -1 for |alpha|^2 below about 1e-17 and the form reads
     # 0/0: raise FloatingPointError (an ArithmeticError), never return NaN.
     with np.errstate(divide="raise", invalid="raise"):
-        values[2::2] = _closed_even(k, legendre[:-1], legendre[1:])
+        values[2::2] = (lo * lo - 2.0 * k * hi * lo + hi * hi) / (2.0 * (k + 1.0))
     return values
 
 

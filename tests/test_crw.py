@@ -159,27 +159,27 @@ def test_general_r2_by_two_path_enumeration():
 
 
 def test_params_for_symmetric_walk():
-    params = closed_form_params(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5))
-    assert params.delta_plus == pytest.approx(0.5)
-    assert params.delta_minus == 0.0
+    delta_plus, delta_minus, _, _ = closed_form_params(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5))
+    assert delta_plus == pytest.approx(0.5)
+    assert delta_minus == 0.0
 
 
 def test_params_for_equal_persistence():
     # a = d = p, b = c = 1 - p: delta_plus = p^2 + (1-p)^2, delta_minus = 2p - 1
     for p in (0.2, 0.5, 0.9):
-        params = closed_form_params(
+        delta_plus, delta_minus, _, _ = closed_form_params(
             TransitionMatrix.from_persistence(p, p), CRWInitialState.from_phi1(0.3)
         )
-        assert params.delta_plus == pytest.approx(p * p + (1 - p) * (1 - p), abs=1e-15)
-        assert params.delta_minus == pytest.approx(2 * p - 1, abs=1e-15)
+        assert delta_plus == pytest.approx(p * p + (1 - p) * (1 - p), abs=1e-15)
+        assert delta_minus == pytest.approx(2 * p - 1, abs=1e-15)
 
 
 def test_k_gap_is_twice_ad():
     rng = np.random.default_rng(47)
     for _ in range(10):
         t = TransitionMatrix.random(rng)
-        params = closed_form_params(t, CRWInitialState.random(rng))
-        assert params.k_plus - params.k_minus == pytest.approx(2 * t.a * t.d, abs=1e-16)
+        _, _, k_plus, k_minus = closed_form_params(t, CRWInitialState.random(rng))
+        assert k_plus - k_minus == pytest.approx(2 * t.a * t.d, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------

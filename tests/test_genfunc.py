@@ -318,6 +318,26 @@ def test_complex_input_is_refused_not_cut_to_its_real_part(name):
         call()
 
 
+_COMPLEX_Z = {"complex": 0.5 + 0.1j, "complex128": np.complex128(0.5 + 0.1j), "0-d array": np.array(0.5 + 0.1j)}
+_TAKES_Z = {"series_sum": lambda z: series_sum([1.0, 0.5], z), "truncation_for": lambda z: truncation_for(z, 1e-10)}
+
+
+@pytest.mark.parametrize("z", list(_COMPLEX_Z))
+@pytest.mark.parametrize("name", list(_TAKES_Z))
+def test_a_complex_z_is_refused_by_name(name, z):
+    # series_sum once raised NotImplementedError from fsum, and
+    # truncation_for returned the N for |z|.
+    with pytest.raises(ValueError, match="^z must be real, got "):
+        _TAKES_Z[name](_COMPLEX_Z[z])
+
+
+@pytest.mark.parametrize("name", list(_TAKES_Z))
+def test_a_real_z_of_any_type_gives_what_its_float_gives(name):
+    call = _TAKES_Z[name]
+    assert call(np.float32(0.5)) == call(np.array(0.5)) == call(0.5)
+    assert call(0) == call(0.0)
+
+
 def test_integral_E_term_on_an_array_equals_its_scalar_values():
     z2 = np.array([0.0, 0.04, 0.5, 0.9604, 0.999])
     assert integral_E_term(0.3, z2).tolist() == [integral_E_term(0.3, v) for v in z2.tolist()]
