@@ -127,15 +127,10 @@ class CRWInitialState:
         return cls.from_phi1(rng.uniform(0.0, 1.0))
 
 
-def crw_step(field: Field, matrix: np.ndarray) -> Field:
-    """One time step, L-mass one unit left and R-mass one unit right, of a
-    planned field: `lattice.evolve` and `lattice.return_values` call it with
-    the `matrix` of :func:`lattice.stack`.  A field without a plan raises ValueError.
-
-    It only calls :func:`lattice.shift`, and stays a name of its own because
-    ``bench/tracing.py`` wraps it to count the correlated walk's site steps,
-    `crw.site_steps`, apart from :func:`qw.step`'s."""
-    return lattice.shift(field, matrix)
+# One time step of a planned correlated-walk field.  A name of its own because
+# ``bench/tracing.py`` wraps it by name to count `crw.site_steps` apart from
+# `qw.site_steps`.
+crw_step = lattice.shift
 
 
 def evolve_crw(

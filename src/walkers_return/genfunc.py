@@ -60,8 +60,9 @@ _MAX_SUBDIVISIONS = 4000
 _ROUNDING = 4.0 * np.finfo(float).eps
 # Absolute tolerance of the quadrature term of the quantum-walk generating function.
 _E_TERM_TOL = 1e-10
-# The smallest tolerance `polya3d_constants` can meet.
-_POLYA3D_TOL_FLOOR = 1e-12
+# The smallest tolerance `polya3d_constants` takes: a few ulps of G ~ 1.516.
+# Far below it the bisection would refine until sin^2(t/2) underflows.
+_POLYA3D_TOL_FLOOR = 1e-15
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
 # weights (the rule is symmetric about 0).
@@ -253,19 +254,6 @@ def polya2d_series(nmax: int) -> np.ndarray:
     return values
 
 
-def _polya3d_head_bound(delta: float) -> float:
-    """Upper bound for the untreated integral head over (0, delta].
-
-    Near 0 the kernel K(2/(3-cos t)) has complementary modulus
-    m'(t) >= t (1 - t) / sqrt(2) for t <= 1e-3, and
-    K(m) <= ln(4/m') + m'^2 for small m', while the 3/(3-cos t) weight is
-    at most 3/2; the head is therefore at most
-    (3/2) integral_0^delta (ln(4 sqrt2 / t) + 2t + tiny) dt.
-    """
-    kernel = delta * (math.log(4.0 * math.sqrt(2.0) / delta) + 1.0) + delta * delta + 1e-7 * delta
-    return 1.5 * kernel
-
-
 def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     """Lattice Green constant G and 3-D recurrence probability F = 1 - 1/G.
 
@@ -274,10 +262,10 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
     function through the planar identity
     (1/pi^2) iint dx dy / (a - cos x - cos y) = (2/(pi a)) K(2/a).
     The integrand is even with an integrable logarithmic singularity at
-    t = 0 (modulus -> 1), so the half-range integral is accumulated over
-    dyadic segments [pi/2^{j+1}, pi/2^j] that never touch the endpoint,
-    until the analytic head bound drops below the tolerance `tol`, which
-    must be at least 1e-12.
+    t = 0 (modulus -> 1); the half range is integrated after the
+    substitution t = pi u^3, which turns that singularity into a factor
+    u^2 log u that the adaptive bisection resolves, to the absolute
+    tolerance `tol`, which must be at least 1e-15.
     """
     _check_tol(tol)
     if tol < _POLYA3D_TOL_FLOOR:
@@ -291,21 +279,9 @@ def polya3d_constants(tol: float = 1e-10) -> tuple[float, float]:
         kernel = ellipK_from_complement(np.sqrt(s * (2.0 + s)) / (1.0 + s))
         return 3.0 * kernel / (2.0 * (1.0 + s))
 
-    # Upper ends pi, pi/2, pi/4, ... of the segments, down to the first
-    # segment whose lower end leaves a head bound below 0.4*tol.
-    his = [math.pi]
-    while _polya3d_head_bound(0.5 * his[-1]) >= 0.4 * tol:
-        his.append(0.5 * his[-1])
-    # The head bound reaches 0.4*tol within 49 halvings for any tol >=
-    # 1e-12, so a uniform per-segment budget of tol/128, floored at 1e-14
-    # above rounding noise, keeps the sum of segment errors below tol/2
-    # (49 * 1e-14 at the floor).  Below the floor that sum would not fit.
-    seg_tol = max(tol / 128.0, 1e-14)
-    his = np.array(his)
-    total = 0.0
-    for value in integrate(integrand, 0.5 * his, his, seg_tol).tolist():
-        total += value  # hi -> lo
-    g = total * 2.0 / math.pi**2
+    # dt = 3 pi u^2 du; G is 2/pi^2 times the integral, whose tolerance is
+    # therefore pi^2/2 times G's.
+    g = integrate(lambda u: integrand(math.pi * u**3) * 3.0 * math.pi * u**2, 0.0, 1.0, tol * math.pi**2 / 2) * 2.0 / math.pi**2
     return g, 1.0 - 1.0 / g
 
 

@@ -171,15 +171,10 @@ def decompose(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return p, q, r, s
 
 
-def step(field: Field, matrix: np.ndarray) -> Field:
-    """One time step, new(x) = P old(x+1) + Q old(x-1), of a planned field:
-    `lattice.evolve` and `lattice.return_values` call it with the `matrix`
-    of :func:`lattice.stack`.  A field without a plan raises ValueError.
-
-    It only calls :func:`lattice.shift`, and stays a name of its own because
-    ``bench/tracing.py`` wraps it to count the quantum walk's site steps,
-    `qw.site_steps`, apart from :func:`crw.crw_step`'s."""
-    return lattice.shift(field, matrix)
+# One time step of a planned quantum-walk field.  A name of its own because
+# ``bench/tracing.py`` wraps it by name to count `qw.site_steps` apart from
+# `crw.site_steps`.
+step = lattice.shift
 
 
 def evolve(coin: CoinMatrix | Sequence[CoinMatrix], phi: QWInitialState | Sequence[QWInitialState], n: int) -> Field:

@@ -369,6 +369,20 @@ def test_sum_form_is_exact_or_refused_from_subnormal_to_normal(a, b, phi1, n):
     _sum_form_is_exact(TransitionMatrix(a=a, b=b), CRWInitialState.from_phi1(phi1), n)
 
 
+def test_sum_form_within_1e13_relative_of_the_exact_sum():
+    # Away from the boundary the sum form keeps all but a few ulps: a value
+    # off by 1e-12 relative once moved only a pinned residual.
+    rng = np.random.default_rng(20221)
+    worst = Fraction(0)
+    for _ in range(1500):
+        transition = TransitionMatrix(a=rng.uniform(0.05, 0.95), b=rng.uniform(0.05, 0.95))
+        phi_hat = CRWInitialState.from_phi1(rng.uniform(0.0, 1.0))
+        n = int(rng.integers(1, 16))
+        exact = _exact_sum_form(transition, phi_hat, n)
+        worst = max(worst, abs(Fraction(return_sum_form_crw(transition, phi_hat, n)) - exact) / exact)
+    assert worst <= Fraction(1e-13), float(worst)
+
+
 def test_sum_form_rejects_zero_steps():
     with pytest.raises(ValueError):
         return_sum_form_crw(TransitionMatrix(a=0.5, b=0.5), CRWInitialState.from_phi1(0.5), 0)

@@ -132,7 +132,7 @@ def test_integrate_rejects_bad_array_bounds_before_evaluating(a, b):
 _TOL_TAKERS = {
     "integrate": (lambda tol: integrate(lambda x: x, 0.0, 1.0, tol), 0.0),
     "integrate empty interval": (lambda tol: integrate(lambda x: x, 2.0, 2.0, tol), 0.0),
-    "polya3d_constants": (lambda tol: polya3d_constants(tol), 1e-12),
+    "polya3d_constants": (lambda tol: polya3d_constants(tol), 1e-15),
 }
 
 
@@ -158,7 +158,7 @@ def test_quadrature_tolerance_rejects_values_below_the_floor():
 
 
 def test_polya3d_constants_meets_its_floor():
-    g, _ = polya3d_constants(1e-12)
+    g, _ = polya3d_constants(1e-15)
     assert abs(g - polya3d_constants()[0]) < 1e-10
 
 
@@ -477,6 +477,19 @@ def test_polya3d_kernel_finite_at_pi():
     s = math.sin(0.5 * math.pi) ** 2
     kernel = ellipK_from_complement(math.sqrt(s * (2.0 + s)) / (1.0 + s))
     assert kernel == pytest.approx(ellipK(0.5), abs=1e-13)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-15])
+def test_polya3d_constant_within_tol_of_watsons_closed_form(tol):
+    # Watson's G = sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)
+    # (Glasser & Zucker, PNAS 74, 1800, 1977).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        gammas = mpmath.fprod(mpmath.gamma(mpmath.mpf(k) / 24) for k in (1, 5, 7, 11))
+        watson = float(mpmath.sqrt(6) / (32 * mpmath.pi**3) * gammas)
+    g, f = polya3d_constants(tol)
+    assert abs(g - watson) <= tol
+    assert f == 1.0 - 1.0 / g
 
 
 def test_polya3d_stable_under_tolerance_halving():

@@ -364,6 +364,20 @@ def test_elliptic_against_quadrature_oracle():
         assert ellipE(m) == pytest.approx(e_ref, abs=1e-10)
 
 
+def test_elliptic_within_1e14_relative_of_mpmath():
+    # Moduli spread over [0, 1) and crowded towards 1 - 1e-12, where K grows
+    # like log(4/mc) and E's c-sum nears 1: a c-sum off by 1e-11 relative
+    # once moved only a pinned residual.
+    mpmath = pytest.importorskip("mpmath")
+    moduli = np.concatenate([np.linspace(0.0, 0.999, 360), 1.0 - np.logspace(-3, -12, 100)])
+    k_values, e_values = ellipK(moduli), ellipE(moduli)
+    with mpmath.workdps(30):
+        for m, k, e in zip(moduli.tolist(), k_values.tolist(), e_values.tolist()):
+            parameter = mpmath.mpf(m) ** 2
+            assert abs(k / mpmath.ellipk(parameter) - 1) <= 1e-14, m
+            assert abs(e / mpmath.ellipe(parameter) - 1) <= 1e-14, m
+
+
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
 def test_landen_relation(t):
     assert (1.0 + t) * ellipK(t) == pytest.approx(ellipK(2.0 * math.sqrt(t) / (1.0 + t)), abs=1e-12)
