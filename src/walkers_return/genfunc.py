@@ -52,8 +52,6 @@ __all__ = [
     "truncation_for",
 ]
 
-_Z_MARGIN = 1e-6
-
 # Subdivisions the adaptive quadrature may make per integral before it gives up.
 _MAX_SUBDIVISIONS = 4000
 # Relative disagreement of the coarse and fine values that counts as rounding.
@@ -90,10 +88,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite positive number, got {tol}")
 
 
-def _z_array(z, bound: float = 1.0) -> np.ndarray:
-    """z as a real float array with every |z| below `bound` (NaN fails too)."""
+def _z_array(z) -> np.ndarray:
+    """z as a real float array with every |z| below 1 (NaN fails too): the
+    one domain of every generating function here."""
     z = _real_array("z", z)
-    _require_in(z, np.abs(z) < bound, f"|z| must be below {bound}, got {{}}")
+    _require_in(z, np.abs(z) < 1.0, "|z| must be below 1, got {}")
     return z
 
 
@@ -176,7 +175,7 @@ def integral_E_term(k: float, z2):
     if not -1.0 < k < 1.0:
         raise ValueError(f"k must lie in (-1, 1), got {k}")
     z2 = _real_array("z2", z2)
-    _require_in(z2, (0.0 <= z2) & (z2 < 1.0 - _Z_MARGIN), f"upper limit must lie in [0, {1.0 - _Z_MARGIN}), got {{}}")
+    _require_in(z2, (0.0 <= z2) & (z2 < 1.0), "upper limit must lie in [0, 1), got {}")
     return integrate(lambda s: script_E(k, -np.expm1(-s)), 0.0, -np.log1p(-z2), _E_TERM_TOL)
 
 
@@ -185,10 +184,13 @@ def gf_qw(alpha_sq: float, z):
 
     (1/(pi (k+1))) ((1+z^2) scriptK(k, z^2) - 2 k^2 I(k, z^2) - pi/2) + 1
     with k = 2|alpha|^2 - 1 and I the :func:`integral_E_term` quadrature.
+    Like every generating function here it takes exactly |z| < 1: the
+    script kernels keep their precision as z -> 1, where G grows like
+    (|beta|/(pi |alpha|)) log(1/(1 - z^2)) plus a constant.
     """
     if not 0.0 < alpha_sq < 1.0:
         raise ValueError(f"alpha_sq must lie in (0, 1), got {alpha_sq}")
-    z = _z_array(z, 1.0 - _Z_MARGIN)
+    z = _z_array(z)
     k = 2.0 * alpha_sq - 1.0
     w = z * z
     bracket = (1.0 + w) * script_K(k, w) - math.pi / 2.0
@@ -229,8 +231,10 @@ def gf_crw(transition: TransitionMatrix, phi_hat: CRWInitialState, z):
     w = z * z
     radicand = delta_minus**2 * w * w - 2.0 * delta_plus * w + 1.0
     if not np.all(radicand > 0.0):
-        # Unreachable for |z| < 1 with a valid transition matrix: the
-        # nearest root of the radicand sits at w >= 1.
+        # In exact arithmetic the nearest root of the radicand sits at
+        # w >= 1 (sqrt(ad) + sqrt(bc) <= 1), so |z| < 1 never reaches it.
+        # Rounding does: at a = d = 1 - 2^-53 the radicand is 0.0
+        # from z = 1 - 1e-9 up, and this guard is what refuses it.
         raise ValueError(f"generating-function radicand {np.min(radicand)} not positive at some z")
     ad2 = k_plus - k_minus
     value = (delta_minus * k_minus * w + k_plus) / np.sqrt(radicand)

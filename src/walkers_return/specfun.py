@@ -281,33 +281,30 @@ def ellipE(m):
 def _script_pieces(x, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inner modulus, its complement and sqrt-denominator shared by script K and script E.
 
+    D = (1 - z)^2 + 4z(1 - x)(1 + x) and m^2 = 4z(1 - x)(1 + x) / D are
+    formed from non-negative terms, so nothing cancels as x -> +-1 or
+    z -> 1: D >= (1 - z)^2 > 0, and m^2 <= 1 since rounding is monotone.
     1 - m^2 = (1 - z)^2 / D exactly, so the complement is taken as
-    (1 - z)/sqrt(D), free of the cancellation in 1 - m^2 as z -> 1.
+    (1 - z)/sqrt(D), which stays positive where m rounds to 1.
     """
     x = _finite_array("x", x)
     z = _finite_array("z", z)
     _require_in(x, (-1.0 < x) & (x < 1.0), "first argument must lie in (-1, 1), got {}")
     _require_in(z, (0.0 <= z) & (z < 1.0), "second argument must lie in [0, 1), got {}")
-    denom = 1.0 - 2.0 * z * (2.0 * x * x - 1.0) + z * z
-    _require_in(denom, denom > 0.0, "denominator 1 - 2z(2x^2-1) + z^2 = {} is not positive")
-    mod_sq = 4.0 * z * (1.0 - x * x) / denom
-    _require_in(
-        mod_sq,
-        (0.0 <= mod_sq) & (mod_sq < 1.0),
-        "inner modulus^2 = {} outside [0, 1); admissible z is [0, 1)",
-    )
+    spread = 4.0 * z * (1.0 - x) * (1.0 + x)
+    denom = (1.0 - z) ** 2 + spread
     root = np.sqrt(denom)
-    return np.sqrt(mod_sq), (1.0 - z) / root, root
+    return np.sqrt(spread / denom), (1.0 - z) / root, root
 
 
 def script_K(x, z):
-    """Kernel K(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = 1 - 2z(2x^2-1) + z^2."""
+    """Kernel K(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = (1-z)^2 + 4z(1-x^2)."""
     modulus, complement, root = _script_pieces(x, z)
     return _plain(_agm(modulus, complement)[0] / root)
 
 
 def script_E(x, z):
-    """Kernel E(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = 1 - 2z(2x^2-1) + z^2."""
+    """Kernel E(sqrt(4z(1-x^2)/D)) / sqrt(D) with D = (1-z)^2 + 4z(1-x^2)."""
     modulus, complement, root = _script_pieces(x, z)
     k, csum = _agm(modulus, complement)
     return _plain(k * (1.0 - csum) / root)

@@ -17,5 +17,6 @@ def test_fingerprint_covers_every_residual_and_request(tmp_path):
     assert all(float.fromhex(value) <= verify.CHECKS[name][2] for name, value in residuals.items())
     digests = fingerprint.request_digests("long-horizon", 1, tmp_path)
     assert len(digests) == 5
-    assert all(status == 0 and len(digest) == 64 for status, digest in digests)
+    assert all(status == 0 and len(digest) == 64 for status, digest, _ in digests)
+    assert [label for _, _, label in digests] == ["return qw", "return crw", "dist qw", "dist hadamard", "dist crw"]
     assert len(list(tmp_path.iterdir())) == 5

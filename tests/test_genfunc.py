@@ -192,7 +192,7 @@ def test_integral_E_term_against_product_series():
 
 def test_integral_E_term_domain_errors():
     with pytest.raises(ValueError):
-        integral_E_term(0.3, 0.9999999)
+        integral_E_term(0.3, 1.0)
     with pytest.raises(ValueError):
         integral_E_term(1.2, 0.5)
 
@@ -262,9 +262,38 @@ def test_gf_qw_near_the_unit_circle_against_mpmath(alpha_sq, z):
 
 def test_gf_qw_domain_errors():
     with pytest.raises(ValueError):
-        gf_qw(0.5, 0.9999999)
+        gf_qw(0.5, 1.0)
     with pytest.raises(ValueError):
         gf_qw(0.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.9999, 0.999999])
+def test_gf_qw_near_a_boundary_coin_meets_its_series(alpha_sq):
+    # The script kernels' D = 1 - 2z(2x^2-1) + z^2 cancelled as x -> 1:
+    # at alpha_sq = 0.999999 and z = 0.995 G was 8.1e-12 off its series.
+    values, sums, tails = against_series(
+        lambda z: gf_qw(alpha_sq, z), lambda n: return_series_qw(alpha_sq, n), [0.99, 0.995], 1e-13
+    )
+    assert np.all(np.abs(values - sums) <= 1e-13 + tails)
+
+
+def test_gf_qw_returns_where_the_quadrature_once_gave_up():
+    # A ConvergenceError before the script kernels formed D from positive terms.
+    values, sums, tails = against_series(
+        lambda z: gf_qw(0.999999, z), lambda n: return_series_qw(0.999999, n), [0.999], 1e-13
+    )
+    assert abs(values[0] - sums[0]) <= 1e-12 + tails[0]
+
+
+@pytest.mark.parametrize("alpha_sq", [0.3, 0.5])
+def test_gf_qw_minus_its_logarithm_settles_as_z_tends_to_one(alpha_sq):
+    # G - (|beta|/(pi |alpha|)) log(1/(1 - z^2)) tends to a constant
+    # (1.16190680046 at alpha_sq = 1/2); a z margin of 1e-6 once refused all three.
+    z = 1.0 - np.array([1e-10, 1e-12, 1e-14])
+    slope = math.sqrt((1.0 - alpha_sq) / alpha_sq) / math.pi
+    offsets = gf_qw(alpha_sq, z) - slope * np.log(1.0 / (1.0 - z * z))
+    assert np.all(np.isfinite(offsets))
+    assert np.ptp(offsets) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +319,15 @@ def test_gf_on_an_array_equals_its_scalar_values(name):
     scalar = [gf(z) for z in zgrid.tolist()]
     assert all(type(v) is float for v in scalar)
     assert values.tolist() == scalar
+
+
+@pytest.mark.parametrize("name", list(_GF_ON_GRID))
+def test_gf_takes_every_z_inside_the_unit_disk(name):
+    # gf_qw once refused |z| >= 1 - 1e-6; every generating function now
+    # takes the same domain, up to the largest float below 1.
+    top = 1.0 - 2.0**-53
+    values = _GF_ON_GRID[name](np.array([-top, 0.999999, top]))
+    assert np.all(np.isfinite(values)) and values[0] == values[2]
 
 
 @pytest.mark.parametrize("name", list(_GF_ON_GRID))
@@ -418,6 +456,16 @@ def test_gf_crw_domain_error():
     t = TransitionMatrix(a=0.5, b=0.5)
     with pytest.raises(ValueError):
         gf_crw(t, CRWInitialState.from_phi1(0.5), 1.0)
+
+
+@pytest.mark.parametrize("z", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 2.0**-53])
+def test_gf_crw_radicand_guard_is_reached_under_rounding(z):
+    # In exact arithmetic the radicand's nearest root sits at z^2 >= 1, but
+    # at a = d = 1 - 2^-53 it rounds to 0.0 inside the unit disk: the
+    # guard, not a division by zero, must answer there.
+    t = TransitionMatrix(a=1.0 - 2.0**-53, b=2.0**-53)
+    with pytest.raises(ValueError, match="radicand 0.0 not positive"):
+        gf_crw(t, CRWInitialState.from_phi1(0.5), z)
 
 
 # ---------------------------------------------------------------------------

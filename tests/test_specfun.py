@@ -513,13 +513,57 @@ def test_kernel_domain_errors_name_an_offending_element():
 def test_script_K_keeps_full_precision_as_z_tends_to_one(z):
     # The complement (1 - w)/sqrt(D) replaces sqrt(1 - m^2), which lost
     # 9e-12 of relative accuracy at z = 0.999 and 4e-7 at z = 0.999998.
+    # script_E shares the complement; its E c-sum costs a few ulps.
     mpmath = pytest.importorskip("mpmath")
     k, w = 2.0 * 0.3 - 1.0, z * z
     with mpmath.workdps(30):
-        x, t = mpmath.mpf(k), mpmath.mpf(w)
-        denom = 1 - 2 * t * (2 * x * x - 1) + t * t
-        exact = mpmath.ellipk(4 * t * (1 - x * x) / denom) / mpmath.sqrt(denom)
-        assert abs(script_K(k, w) / exact - 1) <= 1e-15
+        assert abs(script_K(k, w) / _script_exact(mpmath, mpmath.ellipk, k, w) - 1) <= 1e-15
+        assert abs(script_E(k, w) / _script_exact(mpmath, mpmath.ellipe, k, w) - 1) <= 1e-14
+
+
+def _script_exact(mpmath, elliptic, x: float, z: float) -> float:
+    """scriptK or scriptE at (x, z) in mpmath's working precision; `elliptic`
+    takes the parameter m^2."""
+    x, z = mpmath.mpf(x), mpmath.mpf(z)
+    denom = (1 - z) ** 2 + 4 * z * (1 - x * x)
+    return float(elliptic(4 * z * (1 - x * x) / denom) / mpmath.sqrt(denom))
+
+
+# (x, z) where D = 1 - 2z(2x^2-1) + z^2, formed by subtraction, cancelled:
+# 5.5e-8 to 5.5e-6 off near x = +-1 and z = 1, and a ValueError at (0.3, 1 - 1e-12).
+_SCRIPT_EDGE_POINTS = [
+    (1.0 - 1e-12, 1.0 - 1e-9),
+    (-(1.0 - 1e-15), 1.0 - 1e-6),
+    (0.999998, 0.999),
+    (1.0 - 1e-9, 1.0 - 1e-12),
+    (0.3, 1.0 - 1e-12),
+]
+
+
+@pytest.mark.parametrize("kernel", ["script_K", "script_E"])
+@pytest.mark.parametrize(("x", "z"), _SCRIPT_EDGE_POINTS)
+def test_script_kernels_keep_full_precision_at_the_edges(kernel, x, z):
+    mpmath = pytest.importorskip("mpmath")
+    kernel, elliptic = {"script_K": (script_K, mpmath.ellipk), "script_E": (script_E, mpmath.ellipe)}[kernel]
+    with mpmath.workdps(60):
+        exact = _script_exact(mpmath, elliptic, x, z)
+    assert abs(kernel(x, z) / exact - 1) <= 1e-14
+
+
+def test_script_kernels_answer_everywhere_near_the_edges():
+    # 400 seeded points x = +-(1 - 10^u), z = 1 - 10^v with u, v in [-15, -1].
+    # The subtracted D refused 42 of them; E is at most 9.7e-15 off here,
+    # the noise of the E c-sum near modulus 1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    u, v = rng.uniform(-15.0, -1.0, (2, 400))
+    x = rng.choice([-1.0, 1.0], 400) * (1.0 - 10.0**u)
+    z = 1.0 - 10.0**v
+    values = {"K": script_K(x, z), "E": script_E(x, z)}
+    with mpmath.workdps(40):
+        for name, elliptic in (("K", mpmath.ellipk), ("E", mpmath.ellipe)):
+            exact = np.array([_script_exact(mpmath, elliptic, a, b) for a, b in zip(x.tolist(), z.tolist())])
+            assert np.all(np.abs(values[name] / exact - 1.0) <= 1e-13), name
 
 
 # ---------------------------------------------------------------------------

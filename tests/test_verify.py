@@ -143,9 +143,9 @@ PINNED_RESIDUALS = {
     "crw-mass-conservation-30-steps": "0x1.0000000000000p-52",
     "qw-generating-function-vs-series": "0x0.0p+0",
     "qw-generating-function-hadamard-limit": "0x0.0p+0",
-    "squared-legendre-generating-function": "0x1.8000000000000p-53",
+    "squared-legendre-generating-function": "0x1.fc00000000000p-53",
     "legendre-product-integral-identity": "0x1.0000000000000p-53",
-    "weighted-legendre-product-identity": "0x1.0000000000000p-51",
+    "weighted-legendre-product-identity": "0x1.0000000000000p-52",
     "kernel-derivative-relations": "0x1.18d97b8932ee8p-30",
     "polya-2d-generating-function-vs-series": "0x1.0000000000000p-52",
     "polya-3d-constant-stability": "0x1.0c31700000000p-32",

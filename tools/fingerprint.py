@@ -10,8 +10,9 @@ The object holds
   VERIFY_SEEDS, by seed and check name;
 * "requests": for every `long-horizon` and `z-scan` request that
   bench/workloads.py builds at each seed of REQUEST_SEEDS, run in-process
-  in order, its exit code and the sha256 of its stdout followed by its
-  --out bytes, by workload and seed.
+  in order, its exit code, the sha256 of its stdout followed by its
+  --out bytes, and its label "<command> <model>" (say "genfunc qw"), by
+  workload and seed.
 
 Run it in two checkouts and diff the outputs: equal JSON means that every
 residual kept its bits and every request its exit code and bytes.  It has
@@ -57,8 +58,9 @@ def residuals(seed: int) -> dict[str, str]:
 
 
 def request_digests(workload: str, seed: int, out_dir: Path) -> list[list]:
-    """[exit code, sha256 of stdout + --out bytes] of each request of `workload`
-    at `seed`, in order, with the --out files written under `out_dir`."""
+    """[exit code, sha256 of stdout + --out bytes, "<command> <model>"] of each
+    request of `workload` at `seed`, in order, with the --out files written
+    under `out_dir`."""
     digests = []
     for request in workloads.build(workload, seed, out_dir):
         stdout = io.StringIO()
@@ -67,7 +69,7 @@ def request_digests(workload: str, seed: int, out_dir: Path) -> list[list]:
         data = stdout.getvalue().encode()
         if request.out is not None and request.out.is_file():
             data += request.out.read_bytes()
-        digests.append([status, hashlib.sha256(data).hexdigest()])
+        digests.append([status, hashlib.sha256(data).hexdigest(), f"{request.command} {request.model}"])
     return digests
 
 
